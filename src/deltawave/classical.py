@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import VacuumError
 from .gas import GasState
-from .waves import WaveFamily, shock_speed, wave_state
+from .waves import WaveFamily, _acoustic_sign, shock_speed, wave_state
 
 
 class WaveKind(enum.Enum):
@@ -54,7 +54,7 @@ class ClassicalFan:
 def _curve_velocity(anchor: GasState, p: float, family: WaveFamily) -> tuple[float, float]:
     """Velocity on the wave curve at pressure p, and its derivative in p."""
     g = anchor.gamma
-    sign = -1.0 if family is WaveFamily.ONE else 1.0
+    sign = _acoustic_sign(family)
     if p >= anchor.p:
         a_coef = 2.0 / ((g + 1.0) * anchor.rho)
         b_coef = (g - 1.0) / (g + 1.0) * anchor.p
@@ -111,24 +111,23 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
     sl = wave_state(WaveFamily.ONE, left, p_star)
     sr = wave_state(WaveFamily.THREE, right, p_star)
 
-    if p_star >= left.p:
-        lk = WaveKind.SHOCK
-        sigma = shock_speed(WaveFamily.ONE, left, p_star)
-        lsp = (sigma, sigma)
-    else:
-        lk = WaveKind.RAREFACTION
-        a_star = math.sqrt(g * p_star / sl.rho)
-        lsp = (left.u - left.sound_speed, u_star - a_star)
-    if p_star >= right.p:
-        rk = WaveKind.SHOCK
-        sigma = shock_speed(WaveFamily.THREE, right, p_star)
-        rsp = (sigma, sigma)
-    else:
-        rk = WaveKind.RAREFACTION
-        a_star = math.sqrt(g * p_star / sr.rho)
-        rsp = (u_star + a_star, right.u + right.sound_speed)
+    lk, lsp = _acoustic_wave(WaveFamily.ONE, left, sl, u_star)
+    rk, rsp = _acoustic_wave(WaveFamily.THREE, right, sr, u_star)
 
     return ClassicalFan(left, right, p_star, u_star, sl.rho, sr.rho, lk, rk, lsp, rsp, g)
+
+
+def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
+                   u_star: float) -> tuple[WaveKind, tuple[float, float]]:
+    """Kind and edge speeds, in increasing order, of the wave between ``anchor`` and ``star``."""
+    if star.p >= anchor.p:
+        sigma = shock_speed(family, anchor, star.p)
+        return WaveKind.SHOCK, (sigma, sigma)
+    s = _acoustic_sign(family)
+    a_star = math.sqrt(anchor.gamma * star.p / star.rho)
+    # The anchor's edge is the outer one: head of a family-1 fan, tail of a family-3 one.
+    edges = (anchor.u + s * anchor.sound_speed, u_star + s * a_star)
+    return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 
 def _solve_pressure(left: GasState, right: GasState, lo: float, hi: float,
@@ -168,13 +167,21 @@ def _solve_pressure(left: GasState, right: GasState, lo: float, hi: float,
     return p
 
 
+def _fan_interior(anchor: GasState, xi: float, s: float) -> GasState:
+    """State at xi inside the rarefaction fan on ``anchor``; s = -1 (family 1) or +1 (family 3)."""
+    g = anchor.gamma
+    a = 2.0 / (g + 1.0) * (anchor.sound_speed - s * (0.5 * (g - 1.0) * (anchor.u - xi)))
+    rho = anchor.rho * (a / anchor.sound_speed) ** (2.0 / (g - 1.0))
+    p = anchor.p * (a / anchor.sound_speed) ** (2.0 * g / (g - 1.0))
+    return GasState(rho, xi - s * a, p, g)
+
+
 def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
     """State of the self-similar fan at similarity coordinate xi = x/t.
 
     A coordinate landing exactly on a discontinuity resolves to the state on
     its right (any consistent rule works for flux evaluation).
     """
-    g = fan.gamma
     if xi < fan.u_star:
         anchor = fan.left
         if fan.left_kind is WaveKind.SHOCK:
@@ -184,11 +191,7 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
             return anchor
         if xi > tail:
             return fan.star_left
-        a = 2.0 / (g + 1.0) * (anchor.sound_speed + 0.5 * (g - 1.0) * (anchor.u - xi))
-        u = xi + a
-        rho = anchor.rho * (a / anchor.sound_speed) ** (2.0 / (g - 1.0))
-        p = anchor.p * (a / anchor.sound_speed) ** (2.0 * g / (g - 1.0))
-        return GasState(rho, u, p, g)
+        return _fan_interior(anchor, xi, -1.0)
     anchor = fan.right
     if fan.right_kind is WaveKind.SHOCK:
         return anchor if xi >= fan.right_speeds[0] else fan.star_right
@@ -197,8 +200,4 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
         return anchor
     if xi < tail:
         return fan.star_right
-    a = 2.0 / (g + 1.0) * (anchor.sound_speed - 0.5 * (g - 1.0) * (anchor.u - xi))
-    u = xi - a
-    rho = anchor.rho * (a / anchor.sound_speed) ** (2.0 / (g - 1.0))
-    p = anchor.p * (a / anchor.sound_speed) ** (2.0 * g / (g - 1.0))
-    return GasState(rho, u, p, g)
+    return _fan_interior(anchor, xi, 1.0)

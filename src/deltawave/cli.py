@@ -14,7 +14,9 @@ import numpy as np
 from .cases import get_case
 from .errors import ConfigError, UnavailableFluxError
 from .runner import (
+    SCHEMES,
     convergence_study,
+    end_time,
     initial_states,
     profile_rows_from_fan,
     run_test,
@@ -22,8 +24,6 @@ from .runner import (
     write_profile,
 )
 from .structure import compose_reference_fan
-
-_SCHEMES = ("splitting", "kt", "kt-nocorr", "solver")
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -52,7 +52,7 @@ def main():
 
 @main.command()
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
-@click.option("--scheme", type=click.Choice(_SCHEMES), required=True)
+@click.option("--scheme", type=click.Choice(list(SCHEMES)), required=True)
 @click.option("--h", "h", type=float, required=True, help="Cell width.")
 @click.option("--cfl", type=float, default=0.5, show_default=True)
 @click.option("--t-end", type=float, default=None, help="Override the built-in end time.")
@@ -78,7 +78,7 @@ def run(test_id, scheme, h, cfl, t_end, domain, out_path):
 
 @main.command()
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
-@click.option("--scheme", type=click.Choice(_SCHEMES), required=True)
+@click.option("--scheme", type=click.Choice(list(SCHEMES)), required=True)
 @click.option("--h-list", type=str, required=True, help="Comma-separated cell widths, descending.")
 @click.option("--cfl", type=float, default=0.5, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=None, help="Write one profile CSV per width.")
@@ -114,7 +114,7 @@ def reference(test_id, samples, t_end, domain, out_path):
 
     def body():
         case = get_case(test_id)
-        t = case.t_end if t_end is None else t_end
+        t = end_time(case, t_end)
         a, b = _parse_domain(domain)
         left, right = initial_states(case)
         fan = compose_reference_fan(left, right, case.coeffs)

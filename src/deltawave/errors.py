@@ -23,9 +23,10 @@ class UnavailableFluxError(DeltawaveError):
     transformation is unsolvable and corrections are disabled."""
 
 
-class ConfigError(DeltawaveError):
+class ConfigError(DeltawaveError, ValueError):
     """Invalid run configuration (grid does not place the origin on an
-    interface, unknown test id, malformed domain, ...)."""
+    interface, unknown test id, malformed domain, CFL number or end time
+    out of range, ...)."""
 
 
 class SchemeError(DeltawaveError):

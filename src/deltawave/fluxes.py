@@ -54,25 +54,20 @@ def _regime(state: GasState) -> Branch:
     return Branch.SUPERSONIC if abs(state.mach) > 1.0 else Branch.SUBSONIC
 
 
-def _connect_rightward(state: GasState, coeffs: SourceCoefficients, corrections: bool) -> GasState:
-    """State on the right side of a stationary jump whose left side is ``state``.
+def _connect(state: GasState, coeffs: SourceCoefficients, corrections: bool,
+             rightward: bool) -> GasState:
+    """State across a stationary jump from ``state``: its right side if ``rightward``, else left.
 
-    Rightward flow walks the curve downstream, leftward flow upstream in the
-    mirrored frame; stagnant traces carry no source and map to themselves.
+    Walking with the flow goes downstream along the curve, against it
+    upstream; leftward flow walks in the mirrored frame. Stagnant traces
+    carry no source and map to themselves.
     """
     if state.u > 0.0:
-        return downstream_state(state, coeffs, _regime(state), corrections)
+        walk = downstream_state if rightward else upstream_state
+        return walk(state, coeffs, _regime(state), corrections)
     if state.u < 0.0:
-        return upstream_state(state.mirrored(), coeffs, _regime(state), corrections).mirrored()
-    return state
-
-
-def _connect_leftward(state: GasState, coeffs: SourceCoefficients, corrections: bool) -> GasState:
-    """State on the left side of a stationary jump whose right side is ``state``."""
-    if state.u > 0.0:
-        return upstream_state(state, coeffs, _regime(state), corrections)
-    if state.u < 0.0:
-        return downstream_state(state.mirrored(), coeffs, _regime(state), corrections).mirrored()
+        walk = upstream_state if rightward else downstream_state
+        return walk(state.mirrored(), coeffs, _regime(state), corrections).mirrored()
     return state
 
 
@@ -87,8 +82,8 @@ def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficie
     other branch substitutes for a blown-up one.
     """
     try:
-        ghost_left = _connect_leftward(right_trace, coeffs, corrections)
-        ghost_right = _connect_rightward(left_trace, coeffs, corrections)
+        ghost_left = _connect(right_trace, coeffs, corrections, rightward=False)
+        ghost_right = _connect(left_trace, coeffs, corrections, rightward=True)
     except NotSolvableError as exc:
         raise UnavailableFluxError(str(exc)) from exc
     return FluxPair(llf_flux(left_trace, ghost_left), llf_flux(ghost_right, right_trace))

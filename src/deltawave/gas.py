@@ -43,10 +43,6 @@ class GasState:
         """Total energy per unit volume."""
         return self.p / (self.gamma - 1.0) + 0.5 * self.rho * self.u * self.u
 
-    @property
-    def internal_energy(self) -> float:
-        return self.p / ((self.gamma - 1.0) * self.rho)
-
     def mirrored(self) -> "GasState":
         """The state seen in the x -> -x, u -> -u reflected frame."""
         return GasState(self.rho, -self.u, self.p, self.gamma)
@@ -88,8 +84,9 @@ def to_conserved(state: GasState) -> np.ndarray:
 
 
 def from_conserved(rho: float, mom: float, energy: float, gamma: float = 1.4) -> GasState:
+    """State of the conserved vector (rho, rho*u, E)."""
     u = mom / rho
-    p = (gamma - 1.0) * (energy - 0.5 * mom * u)
+    p = (gamma - 1.0) * (energy - 0.5 * rho * u * u)
     return GasState(rho, u, p, gamma)
 
 

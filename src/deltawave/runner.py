@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from .cases import TestCase, get_case
-from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step
-from .errors import DeltawaveError
+from .dg import DgField, Grid, _primitives, cfl_dt, field_from_states, make_grid, ssp_rk3_step
+from .errors import ConfigError, DeltawaveError
 from .fluxes import Scheme, SchemeKind
 from .gas import GasState, to_conserved
 from .stationary import Branch, downstream_state
@@ -20,6 +20,15 @@ from .structure import SourceFan, compose_reference_fan, sample_source_fan
 _REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _REF_NODES = 0.5 * _REF_NODES
 _REF_WEIGHTS = 0.5 * _REF_WEIGHTS
+# Distance from every wave, in cells, that a cell needs to count as constant.
+_MARGIN_CELLS = 5
+
+SCHEMES = {
+    "splitting": Scheme(SchemeKind.SPLITTING),
+    "kt": Scheme(SchemeKind.KT, kt_corrections=True),
+    "kt-nocorr": Scheme(SchemeKind.KT, kt_corrections=False),
+    "solver": Scheme(SchemeKind.SOLVER),
+}
 
 
 @dataclass
@@ -34,6 +43,7 @@ class RunReport:
     oscillation: float | None = None
     duration: float = 0.0
     out_path: str | None = None
+    field: DgField | None = None  # final numerical field
 
     def l1(self, var: str) -> float:
         return self.errors[var][0]
@@ -46,6 +56,14 @@ def initial_states(case: TestCase) -> tuple[GasState, GasState]:
     if case.equilibrium:
         return case.left, downstream_state(case.left, case.coeffs, Branch.SUBSONIC)
     return case.left, case.right
+
+
+def end_time(case: TestCase, t_end: float | None) -> float:
+    """The run's end time: ``t_end`` if given, else the case's own; it must be positive."""
+    t = case.t_end if t_end is None else t_end
+    if not t > 0.0:
+        raise ConfigError(f"end time must be positive, got {t}")
+    return t
 
 
 def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) -> DgField:
@@ -76,9 +94,7 @@ def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
 
 
 def _primitive_table(means: np.ndarray, gamma: float) -> dict[str, np.ndarray]:
-    rho = means[:, 0]
-    u = means[:, 1] / rho
-    p = (gamma - 1.0) * (means[:, 2] - 0.5 * means[:, 1] * u)
+    rho, u, p = _primitives(means, gamma)
     return {"rho": rho, "u": u, "p": p, "E": means[:, 2]}
 
 
@@ -126,7 +142,7 @@ def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,
              out_path: str | None = None) -> RunReport:
     """Run one test problem and compare against its exactly composed solution."""
     case = get_case(test_id)
-    t_end = case.t_end if t_end is None else t_end
+    t_end = end_time(case, t_end)
     a, b = case.domain if domain is None else domain
     grid = make_grid(a, b, h)
     left, right = initial_states(case)
@@ -136,7 +152,7 @@ def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,
     field = advance(field0, case.coeffs, scheme, t_end, cfl)
     duration = _time.perf_counter() - start
 
-    report = RunReport(test_id, scheme, h, grid.n_cells, t_end, duration=duration)
+    report = RunReport(test_id, scheme, h, grid.n_cells, t_end, duration=duration, field=field)
     fan = compose_reference_fan(left, right, case.coeffs)
     ref_means = reference_cell_averages(fan, grid, t_end)
     report.errors = error_norms(field.means, ref_means, left.gamma, h)
@@ -164,31 +180,30 @@ def convergence_study(test_id: int, scheme: Scheme, h_list: list[float], cfl: fl
     return reports
 
 
-def constant_region_cells(fan: SourceFan, grid: Grid, t: float, margin_cells: int = 5) -> np.ndarray:
-    """Indices of cells at least ``margin_cells`` widths away from every wave."""
+def constant_region_cells(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
+    """Indices of cells at least five widths away from every wave."""
     spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
     centers = grid.centers
-    margin = margin_cells * grid.h
+    margin = _MARGIN_CELLS * grid.h
     keep = np.ones(grid.n_cells, dtype=bool)
     for lo, hi in spans:
         keep &= (centers < lo - margin) | (centers > hi + margin)
     return np.where(keep)[0]
 
 
-def plateau_representatives(fan: SourceFan, grid: Grid, t: float,
-                            margin_cells: int = 5) -> list[int]:
+def plateau_representatives(fan: SourceFan, grid: Grid, t: float) -> list[int]:
     """One cell index per constant region of the exact solution.
 
     Each constant region between consecutive waves is represented by its most
     interior cell, provided the region is wide enough to hold cells at least
-    ``margin_cells`` widths from the bounding waves; narrower regions are not
+    five widths from the bounding waves; narrower regions are not
     resolvable at this grid and are skipped. The representative cell is where
     a converged scheme must show the plateau value, clear of the numerically
     smeared wave footprints on either side.
     """
     spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
     edges = [grid.a] + [e for span in spans for e in span] + [grid.b]
-    margin = margin_cells * grid.h
+    margin = _MARGIN_CELLS * grid.h
     centers = grid.centers
     picks: list[int] = []
     for lo, hi in zip(edges[0::2], edges[1::2]):
@@ -201,12 +216,6 @@ def plateau_representatives(fan: SourceFan, grid: Grid, t: float,
 
 
 def scheme_from_name(name: str) -> Scheme:
-    table = {
-        "splitting": Scheme(SchemeKind.SPLITTING),
-        "kt": Scheme(SchemeKind.KT, kt_corrections=True),
-        "kt-nocorr": Scheme(SchemeKind.KT, kt_corrections=False),
-        "solver": Scheme(SchemeKind.SOLVER),
-    }
-    if name not in table:
+    if name not in SCHEMES:
         raise DeltawaveError(f"unknown scheme '{name}'")
-    return table[name]
+    return SCHEMES[name]

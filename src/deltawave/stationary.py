@@ -57,6 +57,16 @@ class CriticalMachNumbers:
     downstream_supersonic_min: float
     downstream_supersonic_sup: float
 
+    def interval(self, side: Side, branch: Branch) -> tuple[float, float]:
+        """Endpoints of the admissible Mach set on ``side`` and ``branch``."""
+        if side is Side.LEFT:
+            if branch is Branch.SUBSONIC:
+                return 0.0, self.upstream_subsonic_max
+            return self.upstream_supersonic_min, self.upstream_supersonic_sup
+        if branch is Branch.SUBSONIC:
+            return 0.0, self.downstream_subsonic_max
+        return self.downstream_supersonic_min, self.downstream_supersonic_sup
+
 
 def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalMachNumbers:
     k = coeffs.k
@@ -97,14 +107,10 @@ def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalM
 
 def admissible(mach: float, side: Side, branch: Branch, coeffs: SourceCoefficients, gamma: float) -> bool:
     """Exact membership in the admissible Mach set for the given side and branch."""
-    crit = critical_mach_numbers(coeffs, gamma)
-    if side is Side.LEFT:
-        if branch is Branch.SUBSONIC:
-            return 0.0 < mach <= crit.upstream_subsonic_max
-        return crit.upstream_supersonic_min <= mach < crit.upstream_supersonic_sup
+    lo, hi = critical_mach_numbers(coeffs, gamma).interval(side, branch)
     if branch is Branch.SUBSONIC:
-        return 0.0 < mach <= crit.downstream_subsonic_max
-    return crit.downstream_supersonic_min <= mach < crit.downstream_supersonic_sup
+        return lo < mach <= hi
+    return lo <= mach < hi
 
 
 def _branch_mach_sq(m2: float, one_plus_k: float, gamma: float, branch: Branch,
@@ -167,12 +173,33 @@ def stationary_ratios(mach_minus: float, coeffs: SourceCoefficients, gamma: floa
     return math.sqrt(mp2), gd, gu, gp
 
 
-def _check_interval(mach: float, lo: float, hi: float, lo_closed: bool, what: str) -> None:
-    slack = _GAMMA_SLACK
-    lo_ok = mach >= lo * (1.0 - slack) if lo_closed else mach > 0.0
-    hi_ok = mach <= hi * (1.0 + slack) if math.isfinite(hi) else True
-    if not (lo_ok and hi_ok):
-        raise NotSolvableError(f"Mach {mach:.6g} outside admissible {what} range [{lo:.6g}, {hi:.6g}]")
+def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, branch: Branch,
+                   corrections: bool) -> float | None:
+    """Mach number of ``state`` as the ``side`` of a jump on ``branch``, checked.
+
+    Requires rightward flow. Returns None for the zero-coefficient source,
+    which carries no jump (both branches coincide there). Without
+    ``corrections`` a Mach number outside the admissible interval, beyond
+    roundoff slack, or at the supersonic existence limit raises.
+    """
+    if state.u <= 0.0:
+        caller = "downstream_state" if side is Side.LEFT else "upstream_state"
+        raise ValueError(f"{caller} requires rightward flow (u > 0)")
+    if coeffs.is_zero():
+        return None
+    m = state.mach
+    if not corrections:
+        lo, hi = critical_mach_numbers(coeffs, state.gamma).interval(side, branch)
+        supersonic = branch is Branch.SUPERSONIC
+        lo_ok = m >= lo * (1.0 - _GAMMA_SLACK) if supersonic else m > 0.0
+        hi_ok = m <= hi * (1.0 + _GAMMA_SLACK) if math.isfinite(hi) else True
+        if not (lo_ok and hi_ok):
+            where = "upstream" if side is Side.LEFT else "downstream"
+            raise NotSolvableError(f"Mach {m:.6g} outside admissible {where} {branch.value} "
+                                   f"range [{lo:.6g}, {hi:.6g}]")
+        if supersonic and m >= hi:
+            raise NotSolvableError(f"Mach {m:.6g} at or beyond the supersonic existence limit")
+    return m
 
 
 def downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
@@ -182,22 +209,9 @@ def downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch
     Requires rightward flow. The zero-coefficient source carries no jump, so
     that case returns the input unchanged (both branches coincide there).
     """
-    if state.u <= 0.0:
-        raise ValueError("downstream_state requires rightward flow (u > 0)")
-    if coeffs.is_zero():
+    m = _crossing_mach(state, coeffs, Side.LEFT, branch, corrections)
+    if m is None:
         return state
-    m = state.mach
-    if not corrections:
-        crit = critical_mach_numbers(coeffs, state.gamma)
-        if branch is Branch.SUBSONIC:
-            _check_interval(m, 0.0, crit.upstream_subsonic_max, False, "upstream subsonic")
-        else:
-            _check_interval(m, crit.upstream_supersonic_min, crit.upstream_supersonic_sup,
-                            True, "upstream supersonic")
-            if m >= crit.upstream_supersonic_sup:
-                raise NotSolvableError(
-                    f"Mach {m:.6g} at or beyond the supersonic existence limit"
-                )
     _, gd, gu, gp = stationary_ratios(m, coeffs, state.gamma, branch, corrections)
     return GasState(state.rho * gd, state.u * gu, state.p * gp, state.gamma)
 
@@ -222,22 +236,9 @@ def upstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
 
     Exact inverse of :func:`downstream_state` on its domain.
     """
-    if state.u <= 0.0:
-        raise ValueError("upstream_state requires rightward flow (u > 0)")
-    if coeffs.is_zero():
+    m = _crossing_mach(state, coeffs, Side.RIGHT, branch, corrections)
+    if m is None:
         return state
-    m = state.mach
-    if not corrections:
-        crit = critical_mach_numbers(coeffs, state.gamma)
-        if branch is Branch.SUBSONIC:
-            _check_interval(m, 0.0, crit.downstream_subsonic_max, False, "downstream subsonic")
-        else:
-            _check_interval(m, crit.downstream_supersonic_min, crit.downstream_supersonic_sup,
-                            True, "downstream supersonic")
-            if m >= crit.downstream_supersonic_sup:
-                raise NotSolvableError(
-                    f"Mach {m:.6g} at or beyond the supersonic existence limit"
-                )
     mm2 = _branch_mach_sq(m * m, 1.0 / (1.0 + coeffs.k), state.gamma, branch, corrections)
     gd, gu, gp = _ratios(mm2, m * m, coeffs, state.gamma)
     return GasState(state.rho / gd, state.u / gu, state.p / gp, state.gamma)

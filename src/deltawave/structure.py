@@ -19,6 +19,8 @@ from .errors import RootBracketError, VacuumError
 from .gas import GasState, SourceCoefficients
 from .stationary import (
     Branch,
+    Side,
+    admissible,
     choked_downstream,
     critical_mach_numbers,
     downstream_state,
@@ -44,14 +46,11 @@ class SolutionStructure(enum.Enum):
     CLASSICAL = "Classical"
 
 
-# Structures the predictor can emit for each sign of the derived coefficient.
-# The two limit structures are always represented through their neighbours:
-# Type4 as a Type2/Type3 boundary case, Type6 as a Type1/Type5 one.
-PREDICTABLE = {
-    1: (SolutionStructure.TYPE1, SolutionStructure.TYPE2, SolutionStructure.TYPE3),
-    0: (SolutionStructure.TYPE1, SolutionStructure.TYPE2, SolutionStructure.TYPE7),
-    -1: (SolutionStructure.TYPE1, SolutionStructure.TYPE2, SolutionStructure.TYPE5),
-}
+# Root tolerances of the origin solver and of the exactly composed fans.
+_SOLVE_TOL = 1e-12
+_FAN_TOL = 1e-13
+# Relative strength below which a classical wave counts as absent.
+_STRENGTH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,10 @@ class SolverOutput:
     minus: GasState
     plus: GasState
     structure: SolutionStructure
+
+    def mirrored(self) -> "SolverOutput":
+        """The same solution seen in the x -> -x reflected frame."""
+        return SolverOutput(self.plus.mirrored(), self.minus.mirrored(), self.structure)
 
 
 def velocity_mismatch(p: float, left: GasState, right: GasState,
@@ -103,17 +106,6 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     return p_rest, p_crit
 
 
-def _type2_admissible(left: GasState, coeffs: SourceCoefficients) -> bool:
-    k = coeffs.k
-    m = left.mach
-    crit = critical_mach_numbers(coeffs, left.gamma)
-    if k > 0.0:
-        return m >= crit.upstream_supersonic_min
-    if k == 0.0:
-        return m >= 1.0
-    return 1.0 <= m < crit.upstream_supersonic_sup
-
-
 def _type2_wave_clears_origin(left: GasState, right: GasState,
                               coeffs: SourceCoefficients) -> bool:
     """Does the first wave right of a supersonic passage move rightward?"""
@@ -134,7 +126,8 @@ def predict_structure(left: GasState, right: GasState,
     """Predict the structure of the Riemann solution for rightward flow on both sides."""
     if not (left.u > 0.0 and right.u > 0.0):
         raise ValueError("prediction requires rightward flow on both sides")
-    if _type2_admissible(left, coeffs) and _type2_wave_clears_origin(left, right, coeffs):
+    if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma) \
+            and _type2_wave_clears_origin(left, right, coeffs):
         return SolutionStructure.TYPE2
     p_rest, p_crit = subsonic_passage_bracket(left, coeffs)
     t_hi = velocity_mismatch(p_rest, left, right, coeffs)
@@ -150,7 +143,7 @@ def predict_structure(left: GasState, right: GasState,
 
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                             tol: float = 1e-12, max_iter: int = 200) -> float:
+                             tol: float) -> float:
     """Bisection for the root of the velocity mismatch inside the bracket.
 
     Seeds follow a fixed precedence so that data already in equilibrium is
@@ -185,7 +178,7 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
         return b
     if fa * fb > 0.0:
         raise RootBracketError("velocity mismatch does not change sign over the seed interval")
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (a + b)
         fm = t(mid)
         if abs(fm) <= tiny:
@@ -207,7 +200,7 @@ def _sonic_expansion_state(left: GasState) -> GasState:
 
 
 def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                         tol: float = 1e-12) -> SolverOutput:
+                         tol: float) -> SolverOutput:
     structure = predict_structure(left, right, coeffs)
     if structure is SolutionStructure.TYPE2:
         minus = left
@@ -217,9 +210,7 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
         minus = wave_state(WaveFamily.ONE, left, p)
         plus = downstream_state(minus, coeffs, Branch.SUBSONIC)
     elif structure is SolutionStructure.TYPE3:
-        crit = critical_mach_numbers(coeffs, left.gamma)
-        p = pressure_for_mach(left, crit.upstream_subsonic_max)
-        minus = wave_state(WaveFamily.ONE, left, p)
+        minus = wave_state(WaveFamily.ONE, left, subsonic_passage_bracket(left, coeffs)[1])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
         minus = _sonic_expansion_state(left)
@@ -230,23 +221,34 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
     return SolverOutput(minus, plus, structure)
 
 
-def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                      tol: float = 1e-12) -> SolverOutput:
-    """One-sided origin states of the approximate Riemann solver.
+def _rightward_frame(left: GasState, right: GasState) -> tuple[GasState, GasState, bool] | None:
+    """The data in the frame where it flows rightward, and whether that frame is mirrored.
 
-    Flow that does not pass through the origin (velocities of mixed sign, or
-    zero on either side) carries no source; the homogeneous solution applies
-    and both sides coincide. Leftward flow is mirrored through the rightward
-    construction.
+    None when the flow does not pass through the origin (velocities of mixed
+    sign, or zero on either side): such data carries no source.
     """
     if left.u <= 0.0 and right.u >= 0.0 or left.u >= 0.0 and right.u <= 0.0:
+        return None
+    if left.u < 0.0:
+        return right.mirrored(), left.mirrored(), True
+    return left, right, False
+
+
+def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SolverOutput:
+    """One-sided origin states of the approximate Riemann solver.
+
+    Flow that does not pass through the origin carries no source; the
+    homogeneous solution applies and both sides coincide. Leftward flow is
+    mirrored through the rightward construction.
+    """
+    frame = _rightward_frame(left, right)
+    if frame is None:
         fan = solve_classical(left, right)
         state = sample_classical(fan, 0.0)
         return SolverOutput(state, state, SolutionStructure.CLASSICAL)
-    if left.u < 0.0:
-        out = _solve_positive_flow(right.mirrored(), left.mirrored(), coeffs, tol)
-        return SolverOutput(out.plus.mirrored(), out.minus.mirrored(), out.structure)
-    return _solve_positive_flow(left, right, coeffs, tol)
+    left, right, mirrored = frame
+    out = _solve_positive_flow(left, right, coeffs, _SOLVE_TOL)
+    return out.mirrored() if mirrored else out
 
 
 @dataclass(frozen=True)
@@ -274,11 +276,11 @@ class SourceFan:
     def right_wave_speeds(self) -> list[float]:
         return _active_speeds(self.right_fan)
 
-    def feature_intervals(self, strength_tol: float = 1e-8) -> list[tuple[float, float]]:
+    def feature_intervals(self) -> list[tuple[float, float]]:
         """Similarity-coordinate intervals swept by waves (discontinuities and fans)."""
         spans: list[tuple[float, float]] = []
-        for fan, sign in ((self.left_fan, -1), (self.right_fan, 1)):
-            for lo, hi in _wave_spans(fan, strength_tol):
+        for fan in (self.left_fan, self.right_fan):
+            for lo, hi in _wave_spans(fan):
                 if self.mirrored:
                     lo, hi = -hi, -lo
                 spans.append((lo, hi))
@@ -287,51 +289,47 @@ class SourceFan:
         return sorted(spans)
 
 
-def _wave_spans(fan: ClassicalFan, tol: float) -> list[tuple[float, float]]:
+def _wave_spans(fan: ClassicalFan) -> list[tuple[float, float]]:
     spans = []
-    if fan.wave_strength("left") > tol:
+    if fan.wave_strength("left") > _STRENGTH_TOL:
         spans.append((fan.left_speeds[0], fan.left_speeds[1]))
     sl, sr = fan.star_left, fan.star_right
-    if abs(sl.rho - sr.rho) > tol * max(sl.rho, sr.rho):
+    if abs(sl.rho - sr.rho) > _STRENGTH_TOL * max(sl.rho, sr.rho):
         spans.append((fan.u_star, fan.u_star))
-    if fan.wave_strength("right") > tol:
+    if fan.wave_strength("right") > _STRENGTH_TOL:
         spans.append((fan.right_speeds[0], fan.right_speeds[1]))
     return spans
 
 
-def _active_speeds(fan: ClassicalFan, tol: float = 1e-8) -> list[float]:
-    return [s for span in _wave_spans(fan, tol) for s in span]
+def _active_speeds(fan: ClassicalFan) -> list[float]:
+    return [s for span in _wave_spans(fan) for s in span]
 
 
-def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                          tol: float = 1e-13) -> SourceFan:
+def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SourceFan:
     """Exact self-similar solution assembled from the predicted structure.
 
     The right sub-fan is the classical solution between the downstream origin
     state and the right datum; for structures whose first right-going wave is
     the contact this degenerates naturally (zero-strength acoustic wave). The
     left sub-fan likewise connects the left datum to the upstream origin
-    state.
+    state. Leftward flow is composed in the mirrored frame, where its
+    sub-fans stay.
     """
-    if left.u <= 0.0 and right.u >= 0.0 or left.u >= 0.0 and right.u <= 0.0:
-        fan = solve_classical(left, right, tol=tol)
+    frame = _rightward_frame(left, right)
+    if frame is None:
+        fan = solve_classical(left, right, tol=_FAN_TOL)
         state = sample_classical(fan, 0.0)
         return SourceFan(SolutionStructure.CLASSICAL, coeffs, state, state, fan, fan)
-    if left.u < 0.0:
-        base = compose_reference_fan(right.mirrored(), left.mirrored(), coeffs, tol)
-        return SourceFan(base.structure, coeffs, base.plus.mirrored(), base.minus.mirrored(),
-                         base.left_fan, base.right_fan, mirrored=True)
-    out = _solve_positive_flow(left, right, coeffs, tol)
-    left_fan = solve_classical(left, out.minus, tol=tol)
-    right_fan = solve_classical(out.plus, right, tol=tol)
-    return SourceFan(out.structure, coeffs, out.minus, out.plus, left_fan, right_fan)
+    left, right, mirrored = frame
+    out = _solve_positive_flow(left, right, coeffs, _FAN_TOL)
+    left_fan = solve_classical(left, out.minus, tol=_FAN_TOL)
+    right_fan = solve_classical(out.plus, right, tol=_FAN_TOL)
+    seen = out.mirrored() if mirrored else out
+    return SourceFan(out.structure, coeffs, seen.minus, seen.plus, left_fan, right_fan, mirrored)
 
 
 def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
     """State at similarity coordinate xi = x/t; xi = 0 resolves to the flow-downstream side."""
-    if fan.mirrored:
-        eta = -xi
-        inner = fan.left_fan if eta < 0.0 else fan.right_fan
-        return sample_classical(inner, eta).mirrored()
-    inner = fan.left_fan if xi < 0.0 else fan.right_fan
-    return sample_classical(inner, xi)
+    eta = -xi if fan.mirrored else xi
+    state = sample_classical(fan.left_fan if eta < 0.0 else fan.right_fan, eta)
+    return state.mirrored() if fan.mirrored else state

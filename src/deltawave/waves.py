@@ -116,11 +116,12 @@ def rest_pressure(anchor: GasState) -> float:
     return (b + math.sqrt(b * b - 8.0 * c)) / 4.0
 
 
-def pressure_for_mach(anchor: GasState, target: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+def pressure_for_mach(anchor: GasState, target: float) -> float:
     """Invert the family-1 Mach map: pressure with ``mach_along_1wave == target``.
 
     The rarefaction side (target above the anchor Mach) has a closed form;
-    the shock side is solved by bisection on the monotone Mach map.
+    the shock side is solved by bisection on the monotone Mach map, to a
+    relative width of 1e-12.
     """
     m0 = anchor.mach
     if target < 0.0:
@@ -132,13 +133,13 @@ def pressure_for_mach(anchor: GasState, target: float, tol: float = 1e-12, max_i
         return anchor.p * gp
     # shock side: Mach falls from m0 at the anchor to 0 at the rest pressure
     lo, hi = anchor.p, rest_pressure(anchor)
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mach_along_1wave(anchor, mid) > target:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * max(1.0, mid):
+        if hi - lo <= 1e-12 * max(1.0, mid):
             break
     return 0.5 * (lo + hi)
 

@@ -154,6 +154,24 @@ class TestCli:
         ])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("option", [["--cfl", "0.7"], ["--cfl", "0"], ["--t-end", "0"],
+                                        ["--t-end", "-1"]])
+    def test_bad_run_setting_exits_2(self, tmp_path, option):
+        out = tmp_path / "x.csv"
+        r = CliRunner().invoke(cli_main, [
+            "run", "--test", "2", "--scheme", "solver", "--h", "0.5", *option, "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert not out.exists()
+
+    def test_reference_nonpositive_end_time_exits_2(self, tmp_path):
+        out = tmp_path / "ref.csv"
+        r = CliRunner().invoke(cli_main, [
+            "reference", "--test", "4", "--t-end", "0", "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert not out.exists()
+
 
 class TestRunTestValidation:
     def test_misaligned_h(self):

@@ -26,7 +26,7 @@ from deltawave.dg import (
     tvd_limit,
     _eig_matrices,
 )
-from deltawave.errors import ConfigError
+from deltawave.errors import ConfigError, SchemeError
 from deltawave.fluxes import Scheme, SchemeKind
 from deltawave.stationary import Branch
 
@@ -181,17 +181,29 @@ class TestDgRhs:
 
         from deltawave.dg import _llf_arrays, _traces
         from deltawave.fluxes import origin_flux
-        from deltawave.dg import _state
+        from deltawave.gas import from_conserved
 
         tr_lo, tr_hi = _traces(c)
         means = c[:, 0, :]
         u_left = np.vstack([means[:1], tr_hi])
         u_right = np.vstack([tr_lo, means[-1:]])
         fhat = _llf_arrays(u_left, u_right, GAMMA)
-        pair = origin_flux(_state(u_left[g.j0], GAMMA), _state(u_right[g.j0], GAMMA),
-                           TEST1_COEFFS, SOLVER)
+        pair = origin_flux(from_conserved(*u_left[g.j0], GAMMA),
+                           from_conserved(*u_right[g.j0], GAMMA), TEST1_COEFFS, SOLVER)
         expected = -(fhat[-1] - fhat[0] + pair.minus - pair.plus)
         assert np.allclose(total, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("c2, where", [
+        (-30.0, r"interfaces \[5 6\], quadrature cells \[5\]"),  # negative at edges and outer nodes
+        (30.0, r"at quadrature cells \[5\]"),  # negative at the centre node only
+    ])
+    def test_inadmissible_state_names_its_place(self, c2, where):
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
+        c = field.coeffs.copy()
+        c[5, 2, 0] = c2
+        with pytest.raises(SchemeError, match=where):
+            dg_rhs(field.with_coeffs(c), TEST1_COEFFS, SOLVER)
 
 
 class TestLimiter:
