@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, SchemeError
-from .fluxes import FluxPair, Scheme, SchemeKind, origin_flux
-from .gas import GasState, SourceCoefficients, evaluate_source, from_conserved, to_conserved
+from .fluxes import FluxPair, Scheme, SchemeKind, lax_friedrichs, origin_flux
+from .gas import (GasState, SourceCoefficients, euler_flux, evaluate_source, from_conserved,
+                  primitives, signal_speed, to_conserved)
 
 # Gauss-Legendre nodes/weights on [-1/2, 1/2] (3 points, degree-5 exact).
 _QNODES = np.array([-0.5 * math.sqrt(3.0 / 5.0), 0.0, 0.5 * math.sqrt(3.0 / 5.0)])
@@ -97,36 +98,6 @@ def field_from_states(grid: Grid, left: GasState, right: GasState) -> DgField:
     return DgField(grid, left.gamma, coeffs)
 
 
-def _primitives(u: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rho = u[..., 0]
-    vel = u[..., 1] / rho
-    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * vel)
-    return rho, vel, p
-
-
-# The scalar flux of ``gas``/``fluxes`` serves the origin and stays apart from
-# these array kernels: routing it through them rounds the last bits
-# differently, and the limiter amplifies that into profiles that move (14 of
-# the 24 density L1 errors of the 400-cell built-in runs, by up to 0.3%).
-def _flux_arrays(u: np.ndarray, gamma: float) -> np.ndarray:
-    rho, vel, p = _primitives(u, gamma)
-    out = np.empty_like(u)
-    out[..., 0] = u[..., 1]
-    out[..., 1] = u[..., 1] * vel + p
-    out[..., 2] = (u[..., 2] + p) * vel
-    return out
-
-
-def _llf_arrays(ul: np.ndarray, ur: np.ndarray, gamma: float) -> np.ndarray:
-    rl, vl, pl = _primitives(ul, gamma)
-    rr, vr, pr = _primitives(ur, gamma)
-    al = np.sqrt(gamma * pl / rl)
-    ar = np.sqrt(gamma * pr / rr)
-    alpha = np.maximum(np.abs(vl) + al, np.abs(vr) + ar)
-    return 0.5 * (_flux_arrays(ul, gamma) + _flux_arrays(ur, gamma)
-                  - alpha[:, None] * (ur - ul))
-
-
 def _traces(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cell-edge values (left edge, right edge) of the modal expansion."""
     lo = coeffs[:, 0, :] - 0.5 * coeffs[:, 1, :] + coeffs[:, 2, :] / 6.0
@@ -134,17 +105,16 @@ def _traces(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _check_admissible(iface: np.ndarray, quad: np.ndarray, gamma: float, time: float) -> None:
+def _check_admissible(stacks, time: float) -> None:
     """Abort on a non-finite or non-positive state at an interface or a quadrature node.
 
-    ``iface`` stacks the states on each side of every interface, shape
-    (2, n_cells + 1, 3); ``quad`` the states at the nodes, (3, n_cells, 3).
-    The two are checked apart: joined, they would make one more large
-    temporary per stage.
+    ``stacks`` holds (name, states, primitives) triples: the states on each
+    side of every interface, shape (2, n_cells + 1, 3), and the states at the
+    nodes, (3, n_cells, 3). The two are checked apart: joined, they would
+    make one more large temporary per stage.
     """
     where = []
-    for name, u in (("interfaces", iface), ("quadrature cells", quad)):
-        rho, _, p = _primitives(u, gamma)
+    for name, u, (rho, _, p) in stacks:
         if not (np.all(np.isfinite(u)) and np.all(rho > 0.0) and np.all(p > 0.0)):
             ok = (rho > 0.0) & (p > 0.0) & np.all(np.isfinite(u), axis=-1)
             where.append(f"{name} {np.flatnonzero(~ok.all(axis=0))[:5]}")
@@ -164,26 +134,29 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
     tr_lo, tr_hi = _traces(c)
     means = c[:, 0, :]
 
-    # Interface states with transmissive (zero-order extrapolated) ghosts, and
-    # the states at the three quadrature nodes.
-    u_left = np.vstack([means[:1], tr_hi])
-    u_right = np.vstack([tr_lo, means[-1:]])
+    # States left and right of every interface, with transmissive
+    # (zero-order extrapolated) ghosts, and the states at the three
+    # quadrature nodes; primitives are derived once per stack.
+    iface = np.stack([np.vstack([means[:1], tr_hi]), np.vstack([tr_lo, means[-1:]])])
     uq = c[:, 0, :] + c[:, 1, :] * _QNODES[:, None, None] + c[:, 2, :] * _QMODE2[:, None, None]
-    _check_admissible(np.stack([u_left, u_right]), uq, g, field.time)
-    fhat = _llf_arrays(u_left, u_right, g)
+    w_iface, w_quad = primitives(iface, g), primitives(uq, g)
+    _check_admissible((("interfaces", iface, w_iface), ("quadrature cells", uq, w_quad)),
+                      field.time)
+    w_left, w_right = zip(*w_iface)
+    fhat = lax_friedrichs(iface[0], iface[1], w_left, w_right, g)
 
     # Per-cell boundary fluxes; the origin interface may carry two values.
     flux_r = fhat[1:].copy()
     flux_l = fhat[:-1].copy()
     if scheme.kind is not SchemeKind.SPLITTING:
-        pair: FluxPair = origin_flux(from_conserved(*u_left[grid.j0].tolist(), g),
-                                     from_conserved(*u_right[grid.j0].tolist(), g), coeffs, scheme)
+        pair: FluxPair = origin_flux(from_conserved(*iface[0, grid.j0].tolist(), g),
+                                     from_conserved(*iface[1, grid.j0].tolist(), g), coeffs, scheme)
         flux_r[grid.left_cell] = pair.minus
         flux_l[grid.right_cell] = pair.plus
 
     # Volume terms in deviation form: exact for piecewise-constant data.
-    fbar = _flux_arrays(means, g)
-    devs = _flux_arrays(uq, g) - fbar
+    fbar = euler_flux(means, *primitives(means, g)[1:])
+    devs = euler_flux(uq, *w_quad[1:]) - fbar
     acc1 = np.zeros_like(means)
     acc2 = np.zeros_like(means)
     for xq, wq, dev in zip(_QNODES, _QWEIGHTS, devs):
@@ -199,7 +172,7 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
 
 def _eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """Left and right eigenvector matrices of the flux Jacobian at each cell mean."""
-    rho, u, p = _primitives(means, gamma)
+    rho, u, p = primitives(means, gamma)
     a = np.sqrt(gamma * p / rho)
     h_tot = (means[:, 2] + p) / rho
     n = means.shape[0]
@@ -273,7 +246,7 @@ def tvd_limit(field: DgField) -> DgField:
     # flattened to its mean.
     tr_lo, tr_hi = _traces(c)
     for tr in (tr_lo, tr_hi):
-        rho, _, p = _primitives(tr, field.gamma)
+        rho, _, p = primitives(tr, field.gamma)
         bad = (rho <= 0.0) | (p <= 0.0)
         if np.any(bad):
             c[bad, 1, :] = 0.0
@@ -285,11 +258,10 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     """Time step from the fastest characteristic speed on cell means."""
     if not 0.0 < cfl <= 0.5:
         raise ConfigError(f"cfl must lie in (0, 0.5], got {cfl}")
-    rho, u, p = _primitives(field.means, field.gamma)
+    rho, u, p = primitives(field.means, field.gamma)
     if not np.all(np.isfinite(u)):
         raise SchemeError(f"non-finite field at t={field.time:.6g}")
-    a = np.sqrt(field.gamma * p / rho)
-    return cfl * field.grid.h / float(np.max(np.abs(u) + a))
+    return cfl * field.grid.h / float(np.max(signal_speed(rho, u, p, field.gamma)))
 
 
 def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -> DgField:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSolvableError, UnavailableFluxError
-from .gas import GasState, SourceCoefficients, eigenvalues, physical_flux, to_conserved
+from .gas import GasState, SourceCoefficients, euler_flux, physical_flux, signal_speed, to_conserved
 from .stationary import Branch, downstream_state, upstream_state
 from .structure import approximate_solve
 
@@ -42,12 +42,21 @@ class FluxPair:
     plus: np.ndarray
 
 
+def lax_friedrichs(ul: np.ndarray, ur: np.ndarray, wl, wr, gamma: float) -> np.ndarray:
+    """Local Lax-Friedrichs flux between conserved states ``ul`` and ``ur`` (..., 3).
+
+    ``wl`` and ``wr`` are each side's primitives (rho, u, p), derived once by
+    the caller.
+    """
+    alpha = np.maximum(signal_speed(*wl, gamma), signal_speed(*wr, gamma))
+    return 0.5 * (euler_flux(ul, *wl[1:]) + euler_flux(ur, *wr[1:])
+                  - alpha[..., None] * (ur - ul))
+
+
 def llf_flux(left: GasState, right: GasState) -> np.ndarray:
-    """Local Lax-Friedrichs flux between two traces."""
-    alpha = max(max(abs(l) for l in eigenvalues(left)),
-                max(abs(l) for l in eigenvalues(right)))
-    return 0.5 * (physical_flux(left) + physical_flux(right)
-                  - alpha * (to_conserved(right) - to_conserved(left)))
+    """Local Lax-Friedrichs flux between two traces (of one gamma)."""
+    return lax_friedrichs(to_conserved(left), to_conserved(right), (left.rho, left.u, left.p),
+                          (right.rho, right.u, right.p), left.gamma)
 
 
 def _regime(state: GasState) -> Branch:

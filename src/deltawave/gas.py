@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_EPS = 2.220446049250313e-16
+
 
 @dataclass(frozen=True)
 class GasState:
@@ -68,7 +70,9 @@ class SourceCoefficients:
 
     @property
     def k(self) -> float:
-        return (1.0 + self.k1) * (1.0 + self.k3) / (1.0 + self.k2) ** 2 - 1.0
+        """(1+k1)(1+k3)/(1+k2)^2 - 1, exactly 0.0 within 4 eps so its sign is read one way."""
+        k = (1.0 + self.k1) * (1.0 + self.k3) / (1.0 + self.k2) ** 2 - 1.0
+        return 0.0 if abs(k) <= 4.0 * _EPS else k
 
     @property
     def diag(self) -> np.ndarray:
@@ -86,19 +90,37 @@ def to_conserved(state: GasState) -> np.ndarray:
 def from_conserved(rho: float, mom: float, energy: float, gamma: float = 1.4) -> GasState:
     """State of the conserved vector (rho, rho*u, E)."""
     u = mom / rho
+    # The 0.5*rho*u*u form of the origin traces; the array form of
+    # ``primitives`` rounds differently and would move the origin bits.
     p = (gamma - 1.0) * (energy - 0.5 * rho * u * u)
     return GasState(rho, u, p, gamma)
 
 
+def primitives(u: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, velocity, p) of conserved states stacked along the last axis."""
+    rho = u[..., 0]
+    vel = u[..., 1] / rho
+    p = (gamma - 1.0) * (u[..., 2] - 0.5 * u[..., 1] * vel)
+    return rho, vel, p
+
+
+def euler_flux(u: np.ndarray, vel, p) -> np.ndarray:
+    """Euler flux (rho*u, rho*u^2 + p, (E + p)*u) of conserved states ``u`` (..., 3)."""
+    out = np.empty_like(u)
+    out[..., 0] = u[..., 1]
+    out[..., 1] = u[..., 1] * vel + p
+    out[..., 2] = (u[..., 2] + p) * vel
+    return out
+
+
+def signal_speed(rho, vel, p, gamma: float):
+    """Fastest characteristic speed |u| + a."""
+    return np.abs(vel) + np.sqrt(gamma * p / rho)
+
+
 def physical_flux(state: GasState) -> np.ndarray:
-    """Euler flux (rho*u, rho*u^2 + p, (E + p)*u)."""
-    return np.array(
-        [
-            state.rho * state.u,
-            state.rho * state.u * state.u + state.p,
-            (state.energy + state.p) * state.u,
-        ]
-    )
+    """Euler flux of one state."""
+    return euler_flux(to_conserved(state), state.u, state.p)
 
 
 def eigenvalues(state: GasState) -> tuple[float, float, float]:

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 
 from .cases import TestCase, get_case
-from .dg import DgField, Grid, _primitives, cfl_dt, field_from_states, make_grid, ssp_rk3_step
+from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step
 from .errors import ConfigError, DeltawaveError
 from .fluxes import Scheme, SchemeKind
-from .gas import GasState, to_conserved
+from .gas import GasState, primitives, to_conserved
 from .stationary import Branch, downstream_state
 from .structure import SourceFan, compose_reference_fan, sample_source_fan
 
@@ -94,7 +94,7 @@ def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
 
 
 def _primitive_table(means: np.ndarray, gamma: float) -> dict[str, np.ndarray]:
-    rho, u, p = _primitives(means, gamma)
+    rho, u, p = primitives(means, gamma)
     return {"rho": rho, "u": u, "p": p, "E": means[:, 2]}
 
 
@@ -170,12 +170,16 @@ def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,
 
 def convergence_study(test_id: int, scheme: Scheme, h_list: list[float], cfl: float = 0.5,
                       out_dir: str | None = None) -> list[RunReport]:
-    """Run a refinement sequence; ``h_list`` must be descending and origin-aligned."""
+    """Run a refinement sequence; ``h_list`` must be descending and origin-aligned.
+
+    Profiles in ``out_dir`` are named by the scheme's key in ``SCHEMES``.
+    """
+    name = next((key for key, known in SCHEMES.items() if known == scheme), scheme.kind.value)
     reports = []
     for h in h_list:
         out = None
         if out_dir is not None:
-            out = str(Path(out_dir) / f"test{test_id}_{scheme.kind.value}_h{h:g}.csv")
+            out = str(Path(out_dir) / f"test{test_id}_{name}_h{h:g}.csv")
         reports.append(run_test(test_id, scheme, h, cfl=cfl, out_path=out))
     return reports
 

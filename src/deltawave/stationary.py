@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSolvableError
-from .gas import GasState, SourceCoefficients, eigenvalues, physical_flux
+from .gas import _EPS, GasState, SourceCoefficients, eigenvalues, physical_flux
 
-_EPS = 2.220446049250313e-16
 # Relative slack allowed on admissible-interval endpoints inside the curve
 # evaluators (pure-roundoff overshoot must not reject a boundary state).
 _GAMMA_SLACK = 1e-9
@@ -155,6 +154,8 @@ def _branch_mach_sq(m2: float, one_plus_k: float, gamma: float, branch: Branch,
 
 def _ratios(m2: float, mp2: float, coeffs: SourceCoefficients, gamma: float) -> tuple[float, float, float]:
     """(rho, u, p) multipliers taking the upstream state to the downstream one."""
+    if m2 == 0.0 or mp2 == 0.0:
+        raise NotSolvableError(f"Mach number underflows: Mach^2 {m2:.3g} up, {mp2:.3g} down")
     cm = gamma * m2 + 1.0
     cp = gamma * mp2 + 1.0
     gd = (m2 / mp2) * (cp / cm) * (1.0 + coeffs.k1) ** 2 / (1.0 + coeffs.k2)

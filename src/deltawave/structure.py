@@ -270,20 +270,23 @@ class SourceFan:
     right_fan: ClassicalFan
     mirrored: bool = False
 
+    def _spans(self) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+        """Waves left and right of the origin, in order, in the physical frame."""
+        left, right = _wave_spans(self.left_fan), _wave_spans(self.right_fan)
+        if not self.mirrored:
+            return left, right
+        return [(-hi, -lo) for lo, hi in reversed(right)], [(-hi, -lo) for lo, hi in reversed(left)]
+
     def left_wave_speeds(self) -> list[float]:
-        return _active_speeds(self.left_fan)
+        return [s for span in self._spans()[0] for s in span]
 
     def right_wave_speeds(self) -> list[float]:
-        return _active_speeds(self.right_fan)
+        return [s for span in self._spans()[1] for s in span]
 
     def feature_intervals(self) -> list[tuple[float, float]]:
         """Similarity-coordinate intervals swept by waves (discontinuities and fans)."""
-        spans: list[tuple[float, float]] = []
-        for fan in (self.left_fan, self.right_fan):
-            for lo, hi in _wave_spans(fan):
-                if self.mirrored:
-                    lo, hi = -hi, -lo
-                spans.append((lo, hi))
+        left, right = self._spans()
+        spans = left + right
         if self.structure is not SolutionStructure.CLASSICAL:
             spans.append((0.0, 0.0))
         return sorted(spans)
@@ -299,10 +302,6 @@ def _wave_spans(fan: ClassicalFan) -> list[tuple[float, float]]:
     if fan.wave_strength("right") > _STRENGTH_TOL:
         spans.append((fan.right_speeds[0], fan.right_speeds[1]))
     return spans
-
-
-def _active_speeds(fan: ClassicalFan) -> list[float]:
-    return [s for span in _wave_spans(fan) for s in span]
 
 
 def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SourceFan:

@@ -133,6 +133,16 @@ class TestCli:
         assert r.exit_code == 0, r.output
         assert "ratio" in r.output
 
+    def test_converge_profiles_named_by_scheme(self, tmp_path):
+        for scheme in ("kt", "kt-nocorr"):
+            r = CliRunner().invoke(cli_main, [
+                "converge", "--test", "1", "--scheme", scheme, "--h-list", "0.5",
+                "--out-dir", str(tmp_path),
+            ])
+            assert r.exit_code == 0, r.output
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["test1_kt-nocorr_h0.5.csv", "test1_kt_h0.5.csv"]
+
     def test_misaligned_grid_exits_2(self, tmp_path):
         r = CliRunner().invoke(cli_main, [
             "run", "--test", "1", "--scheme", "solver", "--h", "0.3",

@@ -4,10 +4,7 @@ Swapping the two data and reflecting them (x -> -x, u -> -u) must reflect
 every output exactly: states by u -> -u, interface fluxes by (-1, 1, -1) and
 the source vector by (1, -1, 1). Where one orientation fails, the other must
 fail with the same error class. Draws cover the solver's fuzz domain:
-k_i in (-0.6, 1.5), rho and p in (0.1, 5), |u| <= 4, except nonzero Mach
-numbers below 1e-150, whose squares near the subnormal range: there the
-stationary-jump ratios can divide zero by zero, an untyped error that the
-last test pins.
+k_i in (-0.6, 1.5), rho and p in (0.1, 5), |u| <= 4.
 """
 
 import numpy as np
@@ -32,8 +29,7 @@ SOURCE_MIRROR = np.array([1.0, -1.0, 1.0])
 
 _positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
 _k = st.floats(-0.6, 1.5, exclude_min=True, exclude_max=True)
-states = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive).filter(
-    lambda s: s.u == 0.0 or abs(s.mach) > 1e-150)
+states = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive)
 coefficients = st.builds(SourceCoefficients, _k, _k, _k)
 fast = settings(max_examples=600, derandomize=True, database=None, deadline=None)
 
@@ -100,6 +96,8 @@ def test_reference_fan_samples_mirror(left, right, coeffs):
     assert err is mirrored_err
     if fan is None:
         return
+    assert mirrored.left_wave_speeds() == [-s for s in reversed(fan.right_wave_speeds())]
+    assert mirrored.right_wave_speeds() == [-s for s in reversed(fan.left_wave_speeds())]
     # A coordinate on a wave resolves to the state on its right in either
     # frame, so the two frames disagree there by design: skip those.
     edges = np.array([x for span in fan.feature_intervals() for x in span])
@@ -109,8 +107,6 @@ def test_reference_fan_samples_mirror(left, right, coeffs):
         assert sample_source_fan(mirrored, -xi) == sample_source_fan(fan, xi).mirrored(), xi
 
 
-@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
-                   reason="an underflowing Mach number divides 0 by 0 in the stationary-jump ratios")
 def test_underflowing_mach_fails_typed():
     left, right = GasState(1.0, 1e-290, 1.0), GasState(1.0, 1.0, 1.0)
     with pytest.raises(DeltawaveError):

@@ -179,15 +179,16 @@ class TestDgRhs:
         rhs = dg_rhs(field, TEST1_COEFFS, SOLVER)
         total = g.h * np.sum(rhs[:, 0, :], axis=0)
 
-        from deltawave.dg import _llf_arrays, _traces
-        from deltawave.fluxes import origin_flux
-        from deltawave.gas import from_conserved
+        from deltawave.dg import _traces
+        from deltawave.fluxes import lax_friedrichs, origin_flux
+        from deltawave.gas import from_conserved, primitives
 
         tr_lo, tr_hi = _traces(c)
         means = c[:, 0, :]
         u_left = np.vstack([means[:1], tr_hi])
         u_right = np.vstack([tr_lo, means[-1:]])
-        fhat = _llf_arrays(u_left, u_right, GAMMA)
+        fhat = lax_friedrichs(u_left, u_right, primitives(u_left, GAMMA),
+                              primitives(u_right, GAMMA), GAMMA)
         pair = origin_flux(from_conserved(*u_left[g.j0], GAMMA),
                            from_conserved(*u_right[g.j0], GAMMA), TEST1_COEFFS, SOLVER)
         expected = -(fhat[-1] - fhat[0] + pair.minus - pair.plus)

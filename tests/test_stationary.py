@@ -40,6 +40,14 @@ class TestCriticalMachNumbers:
         assert math.isinf(crit.upstream_supersonic_sup)
         assert crit.downstream_subsonic_max == 1.0
 
+    def test_roundoff_zero_combination_classifies_as_zero(self):
+        # Triples on the k = 0 surface; about half compute k within an ulp of 0.
+        exact = critical_mach_numbers(SourceCoefficients(0.3, 0.3, 0.3), GAMMA)
+        rng = np.random.default_rng(1)
+        for k1, k3 in rng.uniform(-0.5, 1.0, (2000, 2)):
+            c = SourceCoefficients(k1, math.sqrt((1.0 + k1) * (1.0 + k3)) - 1.0, k3)
+            assert critical_mach_numbers(c, GAMMA) == exact, (k1, k3)
+
     def test_amplifying_values(self):
         crit = critical_mach_numbers(TEST1_COEFFS, GAMMA)
         assert abs(crit.upstream_subsonic_max - 0.5308004229032729) < 1e-12
