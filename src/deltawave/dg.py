@@ -98,10 +98,13 @@ def field_from_states(grid: Grid, left: GasState, right: GasState) -> DgField:
     return DgField(grid, left.gamma, coeffs)
 
 
-def _traces(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-edge values (left edge, right edge) of the modal expansion."""
-    lo = coeffs[:, 0, :] - 0.5 * coeffs[:, 1, :] + coeffs[:, 2, :] / 6.0
-    hi = coeffs[:, 0, :] + 0.5 * coeffs[:, 1, :] + coeffs[:, 2, :] / 6.0
+def _traces(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-edge values (left edge, right edge) of the modal expansion.
+
+    ``modes`` is indexed by mode first: ``modes[m]`` holds mode m, in any layout.
+    """
+    lo = modes[0] - 0.5 * modes[1] + modes[2] / 6.0
+    hi = modes[0] + 0.5 * modes[1] + modes[2] / 6.0
     return lo, hi
 
 
@@ -122,6 +125,21 @@ def _check_admissible(stacks, time: float) -> None:
         raise SchemeError(f"inadmissible state at {', '.join(where)} (t={time:.6g})")
 
 
+def _component_major(coeffs: np.ndarray) -> np.ndarray:
+    """(mode, variable, cell) copy of (cell, mode, variable) coefficients.
+
+    The stage kernels work on this layout, where every row is a contiguous
+    run over the cells; its ``.T`` views are the (..., 3) arrays the gas
+    kernels take.
+    """
+    return np.ascontiguousarray(coeffs.transpose(1, 2, 0))
+
+
+def _cell_major(cm: np.ndarray) -> np.ndarray:
+    """Back to the (cell, mode, variable) layout of ``DgField.coeffs``."""
+    return np.ascontiguousarray(cm.transpose(2, 0, 1))
+
+
 def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.ndarray:
     """Time derivative of the modal coefficients under the given scheme.
 
@@ -130,82 +148,110 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
     so the cells adjacent to the origin see different fluxes there.
     """
     grid, g = field.grid, field.gamma
-    c, h = field.coeffs, grid.h
+    c, h = _component_major(field.coeffs), grid.h
     tr_lo, tr_hi = _traces(c)
-    means = c[:, 0, :]
+    means = c[0]
 
     # States left and right of every interface, with transmissive
     # (zero-order extrapolated) ghosts, and the states at the three
     # quadrature nodes; primitives are derived once per stack.
-    iface = np.stack([np.vstack([means[:1], tr_hi]), np.vstack([tr_lo, means[-1:]])])
-    uq = c[:, 0, :] + c[:, 1, :] * _QNODES[:, None, None] + c[:, 2, :] * _QMODE2[:, None, None]
-    w_iface, w_quad = primitives(iface, g), primitives(uq, g)
-    _check_admissible((("interfaces", iface, w_iface), ("quadrature cells", uq, w_quad)),
+    iface = np.empty((2, 3, grid.n_cells + 1))
+    iface[0, :, 0], iface[0, :, 1:] = means[:, 0], tr_hi
+    iface[1, :, :-1], iface[1, :, -1] = tr_lo, means[:, -1]
+    uq = c[0] + c[1] * _QNODES[:, None, None] + c[2] * _QMODE2[:, None, None]
+    iface_s, uq_s = iface.transpose(0, 2, 1), uq.transpose(0, 2, 1)
+    w_iface, w_quad = primitives(iface_s, g), primitives(uq_s, g)
+    _check_admissible((("interfaces", iface_s, w_iface), ("quadrature cells", uq_s, w_quad)),
                       field.time)
     w_left, w_right = zip(*w_iface)
-    fhat = lax_friedrichs(iface[0], iface[1], w_left, w_right, g)
+    fhat = lax_friedrichs(iface_s[0], iface_s[1], w_left, w_right, g).T
 
     # Per-cell boundary fluxes; the origin interface may carry two values.
-    flux_r = fhat[1:].copy()
-    flux_l = fhat[:-1].copy()
+    flux_r = fhat[:, 1:].copy()
+    flux_l = fhat[:, :-1].copy()
     if scheme.kind is not SchemeKind.SPLITTING:
-        pair: FluxPair = origin_flux(from_conserved(*iface[0, grid.j0].tolist(), g),
-                                     from_conserved(*iface[1, grid.j0].tolist(), g), coeffs, scheme)
-        flux_r[grid.left_cell] = pair.minus
-        flux_l[grid.right_cell] = pair.plus
+        pair: FluxPair = origin_flux(from_conserved(*iface[0, :, grid.j0].tolist(), g),
+                                     from_conserved(*iface[1, :, grid.j0].tolist(), g),
+                                     coeffs, scheme)
+        flux_r[:, grid.left_cell] = pair.minus
+        flux_l[:, grid.right_cell] = pair.plus
 
     # Volume terms in deviation form: exact for piecewise-constant data.
-    fbar = euler_flux(means, *primitives(means, g)[1:])
-    devs = euler_flux(uq, *w_quad[1:]) - fbar
+    fbar = euler_flux(means.T, *primitives(means.T, g)[1:]).T
+    devs = euler_flux(uq_s, *w_quad[1:]).transpose(0, 2, 1) - fbar
     acc1 = np.zeros_like(means)
     acc2 = np.zeros_like(means)
     for xq, wq, dev in zip(_QNODES, _QWEIGHTS, devs):
         acc1 += wq * dev
         acc2 += (wq * 2.0 * xq) * dev
 
+    jump = flux_r - flux_l
     rhs = np.empty_like(c)
-    rhs[:, 0, :] = -(flux_r - flux_l) / h
-    rhs[:, 1, :] = (acc1 + fbar - 0.5 * (flux_r + flux_l)) / (h * _MASS[1])
-    rhs[:, 2, :] = (acc2 - (flux_r - flux_l) / 6.0) / (h * _MASS[2])
-    return rhs
+    rhs[0] = -jump / h
+    rhs[1] = (acc1 + fbar - 0.5 * (flux_r + flux_l)) / (h * _MASS[1])
+    rhs[2] = (acc2 - jump / 6.0) / (h * _MASS[2])
+    return _cell_major(rhs)
 
 
 def _eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right eigenvector matrices of the flux Jacobian at each cell mean."""
-    rho, u, p = primitives(means, gamma)
+    """Left and right eigenvector matrices of the flux Jacobian at each cell mean.
+
+    ``means`` is component-first, (3, n); entry (i, j) of either matrix is
+    the row ``[i, j]`` of the returned (3, 3, n) arrays.
+    """
+    rho, u, p = primitives(means.T, gamma)
     a = np.sqrt(gamma * p / rho)
-    h_tot = (means[:, 2] + p) / rho
-    n = means.shape[0]
-    right = np.empty((n, 3, 3))
-    right[:, 0, 0] = 1.0
-    right[:, 0, 1] = 1.0
-    right[:, 0, 2] = 1.0
-    right[:, 1, 0] = u - a
-    right[:, 1, 1] = u
-    right[:, 1, 2] = u + a
-    right[:, 2, 0] = h_tot - u * a
-    right[:, 2, 1] = 0.5 * u * u
-    right[:, 2, 2] = h_tot + u * a
+    h_tot = (means[2] + p) / rho
+    right = np.empty((3, 3) + u.shape)
+    right[0] = 1.0
+    right[1, 0] = u - a
+    right[1, 1] = u
+    right[1, 2] = u + a
+    right[2, 0] = h_tot - u * a
+    right[2, 1] = 0.5 * u * u
+    right[2, 2] = h_tot + u * a
 
     b1 = (gamma - 1.0) / (a * a)
     b2 = 0.5 * b1 * u * u
-    left = np.empty((n, 3, 3))
-    left[:, 0, 0] = 0.5 * (b2 + u / a)
-    left[:, 0, 1] = -0.5 * (b1 * u + 1.0 / a)
-    left[:, 0, 2] = 0.5 * b1
-    left[:, 1, 0] = 1.0 - b2
-    left[:, 1, 1] = b1 * u
-    left[:, 1, 2] = -b1
-    left[:, 2, 0] = 0.5 * (b2 - u / a)
-    left[:, 2, 1] = -0.5 * (b1 * u - 1.0 / a)
-    left[:, 2, 2] = 0.5 * b1
+    left = np.empty_like(right)
+    left[0, 0] = 0.5 * (b2 + u / a)
+    left[0, 1] = -0.5 * (b1 * u + 1.0 / a)
+    left[0, 2] = 0.5 * b1
+    left[1, 0] = 1.0 - b2
+    left[1, 1] = b1 * u
+    left[1, 2] = -b1
+    left[2, 0] = 0.5 * (b2 - u / a)
+    left[2, 1] = -0.5 * (b1 * u - 1.0 / a)
+    left[2, 2] = 0.5 * b1
     return left, right
 
 
+def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cellwise products of (3, 3, n) matrices with a (3, k, n) stack of k vectors per cell.
+
+    The terms are summed as (0 + 2) + 1, the order in which numpy's einsum
+    sums a length-3 product, so every nonzero result is the einsum's to the
+    bit. A zero may come out as -0.0, where einsum, whose sums start at
+    +0.0, gives +0.0.
+    """
+    out = m[:, 0, None] * x[0]
+    term = m[:, 2, None] * x[2]
+    out += term
+    out += np.multiply(m[:, 1, None], x[1], out=term)
+    return out
+
+
 def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    same = (np.sign(a) == np.sign(b)) & (np.sign(a) == np.sign(c))
-    mag = np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c)))
-    return np.where(same, np.sign(a) * mag, 0.0)
+    """The argument of least magnitude if all three share a strict sign, else 0.
+
+    A NaN argument gives 0 (``fmax``/``fmin``); the sign of a zero result is
+    unspecified.
+    """
+    lo = np.minimum(a, np.minimum(b, c))
+    hi = np.maximum(a, np.maximum(b, c))
+    np.fmax(lo, 0.0, out=lo)
+    lo += np.fmin(hi, 0.0, out=hi)
+    return lo
 
 
 def tvd_limit(field: DgField) -> DgField:
@@ -217,41 +263,37 @@ def tvd_limit(field: DgField) -> DgField:
     linear polynomial with the minmod-limited slope. Cells whose limited
     traces still leave the admissible set fall back to their means.
     """
-    c = field.coeffs.copy()
-    means = c[:, 0, :]
-    dplus = np.vstack([means[1:] - means[:-1], np.zeros((1, 3))])
-    dminus = np.vstack([np.zeros((1, 3)), means[1:] - means[:-1]])
+    c = _component_major(field.coeffs)
+    means = c[0]
     left, right = _eig_matrices(means, field.gamma)
 
-    dev_hi = 0.5 * c[:, 1, :] + c[:, 2, :] / 6.0
-    dev_lo = 0.5 * c[:, 1, :] - c[:, 2, :] / 6.0
+    # One stack per cell and variable, mapped to characteristic variables
+    # at once: the right and left interface deviations, the slope, and the
+    # forward and backward mean differences (zero at the domain ends).
+    x = np.empty((3, 5, means.shape[1]))
+    x[:, 0] = 0.5 * c[1] + c[2] / 6.0
+    x[:, 1] = 0.5 * c[1] - c[2] / 6.0
+    x[:, 2] = c[1]
+    np.subtract(means[:, 1:], means[:, :-1], out=x[:, 3, :-1])
+    x[:, 3, -1] = 0.0
+    x[:, 4, 1:] = x[:, 3, :-1]
+    x[:, 4, 0] = 0.0
+    ch = _matvec(left, x)
+    mod = _minmod3(ch[:, :3], ch[:, 3:4], ch[:, 4:])
 
-    def to_char(x: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", left, x)
-
-    ch_hi, ch_lo = to_char(dev_hi), to_char(dev_lo)
-    ch_p, ch_m = to_char(dplus), to_char(dminus)
-
-    mod_hi = _minmod3(ch_hi, ch_p, ch_m)
-    mod_lo = _minmod3(ch_lo, ch_p, ch_m)
-
-    troubled = np.any((mod_hi != ch_hi) | (mod_lo != ch_lo), axis=1)
-    if np.any(troubled):
-        slope = _minmod3(to_char(c[:, 1, :]), ch_p, ch_m)
-        new_c1 = np.einsum("nij,nj->ni", right, slope)
-        c[troubled, 1, :] = new_c1[troubled]
-        c[troubled, 2, :] = 0.0
+    troubled = np.any(mod[:, :2] != ch[:, :2], axis=(0, 1))
+    # The + 0.0 turns the -0.0 of a zero slope's product into +0.0.
+    np.copyto(c[1], _matvec(right, mod[:, 2:])[:, 0] + 0.0, where=troubled)
+    np.copyto(c[2], 0.0, where=troubled)
 
     # Positivity guard: any cell whose traces leave the admissible set is
     # flattened to its mean.
-    tr_lo, tr_hi = _traces(c)
-    for tr in (tr_lo, tr_hi):
-        rho, _, p = primitives(tr, field.gamma)
-        bad = (rho <= 0.0) | (p <= 0.0)
-        if np.any(bad):
-            c[bad, 1, :] = 0.0
-            c[bad, 2, :] = 0.0
-    return field.with_coeffs(c)
+    bad = np.zeros_like(troubled)
+    for tr in _traces(c):
+        rho, _, p = primitives(tr.T, field.gamma)
+        bad |= (rho <= 0.0) | (p <= 0.0)
+    np.copyto(c[1:], 0.0, where=bad)
+    return field.with_coeffs(_cell_major(c))
 
 
 def cfl_dt(field: DgField, cfl: float) -> float:
@@ -261,6 +303,10 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     rho, u, p = primitives(field.means, field.gamma)
     if not np.all(np.isfinite(u)):
         raise SchemeError(f"non-finite field at t={field.time:.6g}")
+    bad = ~((rho > 0.0) & (p > 0.0))
+    if np.any(bad):
+        raise SchemeError(f"non-positive density or pressure in the means of cells "
+                          f"{np.flatnonzero(bad)[:5]} (t={field.time:.6g})")
     return cfl * field.grid.h / float(np.max(signal_speed(rho, u, p, field.gamma)))
 
 
@@ -299,8 +345,8 @@ def ssp_rk3_step(field: DgField, dt: float, coeffs: SourceCoefficients,
     The splitting scheme appends its source substep, acting on cell means
     only, after the full convection step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"dt must be finite and positive, got {dt}")
 
     def rhs(c: np.ndarray) -> np.ndarray:
         return dg_rhs(field.with_coeffs(c), coeffs, scheme)

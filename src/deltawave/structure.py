@@ -257,7 +257,10 @@ class SourceFan:
 
     ``left_fan`` resolves coordinates below zero and ``right_fan`` those above;
     the constant states adjacent to the origin are stored explicitly. For the
-    no-source (classical) structure both sub-fans are the same full fan.
+    no-source (classical) structure both sub-fans are the same full fan; its
+    waves count as left or right of the origin by the sign of their span's
+    midpoint, so a wave at rest on the origin, like the stationary jump of
+    the other structures, is a feature interval on neither side.
     Mirrored fans represent leftward flow; their sub-fans live in the
     reflected frame.
     """
@@ -272,6 +275,10 @@ class SourceFan:
 
     def _spans(self) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
         """Waves left and right of the origin, in order, in the physical frame."""
+        if self.structure is SolutionStructure.CLASSICAL:
+            spans = _wave_spans(self.left_fan)
+            return ([(lo, hi) for lo, hi in spans if lo + hi < 0.0],
+                    [(lo, hi) for lo, hi in spans if lo + hi > 0.0])
         left, right = _wave_spans(self.left_fan), _wave_spans(self.right_fan)
         if not self.mirrored:
             return left, right
@@ -285,11 +292,10 @@ class SourceFan:
 
     def feature_intervals(self) -> list[tuple[float, float]]:
         """Similarity-coordinate intervals swept by waves (discontinuities and fans)."""
+        if self.structure is SolutionStructure.CLASSICAL:
+            return _wave_spans(self.left_fan)
         left, right = self._spans()
-        spans = left + right
-        if self.structure is not SolutionStructure.CLASSICAL:
-            spans.append((0.0, 0.0))
-        return sorted(spans)
+        return sorted(left + [(0.0, 0.0)] + right)
 
 
 def _wave_spans(fan: ClassicalFan) -> list[tuple[float, float]]:

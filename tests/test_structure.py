@@ -253,6 +253,19 @@ class TestReferenceFans:
             b = sample_source_fan(ref, -xi).mirrored()
             assert state_rel_err(a, b) < 1e-9
 
+    def test_classical_fan_lists_each_wave_once(self):
+        fan = compose_reference_fan(GasState(1, -0.5, 1), GasState(0.5, 0.5, 0.4),
+                                    SourceCoefficients(0.2, 0.1, 0.2))
+        assert fan.structure is SolutionStructure.CLASSICAL
+        intervals = fan.feature_intervals()
+        assert len(intervals) == 3 == len(set(intervals))
+        left_speeds, right_speeds = fan.left_wave_speeds(), fan.right_wave_speeds()
+        assert [s for span in intervals for s in span] == left_speeds + right_speeds
+        assert all(s <= 0.0 for s in left_speeds)
+        assert all(s >= 0.0 for s in right_speeds)
+        speeds = left_speeds + right_speeds
+        assert all(a <= b for a, b in zip(speeds, speeds[1:]))
+
     def test_classical_fan_when_no_through_flow(self):
         c = coeffs_with_k(0.3)
         fan = compose_reference_fan(GasState(1, 1, 1), GasState(1, -1, 1), c)
