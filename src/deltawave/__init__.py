@@ -9,7 +9,7 @@ exactly.
 """
 
 from .cases import TestCase, all_cases, get_case
-from .classical import ClassicalFan, sample_classical, solve_classical
+from .classical import ClassicalFan, sample_classical, sample_classical_primitives, solve_classical
 from .errors import (
     ConfigError,
     DeltawaveError,
@@ -49,6 +49,7 @@ from .structure import (
     compose_reference_fan,
     predict_structure,
     sample_source_fan,
+    sample_source_primitives,
     subsonic_passage_bracket,
     velocity_mismatch,
 )

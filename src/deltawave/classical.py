@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import VacuumError
 from .gas import GasState
 from .waves import WaveFamily, _acoustic_sign, shock_speed, wave_state
@@ -201,3 +203,45 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
     if xi < tail:
         return fan.star_right
     return _fan_interior(anchor, xi, 1.0)
+
+
+def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray:
+    """(rho, u, p) rows of the fan at the similarity coordinates ``xi``, shape (n, 3).
+
+    Row for row the state ``sample_classical`` returns, to the bit: every
+    point is classified by the same comparisons in the same order (a
+    searchsorted on the wave speeds would move the edge rules, e.g. the tail
+    of a left rarefaction counts as interior). Rarefaction interiors go
+    through the scalar ``_fan_interior``, because numpy's array ``power``
+    may round differently from ``**``.
+    """
+    xi = np.asarray(xi, dtype=float)
+    # Constant regions: 0 left, 1 star left, 2 star right, 3 right.
+    table = np.array([[fan.left.rho, fan.left.u, fan.left.p],
+                      [fan.rho_star_left, fan.u_star, fan.p_star],
+                      [fan.rho_star_right, fan.u_star, fan.p_star],
+                      [fan.right.rho, fan.right.u, fan.right.p]])
+    on_left = xi < fan.u_star
+    region = np.where(on_left, 1, 2)
+    interiors = []
+    if fan.left_kind is WaveKind.SHOCK:
+        region[on_left & (xi < fan.left_speeds[0])] = 0
+    else:
+        head, tail = fan.left_speeds
+        outside = xi < head
+        region[on_left & outside] = 0
+        interiors.append((fan.left, -1.0, on_left & ~outside & ~(xi > tail)))
+    on_right = ~on_left
+    if fan.right_kind is WaveKind.SHOCK:
+        region[on_right & (xi >= fan.right_speeds[0])] = 3
+    else:
+        tail, head = fan.right_speeds
+        outside = xi >= head
+        region[on_right & outside] = 3
+        interiors.append((fan.right, 1.0, on_right & ~outside & ~(xi < tail)))
+    out = table[region]
+    for anchor, s, inside in interiors:
+        for i in np.flatnonzero(inside):
+            state = _fan_interior(anchor, float(xi[i]), s)
+            out[i] = (state.rho, state.u, state.p)
+    return out

@@ -197,9 +197,11 @@ def _eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarr
     """Left and right eigenvector matrices of the flux Jacobian at each cell mean.
 
     ``means`` is component-first, (3, n); entry (i, j) of either matrix is
-    the row ``[i, j]`` of the returned (3, 3, n) arrays.
+    the row ``[i, j]`` of the returned (3, 3, n) arrays. A mean with
+    rho <= 0 or p <= 0 has no real eigenvectors: it raises ``SchemeError``.
     """
     rho, u, p = primitives(means.T, gamma)
+    _check_means(rho, p)
     a = np.sqrt(gamma * p / rho)
     h_tot = (means[2] + p) / rho
     right = np.empty((3, 3) + u.shape)
@@ -303,11 +305,17 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     rho, u, p = primitives(field.means, field.gamma)
     if not np.all(np.isfinite(u)):
         raise SchemeError(f"non-finite field at t={field.time:.6g}")
+    _check_means(rho, p, field.time)
+    return cfl * field.grid.h / float(np.max(signal_speed(rho, u, p, field.gamma)))
+
+
+def _check_means(rho: np.ndarray, p: np.ndarray, time: float | None = None) -> None:
+    """Abort, naming the cells, when a cell mean has rho <= 0 or p <= 0."""
     bad = ~((rho > 0.0) & (p > 0.0))
     if np.any(bad):
+        at = "" if time is None else f" (t={time:.6g})"
         raise SchemeError(f"non-positive density or pressure in the means of cells "
-                          f"{np.flatnonzero(bad)[:5]} (t={field.time:.6g})")
-    return cfl * field.grid.h / float(np.max(signal_speed(rho, u, p, field.gamma)))
+                          f"{np.flatnonzero(bad)[:5]}{at}")
 
 
 def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -> DgField:

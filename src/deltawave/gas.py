@@ -43,7 +43,7 @@ class GasState:
     @property
     def energy(self) -> float:
         """Total energy per unit volume."""
-        return self.p / (self.gamma - 1.0) + 0.5 * self.rho * self.u * self.u
+        return total_energy(self.rho, self.u, self.p, self.gamma)
 
     def mirrored(self) -> "GasState":
         """The state seen in the x -> -x, u -> -u reflected frame."""
@@ -80,6 +80,11 @@ class SourceCoefficients:
 
     def is_zero(self) -> bool:
         return self.k1 == 0.0 and self.k2 == 0.0 and self.k3 == 0.0
+
+
+def total_energy(rho, u, p, gamma: float):
+    """Total energy per unit volume of primitive values, scalars or arrays."""
+    return p / (gamma - 1.0) + 0.5 * rho * u * u
 
 
 def to_conserved(state: GasState) -> np.ndarray:

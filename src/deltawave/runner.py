@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time as _time
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
@@ -12,9 +13,9 @@ from .cases import TestCase, get_case
 from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step
 from .errors import ConfigError, DeltawaveError
 from .fluxes import Scheme, SchemeKind
-from .gas import GasState, primitives, to_conserved
+from .gas import GasState, primitives, total_energy
 from .stationary import Branch, downstream_state
-from .structure import SourceFan, compose_reference_fan, sample_source_fan
+from .structure import SourceFan, compose_reference_fan, sample_source_primitives
 
 # 5-point Gauss rule on [-1/2, 1/2] for exact-solution cell averages.
 _REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -59,10 +60,14 @@ def initial_states(case: TestCase) -> tuple[GasState, GasState]:
 
 
 def end_time(case: TestCase, t_end: float | None) -> float:
-    """The run's end time: ``t_end`` if given, else the case's own; it must be positive."""
-    t = case.t_end if t_end is None else t_end
-    if not t > 0.0:
-        raise ConfigError(f"end time must be positive, got {t}")
+    """The run's end time: ``t_end`` if given, else the case's own."""
+    return _positive_time(case.t_end if t_end is None else t_end)
+
+
+def _positive_time(t: float) -> float:
+    """``t`` itself, if it is finite and positive."""
+    if not 0.0 < t < math.inf:
+        raise ConfigError(f"end time must be finite and positive, got {t}")
     return t
 
 
@@ -84,12 +89,13 @@ def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
     Cells containing a discontinuity pick up an O(h) quadrature defect, which
     is reported rather than hidden.
     """
+    t = _positive_time(t)
+    g = fan.minus.gamma
     out = np.zeros((grid.n_cells, 3))
     centers = grid.centers
     for node, w in zip(_REF_NODES, _REF_WEIGHTS):
-        xs = centers + node * grid.h
-        for i, x in enumerate(xs):
-            out[i] += w * to_conserved(sample_source_fan(fan, x / t))
+        rho, u, p = sample_source_primitives(fan, (centers + node * grid.h) / t).T
+        out += w * np.column_stack([rho, rho * u, total_energy(rho, u, p, g)])
     return out
 
 
@@ -130,11 +136,9 @@ def profile_rows_from_field(field: DgField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def profile_rows_from_fan(fan: SourceFan, xs: np.ndarray, t: float) -> np.ndarray:
-    rows = np.empty((len(xs), 4))
-    for i, x in enumerate(xs):
-        s = sample_source_fan(fan, x / t)
-        rows[i] = (s.rho, s.u, s.p, s.energy)
-    return rows
+    """Rows (rho, u, p, E) of the exact solution at the points ``xs`` and time ``t``."""
+    rho, u, p = sample_source_primitives(fan, np.asarray(xs) / _positive_time(t)).T
+    return np.column_stack([rho, u, p, total_energy(rho, u, p, fan.minus.gamma)])
 
 
 def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,

@@ -14,7 +14,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .classical import ClassicalFan, sample_classical, solve_classical
+import numpy as np
+
+from .classical import ClassicalFan, sample_classical, sample_classical_primitives, solve_classical
 from .errors import RootBracketError, VacuumError
 from .gas import GasState, SourceCoefficients
 from .stationary import (
@@ -98,12 +100,28 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     at the largest value the subsonic stationary branch admits (the choking
     Mach for amplifying sources, sonic otherwise). The admissible upstream
     pressure lies in [p_crit, p_rest).
+
+    One solve asks for the bracket of its (left, coeffs) up to twice
+    (structure prediction, then the Type1 or Type3 branch), so the last
+    result is returned again for the very same two objects.
     """
+    global _last_bracket
+    last_left, last_coeffs, bracket = _last_bracket
+    if left is last_left and coeffs is last_coeffs:
+        return bracket
     crit = critical_mach_numbers(coeffs, left.gamma)
     target = crit.upstream_subsonic_max
     p_rest = rest_pressure(left)
     p_crit = pressure_for_mach(left, target)
+    _last_bracket = (left, coeffs, (p_rest, p_crit))
     return p_rest, p_crit
+
+
+# (left, coeffs, bracket) of the last ``subsonic_passage_bracket`` call, read
+# and replaced as one tuple. It is matched by identity: both arguments are
+# frozen, so the same two objects have the same bracket, and holding them
+# keeps their ids from being reused by other objects.
+_last_bracket: tuple = (None, None, None)
 
 
 def _type2_wave_clears_origin(left: GasState, right: GasState,
@@ -338,3 +356,19 @@ def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
     eta = -xi if fan.mirrored else xi
     state = sample_classical(fan.left_fan if eta < 0.0 else fan.right_fan, eta)
     return state.mirrored() if fan.mirrored else state
+
+
+def sample_source_primitives(fan: SourceFan, xi: np.ndarray) -> np.ndarray:
+    """(rho, u, p) rows at the similarity coordinates ``xi``, shape (n, 3).
+
+    The array form of ``sample_source_fan``, equal to it row for row.
+    """
+    xi = np.asarray(xi, dtype=float)
+    eta = -xi if fan.mirrored else xi
+    on_left = eta < 0.0
+    out = np.empty(eta.shape + (3,))
+    out[on_left] = sample_classical_primitives(fan.left_fan, eta[on_left])
+    out[~on_left] = sample_classical_primitives(fan.right_fan, eta[~on_left])
+    if fan.mirrored:
+        out[:, 1] = -out[:, 1]
+    return out

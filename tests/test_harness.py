@@ -182,6 +182,17 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["run", "--scheme", "solver", "--h", "0.5"],
+                                         ["reference"]])
+    def test_infinite_end_time_exits_2(self, tmp_path, command):
+        out = tmp_path / "x.csv"
+        r = CliRunner().invoke(cli_main, [
+            *command, "--test", "2", "--t-end", "inf", "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert "finite and positive" in r.output
+        assert not out.exists()
+
 
 class TestRunTestValidation:
     def test_misaligned_h(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,17 @@ class TestLimiter:
         field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
         out = tvd_limit(field)
         assert np.array_equal(out.coeffs, field.coeffs)
+
+    def test_non_positive_mean_pressure_raises_typed(self):
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
+        c = field.coeffs.copy()
+        c[3, 0, 2] = 0.01  # energy below the kinetic energy: p < 0
+        c[2, 1, 0] = 0.1  # a slope for the limiter to look at
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the test
+            with pytest.raises(SchemeError, match=r"cells \[3\]"):
+                tvd_limit(field.with_coeffs(c))
 
     def test_smooth_gentle_slopes_kept(self):
         g = make_grid(-1.0, 1.0, 0.125)

@@ -90,6 +90,25 @@ class TestBracket:
         _, p2 = subsonic_passage_bracket(anchor, c)
         assert p2 < anchor.p
 
+    @pytest.mark.parametrize("tid, kind", [(2, SolutionStructure.TYPE1),
+                                           (4, SolutionStructure.TYPE3)])
+    def test_computed_once_per_solve(self, monkeypatch, tid, kind):
+        from deltawave import structure
+
+        calls = []
+        real = structure.pressure_for_mach
+        monkeypatch.setattr(structure, "pressure_for_mach",
+                            lambda *args: calls.append(args) or real(*args))
+        c = get_case(tid)
+        left = GasState(c.left.rho, c.left.u, c.left.p)  # an object no call has seen
+        out = approximate_solve(left, c.right, c.coeffs)
+        assert out.structure is kind
+        assert len(calls) == 1
+        kept = subsonic_passage_bracket(left, c.coeffs)
+        assert len(calls) == 1
+        assert subsonic_passage_bracket(GasState(left.rho, left.u, left.p), c.coeffs) == kept
+        assert len(calls) == 2
+
 
 class TestPrediction:
     def test_tabulated_structures(self):
