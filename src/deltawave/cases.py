@@ -1,4 +1,4 @@
-"""Built-in test problems (coefficients, data, end times, expected structures).
+"""Built-in test problems (coefficients, data, end times, structure labels).
 
 The numeric literals are kept as the exact decimal strings they are tabulated
 with; parsing and re-serializing the registry reproduces them verbatim.
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .gas import GasState, SourceCoefficients
-from .structure import SolutionStructure
 
 # id: (k1, k2, k3), (rho u p)_left, (rho u p)_right, t_end, structure label
 _TABLE: dict[int, tuple] = {
@@ -32,19 +31,6 @@ _TABLE: dict[int, tuple] = {
         ("0.459223", "1.45488", "0.507773"), 3.0, "Type7"),
 }
 
-# Structures the predictor may legitimately report. The two limit structures
-# sit on prediction boundaries and resolve to either neighbour.
-_PREDICTED = {
-    1: {SolutionStructure.TYPE1},
-    2: {SolutionStructure.TYPE1},
-    3: {SolutionStructure.TYPE2},
-    4: {SolutionStructure.TYPE3},
-    5: {SolutionStructure.TYPE2, SolutionStructure.TYPE3},
-    6: {SolutionStructure.TYPE5},
-    7: {SolutionStructure.TYPE1, SolutionStructure.TYPE5},
-    8: {SolutionStructure.TYPE7},
-}
-
 GAMMA = 1.4
 DEFAULT_DOMAIN = (-10.0, 10.0)
 
@@ -57,7 +43,6 @@ class TestCase:
     right: GasState
     t_end: float
     structure_label: str
-    predicted_structures: frozenset
     domain: tuple[float, float] = DEFAULT_DOMAIN
 
     @property
@@ -82,7 +67,6 @@ def get_case(test_id: int) -> TestCase:
         right=GasState(*(float(v) for v in ur), GAMMA),
         t_end=t_end,
         structure_label=label,
-        predicted_structures=frozenset(_PREDICTED[test_id]),
     )
 
 

@@ -126,9 +126,8 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
         sigma = shock_speed(family, anchor, star.p)
         return WaveKind.SHOCK, (sigma, sigma)
     s = _acoustic_sign(family)
-    a_star = math.sqrt(anchor.gamma * star.p / star.rho)
     # The anchor's edge is the outer one: head of a family-1 fan, tail of a family-3 one.
-    edges = (anchor.u + s * anchor.sound_speed, u_star + s * a_star)
+    edges = (anchor.u + s * anchor.sound_speed, u_star + s * star.sound_speed)
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 

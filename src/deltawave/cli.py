@@ -105,7 +105,7 @@ def converge(test_id, scheme, h_list, cfl, out_dir):
 
 @main.command()
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
-@click.option("--samples", type=int, default=2000, show_default=True)
+@click.option("--samples", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--t-end", type=float, default=None)
 @click.option("--domain", type=str, default="-10,10", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)

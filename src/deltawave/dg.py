@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, SchemeError
 from .fluxes import FluxPair, Scheme, SchemeKind, lax_friedrichs, origin_flux
 from .gas import (GasState, SourceCoefficients, euler_flux, evaluate_source, from_conserved,
-                  primitives, signal_speed, to_conserved)
+                  primitives, rightward_frame, signal_speed, to_conserved)
 
 # Gauss-Legendre nodes/weights on [-1/2, 1/2] (3 points, degree-5 exact).
 _QNODES = np.array([-0.5 * math.sqrt(3.0 / 5.0), 0.0, 0.5 * math.sqrt(3.0 / 5.0)])
@@ -324,11 +324,10 @@ def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -
     c = field.coeffs.copy()
     left = from_conserved(*c[grid.left_cell, 0, :].tolist(), field.gamma)
     right = from_conserved(*c[grid.right_cell, 0, :].tolist(), field.gamma)
-    s = evaluate_source(left, right, coeffs)
-    if left.u > 0.0 and right.u > 0.0:
-        c[grid.right_cell, 0, :] += dt / grid.h * s
-    elif left.u < 0.0 and right.u < 0.0:
-        c[grid.left_cell, 0, :] += dt / grid.h * s
+    frame = rightward_frame(left, right)
+    if frame is not None:
+        downstream = grid.left_cell if frame[2] else grid.right_cell
+        c[downstream, 0, :] += dt / grid.h * evaluate_source(left, right, coeffs)
     return field.with_coeffs(c)
 
 

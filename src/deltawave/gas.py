@@ -38,7 +38,8 @@ class GasState:
     @property
     def mach(self) -> float:
         """Signed Mach number u/a."""
-        return self.u / self.sound_speed
+        # ``sound_speed`` inline: the wave-curve root finders read this in their loops.
+        return self.u / math.sqrt(self.gamma * self.p / self.rho)
 
     @property
     def energy(self) -> float:
@@ -134,17 +135,33 @@ def eigenvalues(state: GasState) -> tuple[float, float, float]:
     return (state.u - a, state.u, state.u + a)
 
 
+def rightward_frame(left: GasState, right: GasState) -> tuple[GasState, GasState, bool] | None:
+    """The pair in the frame where it flows rightward, and whether that frame is mirrored.
+
+    None when the flow does not pass through the origin (velocities of mixed
+    sign, or zero on either side): such a pair carries no source. This is
+    the one place that reads the flow direction of a pair of traces.
+    """
+    if left.u > 0.0 and right.u > 0.0:
+        return left, right, False
+    if left.u < 0.0 and right.u < 0.0:
+        return right.mirrored(), left.mirrored(), True
+    return None
+
+
 def evaluate_source(left: GasState, right: GasState, coeffs: SourceCoefficients) -> np.ndarray:
     """Source vector carried by the origin, given the two adjacent traces.
 
     Active only when the flow passes through the origin without changing
-    sign; the strength is the coefficient-scaled flux of the upstream trace.
-    The sign of the leftward-flow case is fixed by mirror covariance: the
-    reflected frame must reproduce the rightward-flow value with the momentum
+    sign; the strength is the coefficient-scaled flux of the upstream trace,
+    taken in the rightward frame. Mirror covariance fixes the leftward case:
+    the reflected frame reproduces the rightward value with the momentum
     component flipped.
     """
-    if left.u > 0.0 and right.u > 0.0:
-        return coeffs.diag * physical_flux(left)
-    if left.u < 0.0 and right.u < 0.0:
-        return -coeffs.diag * physical_flux(right)
-    return np.zeros(3)
+    frame = rightward_frame(left, right)
+    if frame is None:
+        return np.zeros(3)
+    source = coeffs.diag * physical_flux(frame[0])
+    if frame[2]:
+        source[1] = -source[1]
+    return source

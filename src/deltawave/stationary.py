@@ -8,7 +8,7 @@ Hence two branches (both-subsonic / both-supersonic), existence limits at
 critical Mach numbers, and choking when a side hits Mach one exactly.
 
 All curve evaluations assume rightward flow (u > 0); callers mirror
-leftward configurations into this frame and back.
+leftward configurations into this frame and back (``gas.rightward_frame``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSolvableError
-from .gas import _EPS, GasState, SourceCoefficients, eigenvalues, physical_flux
+from .errors import ConfigError, NotSolvableError
+from .gas import _EPS, GasState, SourceCoefficients, eigenvalues, physical_flux, rightward_frame
 
 # Relative slack allowed on admissible-interval endpoints inside the curve
 # evaluators (pure-roundoff overshoot must not reject a boundary state).
@@ -165,13 +165,12 @@ def _ratios(m2: float, mp2: float, coeffs: SourceCoefficients, gamma: float) -> 
 
 
 def stationary_ratios(mach_minus: float, coeffs: SourceCoefficients, gamma: float,
-                      branch: Branch, corrections: bool = False) -> tuple[float, float, float, float]:
-    """Downstream Mach and state multipliers as functions of the upstream Mach."""
+                      branch: Branch, corrections: bool = False) -> tuple[float, float, float]:
+    """(rho, u, p) multipliers across the jump as functions of the upstream Mach."""
     if mach_minus <= 0.0:
         raise ValueError("upstream Mach must be positive")
     mp2 = _branch_mach_sq(mach_minus * mach_minus, 1.0 + coeffs.k, gamma, branch, corrections)
-    gd, gu, gp = _ratios(mach_minus * mach_minus, mp2, coeffs, gamma)
-    return math.sqrt(mp2), gd, gu, gp
+    return _ratios(mach_minus * mach_minus, mp2, coeffs, gamma)
 
 
 def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, branch: Branch,
@@ -213,7 +212,7 @@ def downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch
     m = _crossing_mach(state, coeffs, Side.LEFT, branch, corrections)
     if m is None:
         return state
-    _, gd, gu, gp = stationary_ratios(m, coeffs, state.gamma, branch, corrections)
+    gd, gu, gp = stationary_ratios(m, coeffs, state.gamma, branch, corrections)
     return GasState(state.rho * gd, state.u * gu, state.p * gp, state.gamma)
 
 
@@ -258,13 +257,14 @@ class StationaryPair:
 def jump_residual(pair: StationaryPair) -> np.ndarray:
     """Componentwise defect of (1 + k_i) F_i(upstream) - F_i(downstream).
 
-    Orientation follows the flow direction; both sides of a stationary jump
-    share the velocity sign.
+    Orientation follows the flow direction, read in the rightward frame. A
+    pair that does not pass through the origin (mixed signs, or a stagnant
+    side) is no stationary jump and raises ``ConfigError``.
     """
-    if pair.left.u > 0.0:
-        up, down = pair.left, pair.right
-    else:
-        up, down = pair.right.mirrored(), pair.left.mirrored()
+    frame = rightward_frame(pair.left, pair.right)
+    if frame is None:
+        raise ConfigError(f"no flow through the origin: u = {pair.left.u:.6g}, {pair.right.u:.6g}")
+    up, down, _ = frame
     return (1.0 + pair.coeffs.diag) * physical_flux(up) - physical_flux(down)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalFan, sample_classical, sample_classical_primitives, solve_classical
-from .errors import RootBracketError, VacuumError
-from .gas import GasState, SourceCoefficients
+from .errors import ConfigError, NotSolvableError, RootBracketError, VacuumError
+from .gas import GasState, SourceCoefficients, rightward_frame
 from .stationary import (
     Branch,
     Side,
@@ -29,7 +29,9 @@ from .stationary import (
     stationary_ratios,
 )
 from .waves import (
+    _BRANCH_SLACK,
     WaveFamily,
+    bisect,
     pressure_for_mach,
     rarefaction_state_by_mach,
     rest_pressure,
@@ -78,16 +80,15 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
     identifies the upstream pressure of a non-choked subsonic-passage
     solution.
     """
-    g = left.gamma
     upstream = wave_state(WaveFamily.ONE, left, p)
-    mach = upstream.u / math.sqrt(g * p / upstream.rho)
+    mach = upstream.mach
     if mach <= 1e-12:
         # Stagnation end of the bracket: downstream velocity vanishes with
         # the upstream one; only the pressure ratio survives.
         p_down = p * (1.0 + coeffs.k2)
         u_down = 0.0
     else:
-        _, _, gu, gp = stationary_ratios(mach, coeffs, g, Branch.SUBSONIC)
+        _, gu, gp = stationary_ratios(mach, coeffs, left.gamma, Branch.SUBSONIC)
         p_down = p * gp
         u_down = upstream.u * gu
     return wave_state(WaveFamily.THREE, right, p_down).u - u_down
@@ -142,7 +143,8 @@ def _type2_wave_clears_origin(left: GasState, right: GasState,
 def predict_structure(left: GasState, right: GasState,
                       coeffs: SourceCoefficients) -> SolutionStructure:
     """Predict the structure of the Riemann solution for rightward flow on both sides."""
-    if not (left.u > 0.0 and right.u > 0.0):
+    frame = rightward_frame(left, right)
+    if frame is None or frame[2]:
         raise ValueError("prediction requires rightward flow on both sides")
     if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma) \
             and _type2_wave_clears_origin(left, right, coeffs):
@@ -196,18 +198,7 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
         return b
     if fa * fb > 0.0:
         raise RootBracketError("velocity mismatch does not change sign over the seed interval")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = t(mid)
-        if abs(fm) <= tiny:
-            return mid
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-        if b - a <= tol * max(1.0, mid):
-            break
-    return 0.5 * (a + b)
+    return bisect(t, a, b, fa, tol, tiny)
 
 
 def _sonic_expansion_state(left: GasState) -> GasState:
@@ -215,6 +206,22 @@ def _sonic_expansion_state(left: GasState) -> GasState:
     state = rarefaction_state_by_mach(WaveFamily.ONE, left, 1.0)
     # Pin the Mach number to one exactly; the ratios leave an ulp of slack.
     return GasState(state.rho, state.sound_speed, state.p, state.gamma)
+
+
+def _check_sonic_expansion(left: GasState, coeffs: SourceCoefficients) -> None:
+    """Raise ``NotSolvableError`` where no sonic expansion passes the origin.
+
+    A rarefaction only accelerates the flow, so a supersonic left datum
+    (beyond the roundoff slack of ``rarefaction_ratios``) cannot expand to
+    Mach one. For k <= -1/gamma^2 the supersonic branch downstream of a sonic
+    state is empty. Both regimes lie outside the structures implemented.
+    """
+    if left.mach * (1.0 - _BRANCH_SLACK) > 1.0:
+        raise NotSolvableError(f"supersonic left datum (Mach {left.mach:.6g}) has no sonic "
+                               f"expansion to the origin")
+    if math.isinf(critical_mach_numbers(coeffs, left.gamma).downstream_supersonic_min):
+        raise NotSolvableError(f"k = {coeffs.k:.6g} <= -1/gamma^2: no supersonic branch "
+                               f"downstream of the sonic expansion")
 
 
 def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoefficients,
@@ -231,25 +238,13 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
         minus = wave_state(WaveFamily.ONE, left, subsonic_passage_bracket(left, coeffs)[1])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
+        _check_sonic_expansion(left, coeffs)
         minus = _sonic_expansion_state(left)
         if structure is SolutionStructure.TYPE5:
             plus = downstream_state(minus, coeffs, Branch.SUPERSONIC)
         else:
             plus = choked_downstream(minus, coeffs)
     return SolverOutput(minus, plus, structure)
-
-
-def _rightward_frame(left: GasState, right: GasState) -> tuple[GasState, GasState, bool] | None:
-    """The data in the frame where it flows rightward, and whether that frame is mirrored.
-
-    None when the flow does not pass through the origin (velocities of mixed
-    sign, or zero on either side): such data carries no source.
-    """
-    if left.u <= 0.0 and right.u >= 0.0 or left.u >= 0.0 and right.u <= 0.0:
-        return None
-    if left.u < 0.0:
-        return right.mirrored(), left.mirrored(), True
-    return left, right, False
 
 
 def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SolverOutput:
@@ -259,7 +254,7 @@ def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficient
     homogeneous solution applies and both sides coincide. Leftward flow is
     mirrored through the rightward construction.
     """
-    frame = _rightward_frame(left, right)
+    frame = rightward_frame(left, right)
     if frame is None:
         fan = solve_classical(left, right)
         state = sample_classical(fan, 0.0)
@@ -338,7 +333,7 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
     state. Leftward flow is composed in the mirrored frame, where its
     sub-fans stay.
     """
-    frame = _rightward_frame(left, right)
+    frame = rightward_frame(left, right)
     if frame is None:
         fan = solve_classical(left, right, tol=_FAN_TOL)
         state = sample_classical(fan, 0.0)
@@ -352,7 +347,12 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
 
 
 def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
-    """State at similarity coordinate xi = x/t; xi = 0 resolves to the flow-downstream side."""
+    """State at similarity coordinate xi = x/t; xi = 0 resolves to the flow-downstream side.
+
+    A NaN coordinate lies on no side of any wave: it raises ``ConfigError``.
+    """
+    if math.isnan(xi):
+        raise ConfigError("similarity coordinate is NaN")
     eta = -xi if fan.mirrored else xi
     state = sample_classical(fan.left_fan if eta < 0.0 else fan.right_fan, eta)
     return state.mirrored() if fan.mirrored else state
@@ -361,9 +361,12 @@ def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
 def sample_source_primitives(fan: SourceFan, xi: np.ndarray) -> np.ndarray:
     """(rho, u, p) rows at the similarity coordinates ``xi``, shape (n, 3).
 
-    The array form of ``sample_source_fan``, equal to it row for row.
+    The array form of ``sample_source_fan``, equal to it row for row; a NaN
+    coordinate raises ``ConfigError`` as there.
     """
     xi = np.asarray(xi, dtype=float)
+    if np.isnan(xi).any():
+        raise ConfigError("similarity coordinate is NaN")
     eta = -xi if fan.mirrored else xi
     on_left = eta < 0.0
     out = np.empty(eta.shape + (3,))

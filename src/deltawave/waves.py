@@ -38,6 +38,12 @@ def shock_state(family: WaveFamily, anchor: GasState, p: float) -> tuple[GasStat
 
     Returns the state and its signed Mach number.
     """
+    state = _shock(family, anchor, p)
+    return state, state.mach
+
+
+def _shock(family: WaveFamily, anchor: GasState, p: float) -> GasState:
+    """The state of ``shock_state``, without the Mach number ``wave_state`` does not read."""
     g = anchor.gamma
     if p < anchor.p * (1.0 - _BRANCH_SLACK):
         raise ValueError(f"shock branch needs p >= {anchor.p}, got {p}")
@@ -46,8 +52,7 @@ def shock_state(family: WaveFamily, anchor: GasState, p: float) -> tuple[GasStat
         anchor.rho * ((g + 1.0) * p + (g - 1.0) * anchor.p)
     )
     u = anchor.u + _acoustic_sign(family) * step
-    state = GasState(rho, u, p, g)
-    return state, u * math.sqrt(rho) / math.sqrt(g * p)
+    return GasState(rho, u, p, g)
 
 
 def rarefaction_state_by_pressure(family: WaveFamily, anchor: GasState, p: float) -> GasState:
@@ -87,7 +92,7 @@ def rarefaction_state_by_mach(family: WaveFamily, anchor: GasState, m: float) ->
 def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     """Combined shock/rarefaction curve; shock for p >= anchor pressure."""
     if p >= anchor.p:
-        return shock_state(family, anchor, p)[0]
+        return _shock(family, anchor, p)
     return rarefaction_state_by_pressure(family, anchor, p)
 
 
@@ -97,8 +102,30 @@ def mach_along_1wave(anchor: GasState, p: float) -> float:
     Strictly decreasing in p whenever the anchor moves rightward; used to
     bracket upstream pressures for the stationary-wave construction.
     """
-    state = wave_state(WaveFamily.ONE, anchor, p)
-    return state.u / math.sqrt(anchor.gamma * p / state.rho)
+    return wave_state(WaveFamily.ONE, anchor, p).mach
+
+
+def bisect(f, a: float, b: float, fa: float, tol: float, tiny: float) -> float:
+    """Root of ``f`` in the bracket [a, b], where ``fa = f(a)`` and f(b) has the other sign.
+
+    Halves the bracket, keeping the half where f changes sign (a zero at the
+    midpoint keeps the lower half), until its width is at most
+    ``tol * max(1, mid)`` or 200 halvings, and returns the final midpoint. A
+    midpoint with ``abs(f) <= tiny`` is returned at once; a negative
+    ``tiny`` never stops early.
+    """
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if abs(fm) <= tiny:
+            return mid
+        if fa * fm <= 0.0:
+            b = mid
+        else:
+            a, fa = mid, fm
+        if b - a <= tol * max(1.0, mid):
+            break
+    return 0.5 * (a + b)
 
 
 def rest_pressure(anchor: GasState) -> float:
@@ -132,16 +159,8 @@ def pressure_for_mach(anchor: GasState, target: float) -> float:
         _, _, gp = rarefaction_ratios(m0, target, anchor.gamma)
         return anchor.p * gp
     # shock side: Mach falls from m0 at the anchor to 0 at the rest pressure
-    lo, hi = anchor.p, rest_pressure(anchor)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mach_along_1wave(anchor, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, mid):
-            break
-    return 0.5 * (lo + hi)
+    return bisect(lambda p: mach_along_1wave(anchor, p) - target, anchor.p, rest_pressure(anchor),
+                  m0 - target, 1e-12, -1.0)
 
 
 def shock_speed(family: WaveFamily, anchor: GasState, p: float) -> float:

@@ -193,6 +193,16 @@ class TestCli:
         assert "finite and positive" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_reference_sample_count_below_one_exits_2(self, tmp_path, samples):
+        out = tmp_path / "ref.csv"
+        r = CliRunner().invoke(cli_main, [
+            "reference", "--test", "2", "--samples", samples, "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert "--samples" in r.output
+        assert not out.exists()
+
 
 class TestRunTestValidation:
     def test_misaligned_h(self):

@@ -111,3 +111,12 @@ def test_underflowing_mach_fails_typed():
     left, right = GasState(1.0, 1e-290, 1.0), GasState(1.0, 1.0, 1.0)
     with pytest.raises(DeltawaveError):
         kt_flux(left, right, SourceCoefficients(0.0, 1.0, 0.0), corrections=True)
+
+
+@fast
+@given(states, states, coefficients)
+def test_solver_fails_typed_on_fuzz_domain(left, right, coeffs):
+    """Where the solver and the composed fan fail, they raise the package's own errors."""
+    for fn in (approximate_solve, compose_reference_fan):
+        _, err = _attempt(fn, left, right, coeffs)
+        assert err is None or issubclass(err, DeltawaveError), (fn.__name__, err)

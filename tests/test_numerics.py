@@ -436,3 +436,19 @@ class TestDgMirror:
         ]:
             scale = np.max(np.abs(want), axis=0)
             assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("tid", [2, 6, 8])
+    def test_split_source_commutes_with_reflection(self, tid):
+        from deltawave.cases import get_case
+        from deltawave.dg import _apply_split_source
+        from deltawave.runner import advance, initial_states
+
+        case = get_case(tid)
+        g = make_grid(-10.0, 10.0, 0.05)
+        field = advance(field_from_states(g, *initial_states(case)), case.coeffs, SPLIT,
+                        0.3 * case.t_end, 0.5)
+        mirrored = field.with_coeffs(_mirrored(field.coeffs))
+        out = _apply_split_source(field, case.coeffs, 0.01)
+        assert not np.array_equal(out.coeffs, field.coeffs)
+        got = _apply_split_source(mirrored, case.coeffs, 0.01).coeffs
+        assert np.array_equal(got, _mirrored(out.coeffs))

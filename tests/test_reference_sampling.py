@@ -128,3 +128,23 @@ def test_reference_functions_reject_invalid_time(t):
         reference_cell_averages(fan, make_grid(*case.domain, 0.5), t)
     with pytest.raises(ConfigError, match="finite and positive"):
         profile_rows_from_fan(fan, np.linspace(-1.0, 1.0, 5), t)
+
+
+def _nan_fans():
+    """A contact at rest (classical), a rightward Type1 fan and a mirrored one."""
+    yield compose_reference_fan(GasState(2.0, 0.0, 1.0), GasState(1.0, 0.0, 1.0),
+                                SourceCoefficients(0.3, 0.0, 0.1))
+    case = all_cases()[1]
+    left, right = initial_states(case)
+    yield compose_reference_fan(left, right, case.coeffs)
+    yield compose_reference_fan(right.mirrored(), left.mirrored(), case.coeffs)
+
+
+@pytest.mark.parametrize("fan", list(_nan_fans()), ids=["contact-at-rest", "type1", "mirrored"])
+def test_nan_coordinate_raises(fan):
+    with pytest.raises(ConfigError, match="NaN"):
+        sample_source_fan(fan, math.nan)
+    with pytest.raises(ConfigError, match="NaN"):
+        sample_source_primitives(fan, np.array([0.5, math.nan]))
+    with pytest.raises(ConfigError, match="NaN"):
+        profile_rows_from_fan(fan, np.array([math.nan]), 1.0)

@@ -16,7 +16,7 @@ from deltawave import (
     jump_residual,
     upstream_state,
 )
-from deltawave.errors import NotSolvableError
+from deltawave.errors import ConfigError, NotSolvableError
 from deltawave.stationary import Branch, Side
 
 from conftest import GAMMA, coeffs_with_k, random_admissible_upstream, state_rel_err
@@ -183,6 +183,18 @@ class TestPairProperties:
                     nd = abs(down.u) + down.sound_speed
                     for lu, ld in zip(lam_u, lam_d):
                         assert (lu / nu) * (ld / nd) >= -1e-12
+
+
+class TestJumpResidual:
+    @pytest.mark.parametrize("u_left, u_right", [(0.5, -0.5), (-0.5, 0.5), (0.0, 0.5),
+                                                 (-0.5, 0.0), (0.0, 0.0)],
+                             ids=["opposed", "diverging", "stagnant-left", "stagnant-right",
+                                  "at-rest"])
+    def test_rejects_pair_without_through_flow(self, u_left, u_right):
+        pair = StationaryPair(GasState(1.0, u_left, 1.0), GasState(0.8, u_right, 0.9),
+                              TEST1_COEFFS, Branch.SUBSONIC)
+        with pytest.raises(ConfigError, match="no flow through the origin"):
+            jump_residual(pair)
 
 
 class TestSolvabilityClassification:

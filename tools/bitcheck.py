@@ -1,0 +1,182 @@
+"""Digests of the package's outputs, for checking that a change keeps them bit for bit.
+
+    python tools/bitcheck.py TREE > digests.json
+
+imports ``deltawave`` from ``TREE/src`` and prints one JSON object: a
+sha256 per group of outputs, plus the error classes counted. Two trees
+compare with ``diff``. The groups:
+
+- ``solve.*``: over 20,000 draws of the solver's fuzz domain (seed 0, in the
+  order of the benchmark's ``riemann_batch`` workload), the repr of each
+  ``approximate_solve`` output, the indices that fail, and each failure's
+  error class and message;
+- ``flux.*``: ``kt_flux`` with and without corrections, ``evaluate_source``
+  and ``llf_flux`` of every draw, and ``jump_residual`` of every solver pair
+  that carries a source;
+- ``fan.*``: for the first 300 draws, ``reference_cell_averages`` and
+  ``profile_rows_from_fan`` on [-1, 1] (h = 0.01, t = 0.1),
+  ``feature_intervals`` and the wave speeds of each fan that
+  ``compose_reference_fan`` composes, the indices that fail, and their
+  errors;
+- ``run.*``: sha256 of the final coefficients and repr of the density L1
+  error of ``run_test`` for tests 1-8 x {splitting, kt, kt-nocorr, solver}
+  at h = 0.05 and test 8 with the solver at h = 0.0125 (the error class and
+  message where a run raises);
+- ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``.
+
+It takes about 35 s on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+N_DRAWS = 20_000
+N_FANS = 300
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line if isinstance(line, bytes) else str(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _attempt(fn, *args) -> str:
+    """repr of the result, or the error class and message; arrays by their bytes."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # failures are outputs too
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(out, np.ndarray):
+        return out.tobytes().hex()
+    return repr(out)
+
+
+def _draws(dw):
+    """The benchmark's ``riemann_batch`` problems, ``N_DRAWS`` of them."""
+    rng = np.random.default_rng(0)
+    k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
+    rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
+    u = rng.uniform(-4.0, 4.0, (N_DRAWS, 2))
+    return [(dw.GasState(rp[i, 0], u[i, 0], rp[i, 1]), dw.GasState(rp[i, 2], u[i, 1], rp[i, 3]),
+             dw.SourceCoefficients(*k[i])) for i in range(N_DRAWS)]
+
+
+def _solves(dw, draws) -> dict:
+    ok, failed, errors, classes, pairs = [], [], [], Counter(), []
+    for i, (left, right, coeffs) in enumerate(draws):
+        try:
+            out = dw.approximate_solve(left, right, coeffs)
+        except Exception as exc:
+            failed.append(i)
+            errors.append(f"{i} {type(exc).__name__}: {exc}")
+            classes[type(exc).__name__] += 1
+            continue
+        ok.append(f"{i} {out!r}")
+        if out.structure is not dw.SolutionStructure.CLASSICAL:
+            pairs.append(dw.StationaryPair(out.minus, out.plus, coeffs, dw.Branch.SUBSONIC))
+    return {
+        "solve.ok": _digest(ok),
+        "solve.failed_indices": _digest(failed),
+        "solve.errors": _digest(errors),
+        "solve.error_classes": dict(sorted(classes.items())),
+        "flux.jump_residual": _digest(_attempt(dw.jump_residual, p) for p in pairs),
+    }
+
+
+def _pair(pair) -> str:
+    return pair.minus.tobytes().hex() + pair.plus.tobytes().hex()
+
+
+def _fluxes(dw, draws) -> dict:
+    return {
+        "flux.kt": _digest(_attempt(lambda *a: _pair(dw.kt_flux(*a)), *d) for d in draws),
+        "flux.kt_nocorr": _digest(_attempt(lambda *a: _pair(dw.kt_flux(*a, False)), *d)
+                                  for d in draws),
+        "flux.source": _digest(_attempt(dw.evaluate_source, *d) for d in draws),
+        "flux.llf": _digest(_attempt(dw.llf_flux, *d[:2]) for d in draws),
+    }
+
+
+def _fans(dw, draws) -> dict:
+    from deltawave.dg import make_grid
+    from deltawave.runner import profile_rows_from_fan, reference_cell_averages
+
+    grid = make_grid(-1.0, 1.0, 0.01)
+    averages, rows, intervals, speeds, failed, errors = [], [], [], [], [], []
+    for i, (left, right, coeffs) in enumerate(draws[:N_FANS]):
+        try:
+            fan = dw.compose_reference_fan(left, right, coeffs)
+        except Exception as exc:
+            failed.append(i)
+            errors.append(f"{i} {type(exc).__name__}: {exc}")
+            continue
+        averages.append(_attempt(reference_cell_averages, fan, grid, 0.1))
+        rows.append(_attempt(profile_rows_from_fan, fan, grid.centers, 0.1))
+        intervals.append(_attempt(fan.feature_intervals))
+        speeds.append(_attempt(lambda: (fan.left_wave_speeds(), fan.right_wave_speeds())))
+    return {"fan.reference_cell_averages": _digest(averages),
+            "fan.profile_rows": _digest(rows),
+            "fan.feature_intervals": _digest(intervals),
+            "fan.wave_speeds": _digest(speeds),
+            "fan.failed_indices": _digest(failed),
+            "fan.errors": _digest(errors)}
+
+
+def _runs() -> dict:
+    from deltawave.runner import SCHEMES, run_test
+
+    out = {}
+    runs = [(tid, name, 0.05) for tid in range(1, 9)
+            for name in ("splitting", "kt", "kt-nocorr", "solver")] + [(8, "solver", 0.0125)]
+    for tid, name, h in runs:
+        key = f"run.{tid}.{name}.{h:g}"
+        try:
+            rep = run_test(tid, SCHEMES[name], h)
+        except Exception as exc:
+            out[key] = f"{type(exc).__name__}: {exc}"
+            continue
+        out[key] = [hashlib.sha256(rep.field.coeffs.tobytes()).hexdigest(), repr(rep.l1("rho"))]
+    return out
+
+
+def _cli() -> dict:
+    from deltawave.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for tid in range(1, 9):
+            path = Path(tmp) / f"ref{tid}.csv"
+            main(["reference", "--test", str(tid), "--out", str(path)], standalone_mode=False)
+            out[f"cli.reference.{tid}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    import deltawave as dw
+
+    print(f"digests of {Path(dw.__file__).parent}", file=sys.stderr)
+    draws = _draws(dw)
+    result = {**_solves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(), **_cli()}
+    json.dump(result, sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
