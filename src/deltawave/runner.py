@@ -176,8 +176,14 @@ def convergence_study(test_id: int, scheme: Scheme, h_list: list[float], cfl: fl
                       out_dir: str | None = None) -> list[RunReport]:
     """Run a refinement sequence; ``h_list`` must be descending and origin-aligned.
 
-    Profiles in ``out_dir`` are named by the scheme's key in ``SCHEMES``.
+    Every width is checked before the first run. Profiles in ``out_dir`` are
+    named by the scheme's key in ``SCHEMES``.
     """
+    domain = get_case(test_id).domain
+    for h in h_list:
+        make_grid(*domain, h)
+    if not all(h > finer for h, finer in zip(h_list, h_list[1:])):
+        raise ConfigError(f"cell widths must strictly decrease, got {h_list}")
     name = next((key for key, known in SCHEMES.items() if known == scheme), scheme.kind.value)
     reports = []
     for h in h_list:

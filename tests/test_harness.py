@@ -193,6 +193,31 @@ class TestCli:
         assert "finite and positive" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["0", "-0.5", "nan", "inf"])
+    def test_bad_cell_width_exits_2(self, tmp_path, h):
+        out = tmp_path / "x.csv"
+        r = CliRunner().invoke(cli_main, [
+            "run", "--test", "2", "--scheme", "solver", "--h", h, "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert "cell width must be finite and positive" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("h_list, message", [
+        ("0.5,0", "cell width must be finite and positive"),
+        ("0.5,nan", "cell width must be finite and positive"),
+        ("0.5,1.0", "cell widths must strictly decrease"),
+        ("0.5,0.5", "cell widths must strictly decrease"),
+    ])
+    def test_converge_bad_width_list_exits_2(self, tmp_path, h_list, message):
+        r = CliRunner().invoke(cli_main, [
+            "converge", "--test", "2", "--scheme", "solver", "--h-list", h_list,
+            "--out-dir", str(tmp_path),
+        ])
+        assert r.exit_code == 2, r.output
+        assert message in r.output
+        assert not list(tmp_path.iterdir())  # checked before the first run
+
     @pytest.mark.parametrize("samples", ["-1", "0"])
     def test_reference_sample_count_below_one_exits_2(self, tmp_path, samples):
         out = tmp_path / "ref.csv"

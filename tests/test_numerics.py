@@ -355,6 +355,51 @@ class TestTimeStepping:
         assert np.array_equal(out.means[g.left_cell], field.means[g.left_cell])
 
 
+def _parent_rk3(y0, dt, rhs, post):
+    """The three stages as first written, one new array per operation."""
+    y1 = post(y0 + dt * rhs(y0))
+    y2 = post(y0 + 0.25 * ((y1 - y0) + dt * rhs(y1)))
+    return post(y0 + (2.0 / 3.0) * ((y2 - y0) + dt * rhs(y2)))
+
+
+class TestStageInputs:
+    """The stage kernels never write into their inputs or into what their callbacks return."""
+
+    @pytest.mark.parametrize("post", [None, lambda y: y], ids=["no-post", "identity-post"])
+    def test_combine_with_identity_rhs_keeps_y0(self, post):
+        y0 = np.array([1.0, -2.0, 3.5, 0.0])
+        kept = y0.copy()
+        out = ssp_rk3_combine(y0, 0.1, lambda y: y, post)
+        assert np.array_equal(y0, kept)
+        want = _parent_rk3(kept.copy(), 0.1, lambda y: y, post or (lambda y: y))
+        assert out.tobytes() == want.tobytes()
+
+    def _field(self):
+        g = make_grid(-2.0, 2.0, 0.25)
+        field = field_from_states(g, GasState(1.0, 1.0, 1.0), GasState(0.5, 0.4, 0.6))
+        c = field.coeffs.copy()
+        c[:, 1, :] = 0.05 * c[:, 0, :] * np.sin(np.arange(g.n_cells))[:, None]
+        c[:, 2, :] = 0.02 * c[:, 0, :] * np.cos(np.arange(g.n_cells))[:, None]
+        return field.with_coeffs(c)
+
+    @pytest.mark.parametrize("kernel", ["dg_rhs", "tvd_limit", "ssp_rk3_step"])
+    def test_kernels_leave_the_field_unchanged(self, kernel):
+        field = self._field()
+        before = field.coeffs.tobytes()
+        call = {"dg_rhs": lambda f: dg_rhs(f, TEST1_COEFFS, SOLVER),
+                "tvd_limit": tvd_limit,
+                "ssp_rk3_step": lambda f: ssp_rk3_step(f, 0.01, TEST1_COEFFS, SOLVER)}[kernel]
+        call(field)
+        assert field.coeffs.tobytes() == before
+
+    def test_successive_rhs_results_share_no_memory(self):
+        field = self._field()
+        first = dg_rhs(field, TEST1_COEFFS, SOLVER)
+        second = dg_rhs(field, TEST1_COEFFS, SOLVER)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+
+
 class TestCfl:
     def test_rest_state_value(self):
         g = make_grid(-1.0, 1.0, 0.05)

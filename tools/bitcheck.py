@@ -22,9 +22,15 @@ compare with ``diff``. The groups:
   error of ``run_test`` for tests 1-8 x {splitting, kt, kt-nocorr, solver}
   at h = 0.05 and test 8 with the solver at h = 0.0125 (the error class and
   message where a run raises);
+- ``stage.*``: for seeds 0-2, 300 seeded random fields each (4-400 cells,
+  means scaled by 1 +/- 0.5 of a random factor cubed, so some cells are
+  troubled, some flattened and some have p <= 0; some fields flow leftward
+  supersonically, some have zero slopes), the bytes of ``dg_rhs`` under
+  each scheme, of ``tvd_limit`` and of one ``ssp_rk3_step``, and the repr
+  of ``cfl_dt`` (the error class and message where one raises);
 - ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``.
 
-It takes about 35 s on one core.
+It takes about 40 s on one core, 3 s of it in the ``stage.*`` group.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import numpy as np
 
 N_DRAWS = 20_000
 N_FANS = 300
+N_FIELDS = 300  # random stage inputs per seed
 
 
 def _digest(lines) -> str:
@@ -151,6 +158,59 @@ def _runs() -> dict:
     return out
 
 
+def _random_field(dg, rng):
+    """A random field of 4-400 cells and random source coefficients."""
+    from deltawave import SourceCoefficients
+
+    n = int(rng.integers(4, 401))
+    h = 2.0 / n
+    j0 = int(rng.integers(1, n))
+    grid = dg.make_grid(-j0 * h, (n - j0) * h, h)
+    rho = rng.uniform(0.2, 3.0, n)
+    p = rng.uniform(0.2, 3.0, n)
+    if rng.uniform() < 0.2:  # supersonic leftward flow
+        u = -np.sqrt(1.4 * p / rho) * rng.uniform(1.1, 2.5, n)
+    else:
+        u = rng.uniform(-2.0, 2.0, n)
+    coeffs = np.zeros((n, 3, 3))
+    coeffs[:, 0] = np.column_stack([rho, rho * u, p / 0.4 + 0.5 * rho * u * u])
+    coeffs[:, 0] *= 1.0 + 0.5 * rng.uniform() ** 3 * rng.uniform(-1.0, 1.0, (n, 3))
+    if rng.uniform() >= 0.15:  # else zero slopes
+        scale = rng.uniform(0.0, 0.1) * np.abs(coeffs[:, 0])
+        coeffs[:, 1] = rng.uniform(-1.0, 1.0, (n, 3)) * scale
+        coeffs[:, 2] = rng.uniform(-1.0, 1.0, (n, 3)) * scale
+        coeffs[rng.uniform(size=n) < 0.2, 1:] = 0.0
+    k = SourceCoefficients(*rng.uniform(-0.3, 0.8, 3))
+    return dg.DgField(grid, 1.4, coeffs, float(rng.uniform(0.0, 1.0))), k
+
+
+def _stages() -> dict:
+    from deltawave import dg
+    from deltawave.runner import SCHEMES
+
+    def coeffs_of(fn, *args):
+        return fn(*args).coeffs
+
+    out = {}
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        lines = {name: [] for name in [f"rhs.{s}" for s in SCHEMES] + ["limit", "step", "cfl"]}
+        for i in range(N_FIELDS):
+            field, k = _random_field(dg, rng)
+            scheme = list(SCHEMES.values())[i % len(SCHEMES)]
+            # Inadmissible inputs may warn on their way to the typed error;
+            # the outcome, not the warning, is the output.
+            with np.errstate(all="ignore"):
+                for name, each in SCHEMES.items():
+                    lines[f"rhs.{name}"].append(_attempt(dg.dg_rhs, field, k, each))
+                lines["limit"].append(_attempt(coeffs_of, dg.tvd_limit, field))
+                lines["cfl"].append(_attempt(dg.cfl_dt, field, 0.3))
+                lines["step"].append(_attempt(coeffs_of, dg.ssp_rk3_step, field,
+                                              0.05 * field.grid.h, k, scheme))
+        out.update({f"stage.{seed}.{name}": _digest(v) for name, v in lines.items()})
+    return out
+
+
 def _cli() -> dict:
     from deltawave.cli import main
 
@@ -172,7 +232,8 @@ def main(argv: list[str]) -> int:
 
     print(f"digests of {Path(dw.__file__).parent}", file=sys.stderr)
     draws = _draws(dw)
-    result = {**_solves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(), **_cli()}
+    result = {**_solves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(),
+              **_stages(), **_cli()}
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
