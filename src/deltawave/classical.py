@@ -53,28 +53,44 @@ class ClassicalFan:
         return abs(self.p_star - anchor.p) / max(self.p_star, anchor.p)
 
 
-def _curve_velocity(anchor: GasState, p: float, family: WaveFamily) -> tuple[float, float]:
-    """Velocity on the wave curve at pressure p, and its derivative in p."""
-    g = anchor.gamma
-    sign = _acoustic_sign(family)
-    if p >= anchor.p:
-        a_coef = 2.0 / ((g + 1.0) * anchor.rho)
-        b_coef = (g - 1.0) / (g + 1.0) * anchor.p
-        q = math.sqrt(a_coef / (p + b_coef))
-        u = anchor.u + sign * (p - anchor.p) * q
-        du = sign * q * (1.0 - 0.5 * (p - anchor.p) / (p + b_coef))
-    else:
-        z = (g - 1.0) / (2.0 * g)
-        ratio = (p / anchor.p) ** z
-        u = anchor.u + sign * 2.0 * anchor.sound_speed / (g - 1.0) * (ratio - 1.0)
-        du = sign / (anchor.rho * anchor.sound_speed) * (p / anchor.p) ** (-(g + 1.0) / (2.0 * g))
-    return u, du
+def _velocity_curve(anchor: GasState, sign: float):
+    """p -> (velocity on the wave curve through ``anchor``, its derivative in p).
+
+    ``sign`` is -1 for family 1 and +1 for family 3. The anchor's constants
+    are computed once here, as the left prefixes of the per-point
+    expressions, so every value is the same to the bit.
+    """
+    g, rho0, u0, p0 = anchor.gamma, anchor.rho, anchor.u, anchor.p
+    a0 = anchor.sound_speed
+    a_coef = 2.0 / ((g + 1.0) * rho0)
+    b_coef = (g - 1.0) / (g + 1.0) * p0
+    z = (g - 1.0) / (2.0 * g)
+    fan_coef = sign * 2.0 * a0 / (g - 1.0)
+    fan_slope = sign / (rho0 * a0)
+    fan_exp = -(g + 1.0) / (2.0 * g)
+
+    def velocity(p: float) -> tuple[float, float]:
+        if p >= p0:
+            q = math.sqrt(a_coef / (p + b_coef))
+            return u0 + sign * (p - p0) * q, sign * q * (1.0 - 0.5 * (p - p0) / (p + b_coef))
+        return u0 + fan_coef * ((p / p0) ** z - 1.0), fan_slope * (p / p0) ** fan_exp
+    return velocity
+
+
+def _defect_curve(ul_of, ur_of):
+    """p -> (ul - ur, its derivative) of the family-1 and family-3 ``_velocity_curve``s.
+
+    Its root is the star pressure.
+    """
+    def defect(p: float) -> tuple[float, float]:
+        ul, dul = ul_of(p)
+        ur, dur = ur_of(p)
+        return ul - ur, dul - dur
+    return defect
 
 
 def _pressure_defect(left: GasState, right: GasState, p: float) -> tuple[float, float]:
-    ul, dul = _curve_velocity(left, p, WaveFamily.ONE)
-    ur, dur = _curve_velocity(right, p, WaveFamily.THREE)
-    return ul - ur, dul - dur
+    return _defect_curve(_velocity_curve(left, -1.0), _velocity_curve(right, 1.0))(p)
 
 
 def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> ClassicalFan:
@@ -89,26 +105,26 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
 
+    ul_of, ur_of = _velocity_curve(left, -1.0), _velocity_curve(right, 1.0)
+    defect = _defect_curve(ul_of, ur_of)
     scale_u = abs(left.u) + left.sound_speed + abs(right.u) + right.sound_speed
     tiny = 1e-13 * scale_u
     # Degenerate inputs where one anchor pressure is already the root: keeps
     # zero-strength waves exactly zero-strength.
-    if abs(_pressure_defect(left, right, left.p)[0]) <= tiny:
+    if abs(defect(left.p)[0]) <= tiny:
         p_star = left.p
-    elif abs(_pressure_defect(left, right, right.p)[0]) <= tiny:
+    elif abs(defect(right.p)[0]) <= tiny:
         p_star = right.p
     else:
         lo = 1e-12 * min(left.p, right.p)
         hi = max(left.p, right.p)
-        while _pressure_defect(left, right, hi)[0] > 0.0:
+        while defect(hi)[0] > 0.0:
             hi *= 4.0
             if hi > 1e40:
                 raise VacuumError("pressure equation has no root")
-        p_star = _solve_pressure(left, right, lo, hi, tol, scale_u)
+        p_star = _solve_pressure(defect, lo, hi, tol, scale_u)
 
-    ul, _ = _curve_velocity(left, p_star, WaveFamily.ONE)
-    ur, _ = _curve_velocity(right, p_star, WaveFamily.THREE)
-    u_star = 0.5 * (ul + ur)
+    u_star = 0.5 * (ul_of(p_star)[0] + ur_of(p_star)[0])
 
     sl = wave_state(WaveFamily.ONE, left, p_star)
     sr = wave_state(WaveFamily.THREE, right, p_star)
@@ -131,27 +147,27 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 
-def _solve_pressure(left: GasState, right: GasState, lo: float, hi: float,
-                    tol: float, scale_u: float) -> float:
+def _solve_pressure(defect, lo: float, hi: float, tol: float, scale_u: float) -> float:
     """Bisection bracket narrowed, then safeguarded Newton to convergence.
 
-    Converges on the velocity residual itself, so the returned root is
-    accurate even where the pressure function is steep.
+    ``defect`` is the map of ``_defect_curve``. Converges on the velocity
+    residual itself, so the returned root is accurate even where the
+    pressure function is steep.
     """
-    flo, _ = _pressure_defect(left, right, lo)
-    fhi, _ = _pressure_defect(left, right, hi)
+    flo, _ = defect(lo)
+    fhi, _ = defect(hi)
     if flo < 0.0 or fhi > 0.0:
         raise VacuumError("failed to bracket the star pressure")
     for _ in range(8):
         mid = 0.5 * (lo + hi)
-        fm, _ = _pressure_defect(left, right, mid)
+        fm, _ = defect(mid)
         if fm > 0.0:
             lo = mid
         else:
             hi = mid
     p = 0.5 * (lo + hi)
     for _ in range(100):
-        f, df = _pressure_defect(left, right, p)
+        f, df = defect(p)
         if abs(f) <= 1e-13 * scale_u:
             return p
         if f > 0.0:

@@ -28,6 +28,8 @@ _QMODE2 = _QNODES * _QNODES - 1.0 / 12.0
 _MASS = np.array([1.0, 1.0 / 12.0, 1.0 / 180.0])
 # Per node, the weights of the two volume sums: the mean (w) and the first moment (2 w x).
 _QSUMS = np.column_stack([_QWEIGHTS, _QWEIGHTS * 2.0 * _QNODES])[:, :, None, None]
+# Most cells a grid may have: 10^7 cells already take 720 MB of coefficients.
+_MAX_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -59,12 +61,19 @@ class Grid:
 
 
 def make_grid(a: float, b: float, h: float) -> Grid:
-    """Build a grid of width ``h`` on [a, b]; the origin must fall on an interface."""
+    """Build a grid of width ``h`` on [a, b]; the origin must fall on an interface.
+
+    A width that asks for more than ``_MAX_CELLS`` cells raises ``ConfigError``.
+    """
     if not 0.0 < h < math.inf:
         raise ConfigError(f"cell width must be finite and positive, got {h}")
     if not (a < 0.0 < b):
         raise ConfigError(f"domain [{a}, {b}] must contain the origin strictly")
-    n = round((b - a) / h)
+    cells = (b - a) / h
+    if not cells <= _MAX_CELLS:
+        raise ConfigError(f"cell width {h} asks for {cells:.3g} cells on [{a}, {b}], "
+                          f"more than {_MAX_CELLS:,}")
+    n = round(cells)
     j0 = round(-a / h)
     if abs(n * h - (b - a)) > 1e-9 * h or n < 2:
         raise ConfigError(f"cell width {h} does not tile [{a}, {b}]")

@@ -31,6 +31,8 @@ from .stationary import (
 from .waves import (
     _BRANCH_SLACK,
     WaveFamily,
+    _check_pressure,
+    _wave_rho_u,
     bisect,
     pressure_for_mach,
     rarefaction_state_by_mach,
@@ -78,20 +80,25 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
     subsonic stationary wave, and compare the downstream velocity with the
     family-3 curve through the right datum at the downstream pressure. A root
     identifies the upstream pressure of a non-choked subsonic-passage
-    solution.
+    solution. A pressure that is not finite and positive, here or downstream
+    of the jump, raises ``ConfigError``.
     """
-    upstream = wave_state(WaveFamily.ONE, left, p)
-    mach = upstream.mach
+    _check_pressure(p)
+    g = left.gamma
+    # The curve states as floats: this runs once per step of the Type1 bisection.
+    rho, u = _wave_rho_u(-1.0, left, p)
+    mach = u / math.sqrt(g * p / rho)
     if mach <= 1e-12:
         # Stagnation end of the bracket: downstream velocity vanishes with
         # the upstream one; only the pressure ratio survives.
         p_down = p * (1.0 + coeffs.k2)
         u_down = 0.0
     else:
-        _, gu, gp = stationary_ratios(mach, coeffs, left.gamma, Branch.SUBSONIC)
+        _, gu, gp = stationary_ratios(mach, coeffs, g, Branch.SUBSONIC)
         p_down = p * gp
-        u_down = upstream.u * gu
-    return wave_state(WaveFamily.THREE, right, p_down).u - u_down
+        u_down = u * gu
+    _check_pressure(p_down)
+    return _wave_rho_u(1.0, right, p_down)[1] - u_down
 
 
 def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tuple[float, float]:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import enum
 import math
 
+from .errors import ConfigError
 from .gas import GasState
 
 # Relative slack for branch-domain checks, forgiving pure roundoff.
 _BRANCH_SLACK = 1e-12
+_SQRT2 = math.sqrt(2.0)
 
 
 class WaveFamily(enum.Enum):
@@ -33,37 +35,56 @@ def _acoustic_sign(family: WaveFamily) -> float:
     raise ValueError("contact discontinuities carry no shock/rarefaction curve")
 
 
+def _check_pressure(p: float) -> None:
+    if not 0.0 < p < math.inf:
+        raise ConfigError(f"pressure must be finite and positive, got {p}")
+
+
 def shock_state(family: WaveFamily, anchor: GasState, p: float) -> tuple[GasState, float]:
     """State across a shock of the given family at pressure ``p`` >= anchor pressure.
 
     Returns the state and its signed Mach number.
     """
-    state = _shock(family, anchor, p)
-    return state, state.mach
-
-
-def _shock(family: WaveFamily, anchor: GasState, p: float) -> GasState:
-    """The state of ``shock_state``, without the Mach number ``wave_state`` does not read."""
-    g = anchor.gamma
+    _check_pressure(p)
     if p < anchor.p * (1.0 - _BRANCH_SLACK):
         raise ValueError(f"shock branch needs p >= {anchor.p}, got {p}")
-    rho = anchor.rho * ((g - 1.0) * anchor.p + (g + 1.0) * p) / ((g - 1.0) * p + (g + 1.0) * anchor.p)
-    step = math.sqrt(2.0) * (p - anchor.p) / math.sqrt(
-        anchor.rho * ((g + 1.0) * p + (g - 1.0) * anchor.p)
-    )
-    u = anchor.u + _acoustic_sign(family) * step
-    return GasState(rho, u, p, g)
+    rho, u = _shock_rho_u(_acoustic_sign(family), anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
+    state = GasState(rho, u, p, anchor.gamma)
+    return state, state.mach
 
 
 def rarefaction_state_by_pressure(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     """State across a rarefaction of the given family at pressure ``p`` <= anchor pressure."""
-    g = anchor.gamma
+    _check_pressure(p)
     if p > anchor.p * (1.0 + _BRANCH_SLACK):
         raise ValueError(f"rarefaction branch needs p <= {anchor.p}, got {p}")
-    rho = anchor.rho * (p / anchor.p) ** (1.0 / g)
-    du = 2.0 * anchor.sound_speed / (g - 1.0) * ((p / anchor.p) ** ((g - 1.0) / (2.0 * g)) - 1.0)
-    u = anchor.u + _acoustic_sign(family) * du
-    return GasState(rho, u, p, g)
+    return GasState(*_rarefaction_rho_u(_acoustic_sign(family), anchor.rho, anchor.u, anchor.p,
+                                        anchor.gamma, anchor.sound_speed, p), p, anchor.gamma)
+
+
+def _shock_rho_u(sign: float, rho0: float, u0: float, p0: float, g: float,
+                 p: float) -> tuple[float, float]:
+    """(rho, u) across a shock at pressure ``p`` from the anchor (rho0, u0, p0); ``sign`` is
+    -1 for family 1 and +1 for family 3. Unchecked: ``p`` must be finite and positive."""
+    rho = rho0 * ((g - 1.0) * p0 + (g + 1.0) * p) / ((g - 1.0) * p + (g + 1.0) * p0)
+    step = _SQRT2 * (p - p0) / math.sqrt(rho0 * ((g + 1.0) * p + (g - 1.0) * p0))
+    return rho, u0 + sign * step
+
+
+def _rarefaction_rho_u(sign: float, rho0: float, u0: float, p0: float, g: float, a0: float,
+                       p: float) -> tuple[float, float]:
+    """(rho, u) across a rarefaction, as ``_shock_rho_u``; ``a0`` is the anchor sound speed."""
+    rho = rho0 * (p / p0) ** (1.0 / g)
+    du = 2.0 * a0 / (g - 1.0) * ((p / p0) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+    return rho, u0 + sign * du
+
+
+def _wave_rho_u(sign: float, anchor: GasState, p: float) -> tuple[float, float]:
+    """(rho, u) on the combined curve of ``wave_state``, unchecked as the two kernels."""
+    if p >= anchor.p:
+        return _shock_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
+    return _rarefaction_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma,
+                              anchor.sound_speed, p)
 
 
 def rarefaction_ratios(m0: float, m: float, gamma: float) -> tuple[float, float, float]:
@@ -90,17 +111,20 @@ def rarefaction_state_by_mach(family: WaveFamily, anchor: GasState, m: float) ->
 
 
 def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
-    """Combined shock/rarefaction curve; shock for p >= anchor pressure."""
-    if p >= anchor.p:
-        return _shock(family, anchor, p)
-    return rarefaction_state_by_pressure(family, anchor, p)
+    """Combined shock/rarefaction curve; shock for p >= anchor pressure.
+
+    A pressure that is not finite and positive raises ``ConfigError``.
+    """
+    _check_pressure(p)
+    return GasState(*_wave_rho_u(_acoustic_sign(family), anchor, p), p, anchor.gamma)
 
 
 def mach_along_1wave(anchor: GasState, p: float) -> float:
     """Signed Mach number of the family-1 curve state at pressure ``p``.
 
     Strictly decreasing in p whenever the anchor moves rightward; used to
-    bracket upstream pressures for the stationary-wave construction.
+    bracket upstream pressures for the stationary-wave construction. A
+    pressure that is not finite and positive raises ``ConfigError``.
     """
     return wave_state(WaveFamily.ONE, anchor, p).mach
 
@@ -148,19 +172,40 @@ def pressure_for_mach(anchor: GasState, target: float) -> float:
 
     The rarefaction side (target above the anchor Mach) has a closed form;
     the shock side is solved by bisection on the monotone Mach map, to a
-    relative width of 1e-12.
+    relative width of 1e-12. A target that is not finite, or an anchor at rest
+    or moving leftward, raises ``ConfigError``.
     """
     m0 = anchor.mach
     if target < 0.0:
         raise ValueError("target Mach must be non-negative")
+    if not target < math.inf:
+        raise ConfigError(f"target Mach must be finite, got {target}")
+    if not m0 > 0.0:
+        raise ConfigError(f"the Mach map is inverted for rightward flow only, got Mach {m0:.6g}")
     if abs(target - m0) <= 1e-14 * max(1.0, m0):
         return anchor.p
     if target > m0:
         _, _, gp = rarefaction_ratios(m0, target, anchor.gamma)
         return anchor.p * gp
     # shock side: Mach falls from m0 at the anchor to 0 at the rest pressure
-    return bisect(lambda p: mach_along_1wave(anchor, p) - target, anchor.p, rest_pressure(anchor),
-                  m0 - target, 1e-12, -1.0)
+    p_rest = rest_pressure(anchor)
+    if not p_rest < math.inf:
+        raise ConfigError(f"rest pressure of {anchor} overflows")
+    return bisect(_shock_mach_map(anchor, target), anchor.p, p_rest, m0 - target, 1e-12, -1.0)
+
+
+def _shock_mach_map(anchor: GasState, target: float):
+    """p -> ``mach_along_1wave(anchor, p) - target`` for p in [anchor.p, rest pressure].
+
+    Every such p is on the shock branch, finite and positive, so the map
+    evaluates the shock kernel unchecked and builds no state.
+    """
+    rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
+
+    def defect(p: float) -> float:
+        rho, u = _shock_rho_u(-1.0, rho0, u0, p0, g, p)
+        return u / math.sqrt(g * p / rho) - target
+    return defect
 
 
 def shock_speed(family: WaveFamily, anchor: GasState, p: float) -> float:

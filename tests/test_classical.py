@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltawave import GasState, VacuumError, physical_flux, to_conserved
 from deltawave.classical import WaveKind, sample_classical, solve_classical
@@ -162,3 +163,39 @@ class TestSampling:
                 else:
                     assert abs(a.u - b.u) <= 1e-8 * max(1.0, abs(a.u))
                     assert abs(a.p - b.p) <= 1e-8 * a.p
+
+
+def pointwise_curve_velocity(anchor, p, sign):
+    """Velocity on the wave curve and its derivative, every constant computed at the point.
+
+    The per-point form the solver evaluated before it hoisted the anchor's
+    constants into ``_velocity_curve``; the two must agree to the bit.
+    """
+    g = anchor.gamma
+    if p >= anchor.p:
+        a_coef = 2.0 / ((g + 1.0) * anchor.rho)
+        b_coef = (g - 1.0) / (g + 1.0) * anchor.p
+        q = math.sqrt(a_coef / (p + b_coef))
+        u = anchor.u + sign * (p - anchor.p) * q
+        du = sign * q * (1.0 - 0.5 * (p - anchor.p) / (p + b_coef))
+    else:
+        z = (g - 1.0) / (2.0 * g)
+        ratio = (p / anchor.p) ** z
+        u = anchor.u + sign * 2.0 * anchor.sound_speed / (g - 1.0) * (ratio - 1.0)
+        du = sign / (anchor.rho * anchor.sound_speed) * (p / anchor.p) ** (-(g + 1.0) / (2.0 * g))
+    return u, du
+
+
+_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
+
+
+class TestVelocityCurve:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive),
+           st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 50.0)))
+    def test_per_solve_closure_equals_pointwise_form(self, anchor, ratio):
+        from deltawave.classical import _velocity_curve
+
+        p = anchor.p * ratio
+        for sign in (-1.0, 1.0):
+            assert _velocity_curve(anchor, sign)(p) == pointwise_curve_velocity(anchor, p, sign)

@@ -203,6 +203,16 @@ class TestCli:
         assert "cell width must be finite and positive" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["1e-300", "1e-7", "5e-324"])
+    def test_cell_width_beyond_the_cell_bound_exits_2(self, tmp_path, h):
+        out = tmp_path / "x.csv"
+        r = CliRunner().invoke(cli_main, [
+            "run", "--test", "2", "--scheme", "solver", "--h", h, "--out", str(out),
+        ])
+        assert r.exit_code == 2, r.output
+        assert "cells on [-10.0, 10.0], more than 10,000,000" in r.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("h_list, message", [
         ("0.5,0", "cell width must be finite and positive"),
         ("0.5,nan", "cell width must be finite and positive"),

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deltawave import GasState, physical_flux, to_conserved
+from deltawave import ConfigError, GasState, SourceCoefficients, physical_flux, to_conserved
+from deltawave.structure import velocity_mismatch
 from deltawave.waves import (
     WaveFamily,
+    _rarefaction_rho_u,
+    _shock_mach_map,
+    _shock_rho_u,
+    _wave_rho_u,
     mach_along_1wave,
     pressure_for_mach,
     rarefaction_ratios,
@@ -171,3 +177,105 @@ class TestMachInversion:
             target = rng.uniform(0.02, 2.0)
             p = pressure_for_mach(anchor, target)
             assert abs(mach_along_1wave(anchor, p) - target) <= 1e-10 * max(1.0, target)
+
+
+BAD_PRESSURES = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+class TestOutOfDomain:
+    """Public curves raise ``ConfigError`` (a ``ValueError``) off their domain, never NaN."""
+
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_pressure_for_mach_rejects_non_finite_target(self, target):
+        with pytest.raises(ConfigError, match="finite"):
+            pressure_for_mach(GasState(1, 1, 1), target)
+
+    @pytest.mark.parametrize("u", [0.0, -0.5, -10.0])
+    def test_pressure_for_mach_rejects_anchor_not_moving_rightward(self, u):
+        # Before the check, u = -10 returned a complex pressure from the rarefaction ratios.
+        with pytest.raises(ConfigError, match="rightward"):
+            pressure_for_mach(GasState(1, u, 1), 0.5)
+
+    def test_pressure_for_mach_rejects_overflowing_rest_pressure(self):
+        # The bisection's upper end would be inf; it used to fail on a NaN state inside.
+        with pytest.raises(ConfigError, match="overflows"):
+            pressure_for_mach(GasState(1.0, 1e200, 1.0), 0.5)
+
+    @pytest.mark.parametrize("p", BAD_PRESSURES)
+    @pytest.mark.parametrize("family", [WaveFamily.ONE, WaveFamily.THREE])
+    def test_wave_state_rejects_bad_pressure(self, family, p):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            wave_state(family, GasState(1, 1, 1), p)
+
+    @pytest.mark.parametrize("p", BAD_PRESSURES)
+    def test_branch_states_reject_bad_pressure(self, p):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            shock_state(WaveFamily.ONE, GasState(1, 1, 1), p)
+        with pytest.raises(ConfigError, match="finite and positive"):
+            rarefaction_state_by_pressure(WaveFamily.ONE, GasState(1, 1, 1), p)
+
+    @pytest.mark.parametrize("p", BAD_PRESSURES)
+    def test_mach_along_1wave_rejects_bad_pressure(self, p):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            mach_along_1wave(GasState(1, 1, 1), p)
+
+    @pytest.mark.parametrize("p", BAD_PRESSURES)
+    def test_velocity_mismatch_rejects_bad_pressure(self, p):
+        coeffs = SourceCoefficients(0.1, 0.0, 0.1)
+        with pytest.raises(ConfigError, match="finite and positive"):
+            velocity_mismatch(p, GasState(1, 1, 1), GasState(1, 1, 1), coeffs)
+
+    def test_velocity_mismatch_rejects_overflowing_downstream_pressure(self):
+        # p is finite, but p * (1 + k2) at the stagnation end overflows.
+        coeffs = SourceCoefficients(0.0, 1e10, 0.0)
+        with pytest.raises(ConfigError, match="got inf"):
+            velocity_mismatch(1e300, GasState(1, 1, 1), GasState(1, 1, 1), coeffs)
+
+
+_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
+anchors = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive)
+# Pressure over anchor pressure: the rarefaction branch below 1, the shock branch above.
+ratios = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 50.0))
+exact = settings(max_examples=500, derandomize=True, database=None, deadline=None)
+
+
+class TestFloatKernels:
+    """The float kernels of the root finders equal the ``GasState`` path to the bit."""
+
+    @exact
+    @given(anchors, ratios)
+    def test_kernels_equal_wave_state(self, anchor, ratio):
+        p = anchor.p * ratio
+        for sign, family in ((-1.0, WaveFamily.ONE), (1.0, WaveFamily.THREE)):
+            state = wave_state(family, anchor, p)
+            assert _wave_rho_u(sign, anchor, p) == (state.rho, state.u)
+            if p >= anchor.p:
+                kernel = _shock_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
+                assert kernel == (shock_state(family, anchor, p)[0].rho,
+                                  shock_state(family, anchor, p)[0].u)
+            else:
+                kernel = _rarefaction_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma,
+                                            anchor.sound_speed, p)
+                by_p = rarefaction_state_by_pressure(family, anchor, p)
+                assert kernel == (by_p.rho, by_p.u)
+
+    @exact
+    @given(anchors, ratios)
+    def test_kernels_equal_pointwise_form(self, anchor, ratio):
+        # The expressions as written per state before the kernels existed.
+        rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
+        p = p0 * ratio
+        if p >= p0:
+            rho = rho0 * ((g - 1.0) * p0 + (g + 1.0) * p) / ((g - 1.0) * p + (g + 1.0) * p0)
+            du = math.sqrt(2.0) * (p - p0) / math.sqrt(rho0 * ((g + 1.0) * p + (g - 1.0) * p0))
+        else:
+            rho = rho0 * (p / p0) ** (1.0 / g)
+            du = 2.0 * anchor.sound_speed / (g - 1.0) * ((p / p0) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+        for sign in (-1.0, 1.0):
+            assert _wave_rho_u(sign, anchor, p) == (rho, u0 + sign * du)
+
+    @exact
+    @given(anchors, st.floats(1.0, 50.0))
+    def test_shock_mach_map_equals_mach_along_1wave(self, anchor, ratio):
+        p = anchor.p * ratio
+        assert _shock_mach_map(anchor, 0.0)(p) == mach_along_1wave(anchor, p)

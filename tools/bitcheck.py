@@ -10,6 +10,13 @@ compare with ``diff``. The groups:
   order of the benchmark's ``riemann_batch`` workload), the repr of each
   ``approximate_solve`` output, the indices that fail, and each failure's
   error class and message;
+- ``curve.*``: for the first 2,000 draws, the repr (or error class and
+  message) of ``solve_classical`` on the draw; and for those whose flow
+  passes the origin, seen in the rightward frame, of
+  ``subsonic_passage_bracket``, of ``velocity_mismatch`` at both ends of
+  that bracket and of ``pressure_for_mach`` at the critical Mach number that
+  bounds it.
+  A drift in the wave curves or their root finders then names its layer;
 - ``flux.*``: ``kt_flux`` with and without corrections, ``evaluate_source``
   and ``llf_flux`` of every draw, and ``jump_residual`` of every solver pair
   that carries a source;
@@ -30,7 +37,8 @@ compare with ``diff``. The groups:
   of ``cfl_dt`` (the error class and message where one raises);
 - ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``.
 
-It takes about 40 s on one core, 3 s of it in the ``stage.*`` group.
+It takes about 40 s on one core, 3 s of it in the ``stage.*`` group and
+under 2 s in ``curve.*``.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ import numpy as np
 
 N_DRAWS = 20_000
 N_FANS = 300
+N_CURVES = 2_000
 N_FIELDS = 300  # random stage inputs per seed
 
 
@@ -100,6 +109,34 @@ def _solves(dw, draws) -> dict:
         "solve.error_classes": dict(sorted(classes.items())),
         "flux.jump_residual": _digest(_attempt(dw.jump_residual, p) for p in pairs),
     }
+
+
+def _curves(dw, draws) -> dict:
+    from deltawave.gas import rightward_frame
+    from deltawave.stationary import critical_mach_numbers
+    from deltawave.structure import subsonic_passage_bracket, velocity_mismatch
+    from deltawave.waves import pressure_for_mach
+
+    brackets, mismatches, pressures, classical = [], [], [], []
+    for left, right, coeffs in draws[:N_CURVES]:
+        classical.append(_attempt(dw.solve_classical, left, right))
+        frame = rightward_frame(left, right)
+        if frame is None:  # no flow through the origin: no bracket to find
+            continue
+        left, right = frame[:2]
+        target = critical_mach_numbers(coeffs, left.gamma).upstream_subsonic_max
+        pressures.append(_attempt(pressure_for_mach, left, target))
+        try:
+            bracket = subsonic_passage_bracket(left, coeffs)
+        except Exception as exc:
+            brackets.append(f"{type(exc).__name__}: {exc}")
+            continue
+        brackets.append(repr(bracket))
+        mismatches.extend(_attempt(velocity_mismatch, p, left, right, coeffs) for p in bracket)
+    return {"curve.bracket": _digest(brackets),
+            "curve.velocity_mismatch": _digest(mismatches),
+            "curve.pressure_for_mach": _digest(pressures),
+            "curve.solve_classical": _digest(classical)}
 
 
 def _pair(pair) -> str:
@@ -232,7 +269,7 @@ def main(argv: list[str]) -> int:
 
     print(f"digests of {Path(dw.__file__).parent}", file=sys.stderr)
     draws = _draws(dw)
-    result = {**_solves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(),
+    result = {**_solves(dw, draws), **_curves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(),
               **_stages(), **_cli()}
     json.dump(result, sys.stdout, indent=1, sort_keys=True)
     print()
