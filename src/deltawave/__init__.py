@@ -19,7 +19,7 @@ from .errors import (
     UnavailableFluxError,
     VacuumError,
 )
-from .fluxes import FluxPair, Scheme, SchemeKind, kt_flux, llf_flux, solver_flux
+from .fluxes import FluxPair, Scheme, kt_flux, llf_flux, solver_flux
 from .gas import (
     GasState,
     SourceCoefficients,
@@ -37,7 +37,6 @@ from .stationary import (
     choked_downstream,
     critical_mach_numbers,
     downstream_state,
-    is_choked,
     jump_residual,
     upstream_state,
 )

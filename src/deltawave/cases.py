@@ -51,11 +51,6 @@ class TestCase:
         return self.id == 1
 
 
-def raw_table() -> dict[int, tuple]:
-    """The registry as printed decimal strings (for round-trip checks)."""
-    return dict(_TABLE)
-
-
 def get_case(test_id: int) -> TestCase:
     if test_id not in _TABLE:
         raise ConfigError(f"unknown test id {test_id}; valid ids are 1..8")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VacuumError
+from .errors import ConfigError, VacuumError
 from .gas import GasState
 from .waves import WaveFamily, _acoustic_sign, shock_speed, wave_state
 
@@ -89,14 +89,10 @@ def _defect_curve(ul_of, ur_of):
     return defect
 
 
-def _pressure_defect(left: GasState, right: GasState, p: float) -> tuple[float, float]:
-    return _defect_curve(_velocity_curve(left, -1.0), _velocity_curve(right, 1.0))(p)
-
-
 def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> ClassicalFan:
     """Exact solution of the Riemann problem between two states of equal gamma."""
     if left.gamma != right.gamma:
-        raise ValueError("states must share gamma")
+        raise ConfigError("states must share gamma")
     g = left.gamma
     gap = 2.0 * left.sound_speed / (g - 1.0) + 2.0 * right.sound_speed / (g - 1.0) \
         - (right.u - left.u)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemeError
-from .fluxes import FluxPair, Scheme, SchemeKind, lax_friedrichs, origin_flux
+from .fluxes import FluxPair, Scheme, lax_friedrichs, origin_flux
 from .gas import (GasState, SourceCoefficients, euler_flux, evaluate_source, from_conserved,
                   primitives, rightward_frame, signal_speed, to_conserved)
 
@@ -190,7 +190,7 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
     # adjacent cells see the scheme's one-sided pair.
     flux_l, flux_r = fhat[:, :-1], fhat[:, 1:]
     jump, total = flux_r - flux_l, flux_r + flux_l
-    if scheme.kind is not SchemeKind.SPLITTING:
+    if scheme is not Scheme.SPLITTING:
         pair: FluxPair = origin_flux(from_conserved(*iface[0, :, j0].tolist(), g),
                                      from_conserved(*iface[1, :, j0].tolist(), g),
                                      coeffs, scheme)
@@ -416,6 +416,6 @@ def ssp_rk3_step(field: DgField, dt: float, coeffs: SourceCoefficients,
         return tvd_limit(DgField(grid, g, c, t)).coeffs
 
     out = DgField(grid, g, ssp_rk3_combine(field.coeffs, dt, rhs, post), t + dt)
-    if scheme.kind is SchemeKind.SPLITTING:
+    if scheme is Scheme.SPLITTING:
         out = _apply_split_source(out, coeffs, dt)
     return out

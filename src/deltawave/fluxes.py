@@ -22,16 +22,13 @@ from .stationary import Branch, downstream_state, upstream_state
 from .structure import approximate_solve
 
 
-class SchemeKind(enum.Enum):
+class Scheme(enum.Enum):
+    """The origin flux of a run, by its command-line name."""
+
     SPLITTING = "splitting"
     KT = "kt"
+    KT_NOCORR = "kt-nocorr"
     SOLVER = "solver"
-
-
-@dataclass(frozen=True)
-class Scheme:
-    kind: SchemeKind
-    kt_corrections: bool = True
 
 
 @dataclass(frozen=True)
@@ -107,9 +104,9 @@ def solver_flux(left_trace: GasState, right_trace: GasState,
 
 def origin_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,
                 scheme: Scheme) -> FluxPair:
-    if scheme.kind is SchemeKind.SOLVER:
+    if scheme is Scheme.SOLVER:
         return solver_flux(left_trace, right_trace, coeffs)
-    if scheme.kind is SchemeKind.KT:
-        return kt_flux(left_trace, right_trace, coeffs, scheme.kt_corrections)
+    if scheme in (Scheme.KT, Scheme.KT_NOCORR):
+        return kt_flux(left_trace, right_trace, coeffs, scheme is Scheme.KT)
     f = llf_flux(left_trace, right_trace)
     return FluxPair(f, f)

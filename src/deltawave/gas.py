@@ -3,7 +3,8 @@
 A :class:`GasState` stores the primitive variables (rho, u, p) together with
 the ratio of specific heats, so states with different gamma can coexist.
 Vacuum is not representable: every downstream formula divides by rho or p,
-so the constructor rejects non-positive density or pressure outright.
+so the constructor rejects non-positive density or pressure outright, and
+any field that is not finite.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigError
 
 _EPS = 2.220446049250313e-16
 
@@ -26,10 +29,12 @@ class GasState:
     gamma: float = 1.4
 
     def __post_init__(self):
-        if not (self.rho > 0.0 and self.p > 0.0):
-            raise ValueError(f"non-physical state: rho={self.rho}, p={self.p}")
+        # Chained comparisons only: every solver step builds states. NaN fails each.
+        if not (0.0 < self.rho < math.inf and 0.0 < self.p < math.inf
+                and -math.inf < self.u < math.inf):
+            raise ConfigError(f"non-physical state: rho={self.rho}, u={self.u}, p={self.p}")
         if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
 
     @property
     def sound_speed(self) -> float:
@@ -67,7 +72,7 @@ class SourceCoefficients:
     def __post_init__(self):
         for name in ("k1", "k2", "k3"):
             if not getattr(self, name) > -1.0:
-                raise ValueError(f"{name} must exceed -1, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must exceed -1, got {getattr(self, name)}")
 
     @property
     def k(self) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from .cases import TestCase, get_case
 from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step
 from .errors import ConfigError, DeltawaveError
-from .fluxes import Scheme, SchemeKind
+from .fluxes import Scheme
 from .gas import GasState, primitives, total_energy
 from .stationary import Branch, downstream_state
 from .structure import SourceFan, compose_reference_fan, sample_source_primitives
@@ -24,12 +24,7 @@ _REF_WEIGHTS = 0.5 * _REF_WEIGHTS
 # Distance from every wave, in cells, that a cell needs to count as constant.
 _MARGIN_CELLS = 5
 
-SCHEMES = {
-    "splitting": Scheme(SchemeKind.SPLITTING),
-    "kt": Scheme(SchemeKind.KT, kt_corrections=True),
-    "kt-nocorr": Scheme(SchemeKind.KT, kt_corrections=False),
-    "solver": Scheme(SchemeKind.SOLVER),
-}
+SCHEMES = {s.value: s for s in Scheme}
 
 
 @dataclass
@@ -177,19 +172,18 @@ def convergence_study(test_id: int, scheme: Scheme, h_list: list[float], cfl: fl
     """Run a refinement sequence; ``h_list`` must be descending and origin-aligned.
 
     Every width is checked before the first run. Profiles in ``out_dir`` are
-    named by the scheme's key in ``SCHEMES``.
+    named by the scheme's command-line name.
     """
     domain = get_case(test_id).domain
     for h in h_list:
         make_grid(*domain, h)
     if not all(h > finer for h, finer in zip(h_list, h_list[1:])):
         raise ConfigError(f"cell widths must strictly decrease, got {h_list}")
-    name = next((key for key, known in SCHEMES.items() if known == scheme), scheme.kind.value)
     reports = []
     for h in h_list:
         out = None
         if out_dir is not None:
-            out = str(Path(out_dir) / f"test{test_id}_{name}_h{h:g}.csv")
+            out = str(Path(out_dir) / f"test{test_id}_{scheme.value}_h{h:g}.csv")
         reports.append(run_test(test_id, scheme, h, cfl=cfl, out_path=out))
     return reports
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotSolvableError
-from .gas import _EPS, GasState, SourceCoefficients, eigenvalues, physical_flux, rightward_frame
+from .gas import _EPS, GasState, SourceCoefficients, physical_flux, rightward_frame
 
 # Relative slack allowed on admissible-interval endpoints inside the curve
 # evaluators (pure-roundoff overshoot must not reject a boundary state).
@@ -168,7 +168,7 @@ def stationary_ratios(mach_minus: float, coeffs: SourceCoefficients, gamma: floa
                       branch: Branch, corrections: bool = False) -> tuple[float, float, float]:
     """(rho, u, p) multipliers across the jump as functions of the upstream Mach."""
     if mach_minus <= 0.0:
-        raise ValueError("upstream Mach must be positive")
+        raise ConfigError("upstream Mach must be positive")
     mp2 = _branch_mach_sq(mach_minus * mach_minus, 1.0 + coeffs.k, gamma, branch, corrections)
     return _ratios(mach_minus * mach_minus, mp2, coeffs, gamma)
 
@@ -184,7 +184,7 @@ def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, bran
     """
     if state.u <= 0.0:
         caller = "downstream_state" if side is Side.LEFT else "upstream_state"
-        raise ValueError(f"{caller} requires rightward flow (u > 0)")
+        raise ConfigError(f"{caller} requires rightward flow (u > 0)")
     if coeffs.is_zero():
         return None
     m = state.mach
@@ -224,7 +224,7 @@ def choked_downstream(state: GasState, coeffs: SourceCoefficients) -> GasState:
     of roundoff in the discriminant.
     """
     if state.u <= 0.0:
-        raise ValueError("choked_downstream requires rightward flow (u > 0)")
+        raise ConfigError("choked_downstream requires rightward flow (u > 0)")
     m = state.mach
     gd, gu, gp = _ratios(m * m, 1.0, coeffs, state.gamma)
     return GasState(state.rho * gd, state.u * gu, state.p * gp, state.gamma)
@@ -266,19 +266,3 @@ def jump_residual(pair: StationaryPair) -> np.ndarray:
         raise ConfigError(f"no flow through the origin: u = {pair.left.u:.6g}, {pair.right.u:.6g}")
     up, down, _ = frame
     return (1.0 + pair.coeffs.diag) * physical_flux(up) - physical_flux(down)
-
-
-def is_choked(pair: StationaryPair) -> bool:
-    """True when some characteristic speed vanishes on either side.
-
-    Products of eigenvalues normalized by |u| + a are compared against 1e-10,
-    which classifies |M - 1| of roughly 1e-9 and below as sonic.
-    """
-    lam_l = eigenvalues(pair.left)
-    lam_r = eigenvalues(pair.right)
-    nl = abs(pair.left.u) + pair.left.sound_speed
-    nr = abs(pair.right.u) + pair.right.sound_speed
-    for ll, lr in zip(lam_l, lam_r):
-        if abs((ll / nl) * (lr / nr)) <= 1e-10:
-            return True
-    return False

@@ -35,7 +35,7 @@ from .waves import (
     _wave_rho_u,
     bisect,
     pressure_for_mach,
-    rarefaction_state_by_mach,
+    rarefaction_ratios,
     rest_pressure,
     wave_state,
 )
@@ -81,12 +81,15 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
     family-3 curve through the right datum at the downstream pressure. A root
     identifies the upstream pressure of a non-choked subsonic-passage
     solution. A pressure that is not finite and positive, here or downstream
-    of the jump, raises ``ConfigError``.
+    of the jump, or one where the curve density overflows, raises
+    ``ConfigError``.
     """
     _check_pressure(p)
     g = left.gamma
     # The curve states as floats: this runs once per step of the Type1 bisection.
     rho, u = _wave_rho_u(-1.0, left, p)
+    if not rho < math.inf:
+        raise ConfigError(f"density on the family-1 curve overflows at p = {p}")
     mach = u / math.sqrt(g * p / rho)
     if mach <= 1e-12:
         # Stagnation end of the bracket: downstream velocity vanishes with
@@ -152,7 +155,7 @@ def predict_structure(left: GasState, right: GasState,
     """Predict the structure of the Riemann solution for rightward flow on both sides."""
     frame = rightward_frame(left, right)
     if frame is None or frame[2]:
-        raise ValueError("prediction requires rightward flow on both sides")
+        raise ConfigError("prediction requires rightward flow on both sides")
     if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma) \
             and _type2_wave_clears_origin(left, right, coeffs):
         return SolutionStructure.TYPE2
@@ -210,9 +213,10 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
 
 def _sonic_expansion_state(left: GasState) -> GasState:
     """Sonic point on the family-1 rarefaction through the left datum."""
-    state = rarefaction_state_by_mach(WaveFamily.ONE, left, 1.0)
+    gd, _, gp = rarefaction_ratios(left.mach, 1.0, left.gamma)
+    rho, p = left.rho * gd, left.p * gp
     # Pin the Mach number to one exactly; the ratios leave an ulp of slack.
-    return GasState(state.rho, state.sound_speed, state.p, state.gamma)
+    return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
 
 
 def _check_sonic_expansion(left: GasState, coeffs: SourceCoefficients) -> None:

@@ -32,34 +32,12 @@ def _acoustic_sign(family: WaveFamily) -> float:
         return -1.0
     if family is WaveFamily.THREE:
         return 1.0
-    raise ValueError("contact discontinuities carry no shock/rarefaction curve")
+    raise ConfigError("contact discontinuities carry no shock/rarefaction curve")
 
 
 def _check_pressure(p: float) -> None:
     if not 0.0 < p < math.inf:
         raise ConfigError(f"pressure must be finite and positive, got {p}")
-
-
-def shock_state(family: WaveFamily, anchor: GasState, p: float) -> tuple[GasState, float]:
-    """State across a shock of the given family at pressure ``p`` >= anchor pressure.
-
-    Returns the state and its signed Mach number.
-    """
-    _check_pressure(p)
-    if p < anchor.p * (1.0 - _BRANCH_SLACK):
-        raise ValueError(f"shock branch needs p >= {anchor.p}, got {p}")
-    rho, u = _shock_rho_u(_acoustic_sign(family), anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
-    state = GasState(rho, u, p, anchor.gamma)
-    return state, state.mach
-
-
-def rarefaction_state_by_pressure(family: WaveFamily, anchor: GasState, p: float) -> GasState:
-    """State across a rarefaction of the given family at pressure ``p`` <= anchor pressure."""
-    _check_pressure(p)
-    if p > anchor.p * (1.0 + _BRANCH_SLACK):
-        raise ValueError(f"rarefaction branch needs p <= {anchor.p}, got {p}")
-    return GasState(*_rarefaction_rho_u(_acoustic_sign(family), anchor.rho, anchor.u, anchor.p,
-                                        anchor.gamma, anchor.sound_speed, p), p, anchor.gamma)
 
 
 def _shock_rho_u(sign: float, rho0: float, u0: float, p0: float, g: float,
@@ -90,24 +68,20 @@ def _wave_rho_u(sign: float, anchor: GasState, p: float) -> tuple[float, float]:
 def rarefaction_ratios(m0: float, m: float, gamma: float) -> tuple[float, float, float]:
     """Density, velocity and pressure ratios along a rarefaction, Mach-parametrized.
 
-    Identical for families 1 and 3. Requires ``m >= m0`` (the flow accelerates
-    through an expansion).
+    Identical for families 1 and 3. Requires a finite ``m0 > 0`` and a finite
+    ``m >= m0`` (the flow accelerates through an expansion), else raises
+    ``ConfigError``.
     """
-    if m < m0 * (1.0 - _BRANCH_SLACK):
-        raise ValueError(f"Mach must not decrease along a rarefaction: {m0} -> {m}")
+    if not 0.0 < m0 < math.inf:
+        raise ConfigError(f"rarefaction anchor Mach must be finite and positive, got {m0}")
+    if not m0 * (1.0 - _BRANCH_SLACK) <= m < math.inf:
+        raise ConfigError(f"Mach must be finite and not decrease along a rarefaction: "
+                          f"{m0} -> {m}")
     r = ((gamma - 1.0) * m0 + 2.0) / ((gamma - 1.0) * m + 2.0)
     gd = r ** (2.0 / (gamma - 1.0))
     gu = (m / m0) * r
     gp = r ** (2.0 * gamma / (gamma - 1.0))
     return gd, gu, gp
-
-
-def rarefaction_state_by_mach(family: WaveFamily, anchor: GasState, m: float) -> GasState:
-    """State on the rarefaction through ``anchor`` at target Mach number ``m``."""
-    _acoustic_sign(family)  # reject contacts
-    m0 = abs(anchor.mach)
-    gd, gu, gp = rarefaction_ratios(m0, m, anchor.gamma)
-    return GasState(anchor.rho * gd, anchor.u * gu, anchor.p * gp, anchor.gamma)
 
 
 def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
@@ -117,16 +91,6 @@ def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     """
     _check_pressure(p)
     return GasState(*_wave_rho_u(_acoustic_sign(family), anchor, p), p, anchor.gamma)
-
-
-def mach_along_1wave(anchor: GasState, p: float) -> float:
-    """Signed Mach number of the family-1 curve state at pressure ``p``.
-
-    Strictly decreasing in p whenever the anchor moves rightward; used to
-    bracket upstream pressures for the stationary-wave construction. A
-    pressure that is not finite and positive raises ``ConfigError``.
-    """
-    return wave_state(WaveFamily.ONE, anchor, p).mach
 
 
 def bisect(f, a: float, b: float, fa: float, tol: float, tiny: float) -> float:
@@ -160,7 +124,7 @@ def rest_pressure(anchor: GasState) -> float:
     """
     g = anchor.gamma
     if anchor.u <= 0.0:
-        raise ValueError("rest pressure on the shock branch needs u > 0")
+        raise ConfigError("rest pressure on the shock branch needs u > 0")
     q = anchor.rho * anchor.u * anchor.u
     b = 4.0 * anchor.p + (g + 1.0) * q
     c = 2.0 * anchor.p * anchor.p - (g - 1.0) * q * anchor.p
@@ -168,18 +132,17 @@ def rest_pressure(anchor: GasState) -> float:
 
 
 def pressure_for_mach(anchor: GasState, target: float) -> float:
-    """Invert the family-1 Mach map: pressure with ``mach_along_1wave == target``.
+    """Invert the family-1 Mach map: the pressure ``p`` at which the Mach number of
+    ``wave_state(WaveFamily.ONE, anchor, p)`` is ``target``.
 
     The rarefaction side (target above the anchor Mach) has a closed form;
     the shock side is solved by bisection on the monotone Mach map, to a
-    relative width of 1e-12. A target that is not finite, or an anchor at rest
-    or moving leftward, raises ``ConfigError``.
+    relative width of 1e-12. A target that is negative or not finite, or an
+    anchor at rest or moving leftward, raises ``ConfigError``.
     """
     m0 = anchor.mach
-    if target < 0.0:
-        raise ValueError("target Mach must be non-negative")
-    if not target < math.inf:
-        raise ConfigError(f"target Mach must be finite, got {target}")
+    if not 0.0 <= target < math.inf:
+        raise ConfigError(f"target Mach must be finite and non-negative, got {target}")
     if not m0 > 0.0:
         raise ConfigError(f"the Mach map is inverted for rightward flow only, got Mach {m0:.6g}")
     if abs(target - m0) <= 1e-14 * max(1.0, m0):
@@ -195,7 +158,7 @@ def pressure_for_mach(anchor: GasState, target: float) -> float:
 
 
 def _shock_mach_map(anchor: GasState, target: float):
-    """p -> ``mach_along_1wave(anchor, p) - target`` for p in [anchor.p, rest pressure].
+    """p -> (Mach of the family-1 curve state at p) - target, for p in [anchor.p, rest pressure].
 
     Every such p is on the shock branch, finite and positive, so the map
     evaluates the shock kernel unchecked and builds no state.

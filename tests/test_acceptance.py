@@ -31,7 +31,7 @@ from deltawave import (
 from deltawave.cases import get_case
 from deltawave.classical import solve_classical
 from deltawave.dg import cfl_dt, field_from_states, make_grid, ssp_rk3_step
-from deltawave.fluxes import Scheme, SchemeKind
+from deltawave.fluxes import Scheme
 from deltawave.runner import (
     constant_region_cells,
     initial_states,
@@ -40,11 +40,7 @@ from deltawave.runner import (
 )
 from deltawave.stationary import Branch
 from deltawave.structure import SolutionStructure
-from deltawave.waves import (
-    WaveFamily,
-    rarefaction_state_by_pressure,
-    shock_state,
-)
+from deltawave.waves import WaveFamily, wave_state
 
 from conftest import GAMMA, coeffs_with_k, random_admissible_upstream, random_state, state_rel_err
 from test_classical import oracle_star
@@ -111,7 +107,7 @@ def test_criterion_3_equilibrium_exactness_suite(rng):
 def test_criterion_4_well_balanced_preservation(scheme_name):
     with criterion(4, f"well-balanced preservation, {scheme_name} scheme"):
         start = time.perf_counter()
-        scheme = Scheme(SchemeKind.SOLVER) if scheme_name == "solver" else Scheme(SchemeKind.KT)
+        scheme = Scheme.SOLVER if scheme_name == "solver" else Scheme.KT
         report = run_test(1, scheme, 0.05)
         assert report.wb_deviation is not None
         assert report.wb_deviation <= 1e-12
@@ -122,7 +118,7 @@ def test_criterion_5_splitting_not_well_balanced():
     with criterion(5, "splitting scheme deviation persists under refinement"):
         start = time.perf_counter()
         for h in (0.05, 0.025, 0.0125):
-            report = run_test(1, Scheme(SchemeKind.SPLITTING), h)
+            report = run_test(1, Scheme.SPLITTING, h)
             assert report.wb_deviation > 1e-3, f"h={h}: {report.wb_deviation}"
         assert time.perf_counter() - start < 120.0
 
@@ -191,7 +187,7 @@ def test_criterion_9_scheme_convergence():
     # times; the per-cell maxima are printed for reference.)
     with criterion(9, "solver-based scheme converges on the built-in problems"):
         start = time.perf_counter()
-        scheme = Scheme(SchemeKind.SOLVER)
+        scheme = Scheme.SOLVER
         for tid in (2, 3, 4, 8):
             case = get_case(tid)
             l1, fields = {}, {}
@@ -239,7 +235,7 @@ def test_criterion_10_curve_transform_flux_unavailability():
         pair = kt_flux(left, right, case.coeffs, corrections=True)
         assert np.all(np.isfinite(pair.minus)) and np.all(np.isfinite(pair.plus))
         # the corrected scheme completes a run in the same regime
-        report = run_test(4, Scheme(SchemeKind.KT), 0.05, t_end=1.0)
+        report = run_test(4, Scheme.KT, 0.05, t_end=1.0)
         assert np.isfinite(report.l1("rho"))
 
 
@@ -252,7 +248,7 @@ def test_criterion_11_module_invariant_suites(rng):
             anchor = random_state(rng)
             p = anchor.p * (1.0 + rng.uniform(1e-3, 10.0))
             fam = WaveFamily.ONE if rng.uniform() < 0.5 else WaveFamily.THREE
-            other, _ = shock_state(fam, anchor, p)
+            other = wave_state(fam, anchor, p)
             ul, ur = (anchor, other) if fam is WaveFamily.ONE else (other, anchor)
             du = to_conserved(ur) - to_conserved(ul)
             sigma = (physical_flux(ur)[0] - physical_flux(ul)[0]) / du[0]
@@ -263,7 +259,7 @@ def test_criterion_11_module_invariant_suites(rng):
         for _ in range(300):
             anchor = random_state(rng)
             p = anchor.p * rng.uniform(0.05, 1.0)
-            s = rarefaction_state_by_pressure(WaveFamily.ONE, anchor, p)
+            s = wave_state(WaveFamily.ONE, anchor, p)
             inv0 = anchor.u + 2.0 * anchor.sound_speed / (GAMMA - 1.0)
             inv1 = s.u + 2.0 * s.sound_speed / (GAMMA - 1.0)
             assert abs(inv1 - inv0) <= 1e-12 * max(1.0, abs(inv0))
@@ -298,8 +294,7 @@ def test_criterion_11_module_invariant_suites(rng):
         g = make_grid(-2.0, 2.0, 0.25)
         zero = SourceCoefficients(0.0, 0.0, 0.0)
         state = GasState(1.3, 0.7, 2.0)
-        for scheme in (Scheme(SchemeKind.SOLVER), Scheme(SchemeKind.KT),
-                       Scheme(SchemeKind.SPLITTING)):
+        for scheme in (Scheme.SOLVER, Scheme.KT, Scheme.SPLITTING):
             field = field_from_states(g, state, state)
             ref = field.coeffs.copy()
             for _ in range(3):

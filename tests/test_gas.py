@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deltawave import (
+    ConfigError,
     GasState,
     SourceCoefficients,
     eigenvalues,
@@ -26,6 +27,15 @@ class TestGasState:
             GasState(1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             GasState(1.0, 1.0, 1.0, gamma=1.0)
+
+    @pytest.mark.parametrize("fields", [(math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                                        (1.0, math.inf, 1.0), (1.0, -math.inf, 1.0),
+                                        (1.0, math.nan, 1.0), (1.0, 1.0, math.inf),
+                                        (1.0, 1.0, math.nan),
+                                        (np.float64(1.0), np.float64(np.inf), np.float64(1.0))])
+    def test_rejects_non_finite_fields(self, fields):
+        with pytest.raises(ConfigError, match="non-physical"):
+            GasState(*fields)
 
     def test_mirror(self):
         s = GasState(0.7, -1.3, 2.0)

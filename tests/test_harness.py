@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from deltawave.cases import all_cases, get_case, raw_table
+from deltawave.cases import _TABLE, all_cases, get_case
 from deltawave.cli import main as cli_main
 from deltawave.dg import field_from_states, make_grid
 from deltawave.errors import ConfigError
-from deltawave.fluxes import Scheme, SchemeKind
+from deltawave.fluxes import Scheme
 from deltawave.runner import (
     constant_region_cells,
     convergence_study,
@@ -22,7 +22,7 @@ from deltawave.structure import compose_reference_fan
 
 class TestRegistry:
     def test_round_trips_printed_values(self):
-        for tid, (ks, ul, ur, _, _) in raw_table().items():
+        for tid, (ks, ul, ur, _, _) in _TABLE.items():
             case = get_case(tid)
             assert tuple(str(v) for v in (case.coeffs.k1, case.coeffs.k2, case.coeffs.k3)) == ks
             assert tuple(str(v) for v in (case.left.rho, case.left.u, case.left.p)) == ul
@@ -53,7 +53,7 @@ class TestErrorComputation:
             assert l1 == 0.0 and l2 == 0.0 and linf == 0.0
 
     def test_l1_bounded_by_linf(self):
-        rep = run_test(1, Scheme(SchemeKind.SPLITTING), 0.25, t_end=0.2, domain=(-2.0, 2.0))
+        rep = run_test(1, Scheme.SPLITTING, 0.25, t_end=0.2, domain=(-2.0, 2.0))
         for l1, _, linf in rep.errors.values():
             assert l1 <= linf * 4.0 + 1e-30
 
@@ -73,7 +73,7 @@ class TestErrorComputation:
 class TestProfiles:
     def test_numerical_profile_shape(self, tmp_path):
         out = tmp_path / "p.csv"
-        rep = run_test(1, Scheme(SchemeKind.SOLVER), 0.05, out_path=str(out))
+        rep = run_test(1, Scheme.SOLVER, 0.05, out_path=str(out))
         lines = out.read_text().split("\n")
         assert lines[0] == "x,rho,u,p,E"
         data = [l for l in lines[1:] if l]
@@ -86,7 +86,7 @@ class TestProfiles:
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
-            run_test(2, Scheme(SchemeKind.SOLVER), 0.25, t_end=0.3, domain=(-2.0, 2.0),
+            run_test(2, Scheme.SOLVER, 0.25, t_end=0.3, domain=(-2.0, 2.0),
                      out_path=str(p))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -100,7 +100,7 @@ class TestProfiles:
 
 class TestConvergenceStudy:
     def test_errors_decrease(self):
-        reports = convergence_study(2, Scheme(SchemeKind.SOLVER), [0.25, 0.125],
+        reports = convergence_study(2, Scheme.SOLVER, [0.25, 0.125],
                                     cfl=0.4)
         assert reports[1].l1("rho") < reports[0].l1("rho")
 
@@ -242,12 +242,12 @@ class TestCli:
 class TestRunTestValidation:
     def test_misaligned_h(self):
         with pytest.raises(ConfigError):
-            run_test(1, Scheme(SchemeKind.SOLVER), 0.3)
+            run_test(1, Scheme.SOLVER, 0.3)
 
     def test_scheme_names(self):
-        assert scheme_from_name("kt-nocorr").kt_corrections is False
-        assert scheme_from_name("kt").kt_corrections is True
-        assert scheme_from_name("solver").kind is SchemeKind.SOLVER
+        assert scheme_from_name("kt-nocorr") is Scheme.KT_NOCORR
+        assert scheme_from_name("kt") is Scheme.KT
+        assert scheme_from_name("solver") is Scheme.SOLVER
 
     def test_equilibrium_initial_states_exact(self):
         case = get_case(1)

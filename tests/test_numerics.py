@@ -28,15 +28,15 @@ from deltawave.dg import (
     _eig_matrices,
 )
 from deltawave.errors import ConfigError, SchemeError
-from deltawave.fluxes import Scheme, SchemeKind
+from deltawave.fluxes import Scheme
 from deltawave.stationary import Branch
 
 from conftest import GAMMA, coeffs_with_k, random_state
 
-SOLVER = Scheme(SchemeKind.SOLVER)
-KT = Scheme(SchemeKind.KT)
-KT_RAW = Scheme(SchemeKind.KT, kt_corrections=False)
-SPLIT = Scheme(SchemeKind.SPLITTING)
+SOLVER = Scheme.SOLVER
+KT = Scheme.KT
+KT_RAW = Scheme.KT_NOCORR
+SPLIT = Scheme.SPLITTING
 
 TEST1_COEFFS = SourceCoefficients(0.4, 0.2, 0.4)
 TEST1_LEFT = GasState(0.6, 0.5, 0.6)

@@ -21,7 +21,7 @@ from deltawave.cases import get_case
 from deltawave.classical import sample_classical, solve_classical
 from deltawave.stationary import Branch
 from deltawave.structure import SolutionStructure
-from deltawave.waves import mach_along_1wave
+from deltawave.waves import WaveFamily, wave_state
 
 from conftest import GAMMA, coeffs_with_k, random_admissible_upstream, state_rel_err
 
@@ -80,8 +80,8 @@ class TestBracket:
             target = critical_mach_numbers(c, GAMMA).upstream_subsonic_max
             p1, p2 = subsonic_passage_bracket(anchor, c)
             assert p2 < p1
-            assert abs(mach_along_1wave(anchor, p1)) <= 1e-10
-            assert abs(mach_along_1wave(anchor, p2) - target) <= 1e-10
+            assert abs(wave_state(WaveFamily.ONE, anchor, p1).mach) <= 1e-10
+            assert abs(wave_state(WaveFamily.ONE, anchor, p2).mach - target) <= 1e-10
 
     def test_attenuating_bracket_below_anchor_for_subsonic_anchor(self):
         # a subsonic anchor must expand (pressure drop) to reach the sonic point

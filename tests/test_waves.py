@@ -4,7 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltawave import ConfigError, GasState, SourceCoefficients, physical_flux, to_conserved
+from deltawave import (
+    ConfigError,
+    GasState,
+    SourceCoefficients,
+    choked_downstream,
+    downstream_state,
+    physical_flux,
+    predict_structure,
+    solve_classical,
+    to_conserved,
+    upstream_state,
+)
+from deltawave.stationary import Branch, stationary_ratios
 from deltawave.structure import velocity_mismatch
 from deltawave.waves import (
     WaveFamily,
@@ -12,14 +24,10 @@ from deltawave.waves import (
     _shock_mach_map,
     _shock_rho_u,
     _wave_rho_u,
-    mach_along_1wave,
     pressure_for_mach,
     rarefaction_ratios,
-    rarefaction_state_by_mach,
-    rarefaction_state_by_pressure,
     rest_pressure,
     shock_speed,
-    shock_state,
     wave_state,
 )
 
@@ -28,32 +36,28 @@ from conftest import GAMMA, random_state
 
 class TestShock:
     def test_zero_strength_is_identity(self):
-        s, m = shock_state(WaveFamily.ONE, GasState(1, 0, 1), 1.0)
+        s = wave_state(WaveFamily.ONE, GasState(1, 0, 1), 1.0)
         assert (s.rho, s.u, s.p) == (1.0, 0.0, 1.0)
-        assert m == 0.0
+        assert s.mach == 0.0
 
     def test_family_one_value(self):
         # frozen from the jump relations; also verified against the
         # Rankine-Hugoniot residual below
-        s, _ = shock_state(WaveFamily.ONE, GasState(1, 0, 1), 2.0)
+        s = wave_state(WaveFamily.ONE, GasState(1, 0, 1), 2.0)
         assert abs(s.rho - 1.625) < 1e-14
         assert abs(s.u - (-0.620173672946042)) < 1e-12
 
     def test_family_three_mirror(self):
-        s, _ = shock_state(WaveFamily.THREE, GasState(1, 0, 1), 2.0)
+        s = wave_state(WaveFamily.THREE, GasState(1, 0, 1), 2.0)
         assert abs(s.rho - 1.625) < 1e-14
         assert abs(s.u - 0.620173672946042) < 1e-12
-
-    def test_rejects_rarefaction_side(self):
-        with pytest.raises(ValueError):
-            shock_state(WaveFamily.ONE, GasState(1, 0, 1), 0.5)
 
     def test_rankine_hugoniot_residual(self, rng):
         for _ in range(1000):
             anchor = random_state(rng)
             p = anchor.p * (1.0 + rng.uniform(1e-3, 20.0))
             family = WaveFamily.ONE if rng.uniform() < 0.5 else WaveFamily.THREE
-            other, _ = shock_state(family, anchor, p)
+            other = wave_state(family, anchor, p)
             ul, ur = (anchor, other) if family is WaveFamily.ONE else (other, anchor)
             du = to_conserved(ur) - to_conserved(ul)
             sigma = (physical_flux(ur)[0] - physical_flux(ul)[0]) / du[0]
@@ -66,7 +70,7 @@ class TestShock:
             anchor = random_state(rng)
             p = anchor.p * (1.0 + rng.uniform(0.01, 10.0))
             family = WaveFamily.ONE if rng.uniform() < 0.5 else WaveFamily.THREE
-            other, _ = shock_state(family, anchor, p)
+            other = wave_state(family, anchor, p)
             sigma = shock_speed(family, anchor, p)
             du = to_conserved(other) - to_conserved(anchor)
             sigma_mass = (physical_flux(other)[0] - physical_flux(anchor)[0]) / du[0]
@@ -76,30 +80,26 @@ class TestShock:
 class TestRarefaction:
     def test_identity_at_anchor_pressure(self):
         anchor = GasState(2.0, 0.3, 1.5)
-        s = rarefaction_state_by_pressure(WaveFamily.ONE, anchor, anchor.p)
+        s = wave_state(WaveFamily.ONE, anchor, anchor.p)
         assert (s.rho, s.u, s.p) == (anchor.rho, anchor.u, anchor.p)
 
     def test_family_one_value(self):
         # frozen from the isentrope relations (invariant-checked)
-        s = rarefaction_state_by_pressure(WaveFamily.ONE, GasState(1, 0, 1), 0.5)
+        s = wave_state(WaveFamily.ONE, GasState(1, 0, 1), 0.5)
         assert abs(s.rho - 0.609506827102238) < 1e-13
         assert abs(s.u - 0.557746323873013) < 1e-13
 
     def test_family_three_mirror(self):
-        s = rarefaction_state_by_pressure(WaveFamily.THREE, GasState(1, 0, 1), 0.5)
+        s = wave_state(WaveFamily.THREE, GasState(1, 0, 1), 0.5)
         assert abs(s.u + 0.557746323873013) < 1e-13
         assert abs(s.rho - 0.609506827102238) < 1e-13
-
-    def test_rejects_shock_side(self):
-        with pytest.raises(ValueError):
-            rarefaction_state_by_pressure(WaveFamily.ONE, GasState(1, 0, 1), 2.0)
 
     def test_invariants_constant(self, rng):
         for _ in range(500):
             anchor = random_state(rng)
             p = anchor.p * rng.uniform(0.05, 1.0)
             family = WaveFamily.ONE if rng.uniform() < 0.5 else WaveFamily.THREE
-            s = rarefaction_state_by_pressure(family, anchor, p)
+            s = wave_state(family, anchor, p)
             sign = 1.0 if family is WaveFamily.ONE else -1.0
             inv0 = anchor.u + sign * 2.0 * anchor.sound_speed / (GAMMA - 1.0)
             inv1 = s.u + sign * 2.0 * s.sound_speed / (GAMMA - 1.0)
@@ -130,11 +130,11 @@ class TestMachParametrization:
         for _ in range(300):
             anchor = random_state(rng, u_range=(0.05, 3.0))
             p = anchor.p * rng.uniform(0.1, 1.0)
-            by_p = rarefaction_state_by_pressure(WaveFamily.ONE, anchor, p)
-            by_m = rarefaction_state_by_mach(WaveFamily.ONE, anchor, by_p.mach)
-            assert abs(by_m.rho - by_p.rho) <= 1e-10 * by_p.rho
-            assert abs(by_m.u - by_p.u) <= 1e-10 * max(1.0, abs(by_p.u))
-            assert abs(by_m.p - by_p.p) <= 1e-10 * by_p.p
+            by_p = wave_state(WaveFamily.ONE, anchor, p)
+            gd, gu, gp = rarefaction_ratios(anchor.mach, by_p.mach, GAMMA)
+            assert abs(anchor.rho * gd - by_p.rho) <= 1e-10 * by_p.rho
+            assert abs(anchor.u * gu - by_p.u) <= 1e-10 * max(1.0, abs(by_p.u))
+            assert abs(anchor.p * gp - by_p.p) <= 1e-10 * by_p.p
 
 
 class TestCombinedCurve:
@@ -156,12 +156,12 @@ class TestCombinedCurve:
 class TestMachInversion:
     def test_anchor_value(self):
         anchor = GasState(1, 1, 1)
-        assert abs(mach_along_1wave(anchor, 1.0) - anchor.mach) < 1e-14
+        assert abs(wave_state(WaveFamily.ONE, anchor, 1.0).mach - anchor.mach) < 1e-14
 
     def test_monotone_decreasing(self):
         anchor = GasState(1, 1, 1)
         ps = np.linspace(0.2, rest_pressure(anchor) * 0.999, 60)
-        machs = [mach_along_1wave(anchor, p) for p in ps]
+        machs = [wave_state(WaveFamily.ONE, anchor, p).mach for p in ps]
         assert all(m1 > m2 for m1, m2 in zip(machs, machs[1:]))
 
     def test_rest_pressure_stagnates(self, rng):
@@ -176,7 +176,8 @@ class TestMachInversion:
             anchor = random_state(rng, u_range=(0.05, 3.0))
             target = rng.uniform(0.02, 2.0)
             p = pressure_for_mach(anchor, target)
-            assert abs(mach_along_1wave(anchor, p) - target) <= 1e-10 * max(1.0, target)
+            mach = wave_state(WaveFamily.ONE, anchor, p).mach
+            assert abs(mach - target) <= 1e-10 * max(1.0, target)
 
 
 BAD_PRESSURES = [0.0, -1.0, math.nan, math.inf, -math.inf]
@@ -208,18 +209,6 @@ class TestOutOfDomain:
             wave_state(family, GasState(1, 1, 1), p)
 
     @pytest.mark.parametrize("p", BAD_PRESSURES)
-    def test_branch_states_reject_bad_pressure(self, p):
-        with pytest.raises(ConfigError, match="finite and positive"):
-            shock_state(WaveFamily.ONE, GasState(1, 1, 1), p)
-        with pytest.raises(ConfigError, match="finite and positive"):
-            rarefaction_state_by_pressure(WaveFamily.ONE, GasState(1, 1, 1), p)
-
-    @pytest.mark.parametrize("p", BAD_PRESSURES)
-    def test_mach_along_1wave_rejects_bad_pressure(self, p):
-        with pytest.raises(ConfigError, match="finite and positive"):
-            mach_along_1wave(GasState(1, 1, 1), p)
-
-    @pytest.mark.parametrize("p", BAD_PRESSURES)
     def test_velocity_mismatch_rejects_bad_pressure(self, p):
         coeffs = SourceCoefficients(0.1, 0.0, 0.1)
         with pytest.raises(ConfigError, match="finite and positive"):
@@ -230,6 +219,42 @@ class TestOutOfDomain:
         coeffs = SourceCoefficients(0.0, 1e10, 0.0)
         with pytest.raises(ConfigError, match="got inf"):
             velocity_mismatch(1e300, GasState(1, 1, 1), GasState(1, 1, 1), coeffs)
+
+    def test_curve_overflow_fails_typed(self):
+        # The shock density overflows: the state used to come back with rho = inf,
+        # and the mismatch raised ZeroDivisionError from its Mach number.
+        with pytest.raises(ConfigError, match="non-physical"):
+            wave_state(WaveFamily.ONE, GasState(1, 1, 1), 1e308)
+        with pytest.raises(ConfigError, match="overflows"):
+            velocity_mismatch(1e308, GasState(1, 1, 1), GasState(1, 1, 1),
+                              SourceCoefficients(0.1, 0, 0.1))
+
+
+_C = SourceCoefficients(0.1, 0.0, 0.1)
+_LEFTWARD = GasState(1.0, -1.0, 1.0)
+OFF_DOMAIN = {
+    "stationary_ratios": lambda: stationary_ratios(0.0, _C, GAMMA, Branch.SUBSONIC),
+    "downstream_state": lambda: downstream_state(_LEFTWARD, _C, Branch.SUBSONIC),
+    "upstream_state": lambda: upstream_state(_LEFTWARD, _C, Branch.SUBSONIC),
+    "choked_downstream": lambda: choked_downstream(_LEFTWARD, _C),
+    "predict_structure": lambda: predict_structure(_LEFTWARD, _LEFTWARD, _C),
+    "rest_pressure": lambda: rest_pressure(_LEFTWARD),
+    "pressure_for_mach": lambda: pressure_for_mach(GasState(1, 1, 1), -0.5),
+    "rarefaction_ratios_decreasing": lambda: rarefaction_ratios(1.0, 0.5, GAMMA),
+    # These returned complex ratios, raised ZeroDivisionError and returned NaN.
+    "rarefaction_ratios_negative_anchor": lambda: rarefaction_ratios(-10.0, 0.5, GAMMA),
+    "rarefaction_ratios_anchor_at_rest": lambda: rarefaction_ratios(0.0, 0.5, GAMMA),
+    "rarefaction_ratios_infinite_target": lambda: rarefaction_ratios(0.5, math.inf, GAMMA),
+    "solve_classical": lambda: solve_classical(GasState(1, 0, 1), GasState(1, 0, 1, 5.0 / 3.0)),
+    "wave_state_contact": lambda: wave_state(WaveFamily.TWO, GasState(1, 1, 1), 1.0),
+    "source_coefficients": lambda: SourceCoefficients(-1.0, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", OFF_DOMAIN.values(), ids=OFF_DOMAIN.keys())
+def test_public_entry_points_raise_config_error(call):
+    with pytest.raises(ConfigError):
+        call()
 
 
 _positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
@@ -251,13 +276,10 @@ class TestFloatKernels:
             assert _wave_rho_u(sign, anchor, p) == (state.rho, state.u)
             if p >= anchor.p:
                 kernel = _shock_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
-                assert kernel == (shock_state(family, anchor, p)[0].rho,
-                                  shock_state(family, anchor, p)[0].u)
             else:
                 kernel = _rarefaction_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma,
                                             anchor.sound_speed, p)
-                by_p = rarefaction_state_by_pressure(family, anchor, p)
-                assert kernel == (by_p.rho, by_p.u)
+            assert kernel == (state.rho, state.u)
 
     @exact
     @given(anchors, ratios)
@@ -278,4 +300,4 @@ class TestFloatKernels:
     @given(anchors, st.floats(1.0, 50.0))
     def test_shock_mach_map_equals_mach_along_1wave(self, anchor, ratio):
         p = anchor.p * ratio
-        assert _shock_mach_map(anchor, 0.0)(p) == mach_along_1wave(anchor, p)
+        assert _shock_mach_map(anchor, 0.0)(p) == wave_state(WaveFamily.ONE, anchor, p).mach
