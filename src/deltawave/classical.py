@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, VacuumError
 from .gas import GasState
-from .waves import WaveFamily, _acoustic_sign, shock_speed, wave_state
+from .waves import WaveFamily, shock_speed, wave_state
 
 
 class WaveKind(enum.Enum):
@@ -137,7 +137,7 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
     if star.p >= anchor.p:
         sigma = shock_speed(family, anchor, star.p)
         return WaveKind.SHOCK, (sigma, sigma)
-    s = _acoustic_sign(family)
+    s = family.value
     # The anchor's edge is the outer one: head of a family-1 fan, tail of a family-3 one.
     edges = (anchor.u + s * anchor.sound_speed, u_star + s * star.sound_speed)
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]

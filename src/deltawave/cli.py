@@ -7,6 +7,7 @@ is unavailable (curve-transform scheme without corrections).
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -14,11 +15,13 @@ import numpy as np
 from .cases import get_case
 from .errors import ConfigError, UnavailableFluxError
 from .runner import (
+    CFL,
     SCHEMES,
     convergence_study,
     end_time,
     initial_states,
     profile_rows_from_fan,
+    profile_rows_from_field,
     run_test,
     scheme_from_name,
     write_profile,
@@ -26,12 +29,18 @@ from .runner import (
 from .structure import compose_reference_fan
 
 
-def _parse_domain(text: str) -> tuple[float, float]:
+def _parse_domain(text: str | None, test_id: int) -> tuple[float, float]:
+    """The domain 'a,b' as two floats; None gives the test problem's own domain."""
+    if text is None:
+        return get_case(test_id).domain
     try:
         a, b = (float(v) for v in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"domain must be 'a,b', got '{text}'") from exc
     return a, b
+
+
+_DOMAIN_HELP = "Domain 'a,b'  [default: the test problem's own]"
 
 
 def _guarded(fn):
@@ -54,16 +63,17 @@ def main():
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
 @click.option("--scheme", type=click.Choice(list(SCHEMES)), required=True)
 @click.option("--h", "h", type=float, required=True, help="Cell width.")
-@click.option("--cfl", type=float, default=0.5, show_default=True)
+@click.option("--cfl", type=float, default=CFL, show_default=True)
 @click.option("--t-end", type=float, default=None, help="Override the built-in end time.")
-@click.option("--domain", type=str, default="-10,10", show_default=True)
+@click.option("--domain", type=str, default=None, help=_DOMAIN_HELP)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def run(test_id, scheme, h, cfl, t_end, domain, out_path):
     """Advance one test problem and write the cell-mean profile CSV."""
 
     def body():
         report = run_test(test_id, scheme_from_name(scheme), h, cfl=cfl, t_end=t_end,
-                          domain=_parse_domain(domain), out_path=out_path)
+                          domain=_parse_domain(domain, test_id))
+        write_profile(out_path, *profile_rows_from_field(report.field))
         click.echo(f"test {test_id} scheme={scheme} h={h:g} cells={report.n_cells} "
                    f"t_end={report.t_end:g} wall={report.duration:.2f}s")
         for var, (l1, l2, linf) in report.errors.items():
@@ -71,7 +81,7 @@ def run(test_id, scheme, h, cfl, t_end, domain, out_path):
         if report.wb_deviation is not None:
             click.echo(f"  equilibrium deviation (Linf): {report.wb_deviation:.3e}")
         click.echo(f"  oscillation (TV excess of rho): {report.oscillation:.3e}")
-        click.echo(f"  profile written to {report.out_path}")
+        click.echo(f"  profile written to {out_path}")
 
     _guarded(body)
 
@@ -80,7 +90,7 @@ def run(test_id, scheme, h, cfl, t_end, domain, out_path):
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
 @click.option("--scheme", type=click.Choice(list(SCHEMES)), required=True)
 @click.option("--h-list", type=str, required=True, help="Comma-separated cell widths, descending.")
-@click.option("--cfl", type=float, default=0.5, show_default=True)
+@click.option("--cfl", type=float, default=CFL, show_default=True)
 @click.option("--out-dir", type=click.Path(), default=None, help="Write one profile CSV per width.")
 def converge(test_id, scheme, h_list, cfl, out_dir):
     """Refinement study: density L1 errors and successive ratios."""
@@ -90,8 +100,11 @@ def converge(test_id, scheme, h_list, cfl, out_dir):
             hs = [float(v) for v in h_list.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --h-list '{h_list}'") from exc
-        reports = convergence_study(test_id, scheme_from_name(scheme), hs, cfl=cfl,
-                                    out_dir=out_dir)
+        reports = convergence_study(test_id, scheme_from_name(scheme), hs, cfl=cfl)
+        if out_dir is not None:
+            for rep in reports:
+                write_profile(Path(out_dir) / f"test{test_id}_{scheme}_h{rep.h:g}.csv",
+                              *profile_rows_from_field(rep.field))
         click.echo(f"test {test_id} scheme={scheme}  (density errors)")
         click.echo(f"{'h':>10} {'L1':>14} {'ratio':>8}")
         prev = None
@@ -107,7 +120,7 @@ def converge(test_id, scheme, h_list, cfl, out_dir):
 @click.option("--test", "test_id", type=click.IntRange(1, 8), required=True)
 @click.option("--samples", type=click.IntRange(min=1), default=2000, show_default=True)
 @click.option("--t-end", type=float, default=None)
-@click.option("--domain", type=str, default="-10,10", show_default=True)
+@click.option("--domain", type=str, default=None, help=_DOMAIN_HELP)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def reference(test_id, samples, t_end, domain, out_path):
     """Sample the exactly composed solution of a test problem to CSV."""
@@ -115,7 +128,7 @@ def reference(test_id, samples, t_end, domain, out_path):
     def body():
         case = get_case(test_id)
         t = end_time(case, t_end)
-        a, b = _parse_domain(domain)
+        a, b = _parse_domain(domain, test_id)
         left, right = initial_states(case)
         fan = compose_reference_fan(left, right, case.coeffs)
         xs = np.linspace(a, b, samples)

@@ -43,21 +43,8 @@ class Grid:
     j0: int  # number of cells left of the origin; interface index of x = 0
 
     @property
-    def interfaces(self) -> np.ndarray:
-        return (np.arange(self.n_cells + 1) - self.j0) * self.h
-
-    @property
     def centers(self) -> np.ndarray:
         return (np.arange(self.n_cells) - self.j0 + 0.5) * self.h
-
-    @property
-    def left_cell(self) -> int:
-        """Index of the cell whose right interface is the origin."""
-        return self.j0 - 1
-
-    @property
-    def right_cell(self) -> int:
-        return self.j0
 
 
 def make_grid(a: float, b: float, h: float) -> Grid:
@@ -99,8 +86,8 @@ class DgField:
     def means(self) -> np.ndarray:
         return self.coeffs[:, 0, :]
 
-    def with_coeffs(self, coeffs: np.ndarray, time: float | None = None) -> "DgField":
-        return DgField(self.grid, self.gamma, coeffs, self.time if time is None else time)
+    def with_coeffs(self, coeffs: np.ndarray) -> "DgField":
+        return DgField(self.grid, self.gamma, coeffs, self.time)
 
 
 def field_from_states(grid: Grid, left: GasState, right: GasState) -> DgField:
@@ -361,19 +348,19 @@ def _check_means(rho: np.ndarray, p: np.ndarray, time: float | None = None) -> N
 
 
 def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -> DgField:
-    """Upwind point-source update of the two origin-adjacent cell means."""
-    grid = field.grid
+    """Upwind point-source update of the means of cells j0 - 1 and j0, either side of the origin."""
+    grid, j0 = field.grid, field.grid.j0
     c = field.coeffs.copy()
-    left = from_conserved(*c[grid.left_cell, 0, :].tolist(), field.gamma)
-    right = from_conserved(*c[grid.right_cell, 0, :].tolist(), field.gamma)
+    left = from_conserved(*c[j0 - 1, 0, :].tolist(), field.gamma)
+    right = from_conserved(*c[j0, 0, :].tolist(), field.gamma)
     frame = rightward_frame(left, right)
     if frame is not None:
-        downstream = grid.left_cell if frame[2] else grid.right_cell
+        downstream = j0 - 1 if frame[2] else j0
         c[downstream, 0, :] += dt / grid.h * evaluate_source(left, right, coeffs)
     return field.with_coeffs(c)
 
 
-def ssp_rk3_combine(y0: np.ndarray, dt: float, rhs, post=None) -> np.ndarray:
+def ssp_rk3_combine(y0: np.ndarray, dt: float, rhs, post) -> np.ndarray:
     """Three-stage strong-stability-preserving Runge-Kutta combination.
 
     The convex combinations are written in increment form so that a zero
@@ -381,8 +368,6 @@ def ssp_rk3_combine(y0: np.ndarray, dt: float, rhs, post=None) -> np.ndarray:
     is applied to every stage value. Each stage writes only into arrays it
     made itself: ``rhs`` and ``post`` may return their own argument.
     """
-    if post is None:
-        post = lambda y: y  # noqa: E731
     y1 = np.multiply(rhs(y0), dt)  # y0 + dt * rhs(y0)
     y1 += y0
     y1 = post(y1)

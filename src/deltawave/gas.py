@@ -60,9 +60,9 @@ class GasState:
 class SourceCoefficients:
     """Dimensionless strengths of the point source, one per conserved equation.
 
-    Each coefficient must exceed -1; the derived combination ``k`` controls
-    which stationary-wave branches exist and which solution structures are
-    reachable.
+    Each coefficient must be finite and exceed -1, and so must the derived
+    combination ``k``, which controls which stationary-wave branches exist and
+    which solution structures are reachable; else ``ConfigError``.
     """
 
     k1: float
@@ -71,8 +71,14 @@ class SourceCoefficients:
 
     def __post_init__(self):
         for name in ("k1", "k2", "k3"):
-            if not getattr(self, name) > -1.0:
-                raise ConfigError(f"{name} must exceed -1, got {getattr(self, name)}")
+            if not -1.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and exceed -1, got {getattr(self, name)}")
+        try:
+            k = self.k
+        except OverflowError as exc:
+            raise ConfigError(f"k of {self} overflows") from exc
+        if not -1.0 < k < math.inf:
+            raise ConfigError(f"k of {self} must be finite and exceed -1, got {k}")
 
     @property
     def k(self) -> float:

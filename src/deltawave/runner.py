@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,21 +25,22 @@ _REF_WEIGHTS = 0.5 * _REF_WEIGHTS
 _MARGIN_CELLS = 5
 
 SCHEMES = {s.value: s for s in Scheme}
+# Default Courant number of every run.
+CFL = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     test_id: int
     scheme: Scheme
     h: float
     n_cells: int
     t_end: float
-    errors: dict = dc_field(default_factory=dict)  # var -> (L1, L2, Linf)
-    wb_deviation: float | None = None
-    oscillation: float | None = None
-    duration: float = 0.0
-    out_path: str | None = None
-    field: DgField | None = None  # final numerical field
+    errors: dict  # var -> (L1, L2, Linf)
+    wb_deviation: float | None  # None unless the case is an equilibrium
+    oscillation: float
+    duration: float
+    field: DgField  # final numerical field
 
     def l1(self, var: str) -> float:
         return self.errors[var][0]
@@ -67,6 +68,7 @@ def _positive_time(t: float) -> float:
 
 
 def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) -> DgField:
+    t_end = _positive_time(t_end)
     t = field.time
     while t < t_end * (1.0 - 1e-14):
         dt = min(cfl_dt(field, cfl), t_end - t)
@@ -136,14 +138,12 @@ def profile_rows_from_fan(fan: SourceFan, xs: np.ndarray, t: float) -> np.ndarra
     return np.column_stack([rho, u, p, total_energy(rho, u, p, fan.minus.gamma)])
 
 
-def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,
-             t_end: float | None = None, domain: tuple[float, float] | None = None,
-             out_path: str | None = None) -> RunReport:
+def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = CFL,
+             t_end: float | None = None, domain: tuple[float, float] | None = None) -> RunReport:
     """Run one test problem and compare against its exactly composed solution."""
     case = get_case(test_id)
     t_end = end_time(case, t_end)
-    a, b = case.domain if domain is None else domain
-    grid = make_grid(a, b, h)
+    grid = make_grid(*(case.domain if domain is None else domain), h)
     left, right = initial_states(case)
 
     start = _time.perf_counter()
@@ -151,41 +151,27 @@ def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = 0.5,
     field = advance(field0, case.coeffs, scheme, t_end, cfl)
     duration = _time.perf_counter() - start
 
-    report = RunReport(test_id, scheme, h, grid.n_cells, t_end, duration=duration, field=field)
     fan = compose_reference_fan(left, right, case.coeffs)
     ref_means = reference_cell_averages(fan, grid, t_end)
-    report.errors = error_norms(field.means, ref_means, left.gamma, h)
-    if case.equilibrium:
-        report.wb_deviation = float(np.max(np.abs(field.means - field0.means)))
-    num_rho = field.means[:, 0]
-    report.oscillation = total_variation(num_rho) - total_variation(ref_means[:, 0])
-
-    if out_path is not None:
-        xs, rows = profile_rows_from_field(field)
-        write_profile(out_path, xs, rows)
-        report.out_path = str(out_path)
-    return report
+    wb = float(np.max(np.abs(field.means - field0.means))) if case.equilibrium else None
+    oscillation = total_variation(field.means[:, 0]) - total_variation(ref_means[:, 0])
+    return RunReport(test_id, scheme, h, grid.n_cells, t_end,
+                     error_norms(field.means, ref_means, left.gamma, h), wb, oscillation,
+                     duration, field)
 
 
-def convergence_study(test_id: int, scheme: Scheme, h_list: list[float], cfl: float = 0.5,
-                      out_dir: str | None = None) -> list[RunReport]:
+def convergence_study(test_id: int, scheme: Scheme, h_list: list[float],
+                      cfl: float = CFL) -> list[RunReport]:
     """Run a refinement sequence; ``h_list`` must be descending and origin-aligned.
 
-    Every width is checked before the first run. Profiles in ``out_dir`` are
-    named by the scheme's command-line name.
+    Every width is checked before the first run.
     """
     domain = get_case(test_id).domain
     for h in h_list:
         make_grid(*domain, h)
     if not all(h > finer for h, finer in zip(h_list, h_list[1:])):
         raise ConfigError(f"cell widths must strictly decrease, got {h_list}")
-    reports = []
-    for h in h_list:
-        out = None
-        if out_dir is not None:
-            out = str(Path(out_dir) / f"test{test_id}_{scheme.value}_h{h:g}.csv")
-        reports.append(run_test(test_id, scheme, h, cfl=cfl, out_path=out))
-    return reports
+    return [run_test(test_id, scheme, h, cfl=cfl) for h in h_list]
 
 
 def constant_region_cells(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:

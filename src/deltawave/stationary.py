@@ -191,9 +191,9 @@ def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, bran
     if not corrections:
         lo, hi = critical_mach_numbers(coeffs, state.gamma).interval(side, branch)
         supersonic = branch is Branch.SUPERSONIC
-        lo_ok = m >= lo * (1.0 - _GAMMA_SLACK) if supersonic else m > 0.0
-        hi_ok = m <= hi * (1.0 + _GAMMA_SLACK) if math.isfinite(hi) else True
-        if not (lo_ok and hi_ok):
+        # m is 0.0 where u / a underflows or the sound speed overflows.
+        too_slow = m < lo * (1.0 - _GAMMA_SLACK) if supersonic else m <= 0.0
+        if too_slow or m > hi * (1.0 + _GAMMA_SLACK):
             where = "upstream" if side is Side.LEFT else "downstream"
             raise NotSolvableError(f"Mach {m:.6g} outside admissible {where} {branch.value} "
                                    f"range [{lo:.6g}, {hi:.6g}]")

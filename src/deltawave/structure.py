@@ -29,7 +29,6 @@ from .stationary import (
     stationary_ratios,
 )
 from .waves import (
-    _BRANCH_SLACK,
     WaveFamily,
     _check_pressure,
     _wave_rho_u,
@@ -211,28 +210,26 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
     return bisect(t, a, b, fa, tol, tiny)
 
 
-def _sonic_expansion_state(left: GasState) -> GasState:
-    """Sonic point on the family-1 rarefaction through the left datum."""
-    gd, _, gp = rarefaction_ratios(left.mach, 1.0, left.gamma)
-    rho, p = left.rho * gd, left.p * gp
-    # Pin the Mach number to one exactly; the ratios leave an ulp of slack.
-    return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
+def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients) -> GasState:
+    """Sonic point on the family-1 rarefaction through the left datum.
 
-
-def _check_sonic_expansion(left: GasState, coeffs: SourceCoefficients) -> None:
-    """Raise ``NotSolvableError`` where no sonic expansion passes the origin.
-
+    Raises ``NotSolvableError`` where no sonic expansion passes the origin.
     A rarefaction only accelerates the flow, so a supersonic left datum
     (beyond the roundoff slack of ``rarefaction_ratios``) cannot expand to
     Mach one. For k <= -1/gamma^2 the supersonic branch downstream of a sonic
     state is empty. Both regimes lie outside the structures implemented.
     """
-    if left.mach * (1.0 - _BRANCH_SLACK) > 1.0:
+    try:
+        gd, _, gp = rarefaction_ratios(left.mach, 1.0, left.gamma)
+    except ConfigError as exc:
         raise NotSolvableError(f"supersonic left datum (Mach {left.mach:.6g}) has no sonic "
-                               f"expansion to the origin")
+                               f"expansion to the origin") from exc
     if math.isinf(critical_mach_numbers(coeffs, left.gamma).downstream_supersonic_min):
         raise NotSolvableError(f"k = {coeffs.k:.6g} <= -1/gamma^2: no supersonic branch "
                                f"downstream of the sonic expansion")
+    rho, p = left.rho * gd, left.p * gp
+    # Pin the Mach number to one exactly; the ratios leave an ulp of slack.
+    return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
 
 
 def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoefficients,
@@ -249,8 +246,7 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
         minus = wave_state(WaveFamily.ONE, left, subsonic_passage_bracket(left, coeffs)[1])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
-        _check_sonic_expansion(left, coeffs)
-        minus = _sonic_expansion_state(left)
+        minus = _sonic_expansion_state(left, coeffs)
         if structure is SolutionStructure.TYPE5:
             plus = downstream_state(minus, coeffs, Branch.SUPERSONIC)
         else:
@@ -290,7 +286,6 @@ class SourceFan:
     """
 
     structure: SolutionStructure
-    coeffs: SourceCoefficients
     minus: GasState
     plus: GasState
     left_fan: ClassicalFan
@@ -348,13 +343,13 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
     if frame is None:
         fan = solve_classical(left, right, tol=_FAN_TOL)
         state = sample_classical(fan, 0.0)
-        return SourceFan(SolutionStructure.CLASSICAL, coeffs, state, state, fan, fan)
+        return SourceFan(SolutionStructure.CLASSICAL, state, state, fan, fan)
     left, right, mirrored = frame
     out = _solve_positive_flow(left, right, coeffs, _FAN_TOL)
     left_fan = solve_classical(left, out.minus, tol=_FAN_TOL)
     right_fan = solve_classical(out.plus, right, tol=_FAN_TOL)
     seen = out.mirrored() if mirrored else out
-    return SourceFan(out.structure, coeffs, seen.minus, seen.plus, left_fan, right_fan, mirrored)
+    return SourceFan(out.structure, seen.minus, seen.plus, left_fan, right_fan, mirrored)
 
 
 def sample_source_fan(fan: SourceFan, xi: float) -> GasState:

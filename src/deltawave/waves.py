@@ -22,17 +22,10 @@ _SQRT2 = math.sqrt(2.0)
 
 
 class WaveFamily(enum.Enum):
-    ONE = 1
-    TWO = 2
-    THREE = 3
+    """An acoustic family, valued by the sign of its characteristic speed relative to u."""
 
-
-def _acoustic_sign(family: WaveFamily) -> float:
-    if family is WaveFamily.ONE:
-        return -1.0
-    if family is WaveFamily.THREE:
-        return 1.0
-    raise ConfigError("contact discontinuities carry no shock/rarefaction curve")
+    ONE = -1.0
+    THREE = 1.0
 
 
 def _check_pressure(p: float) -> None:
@@ -90,7 +83,7 @@ def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     A pressure that is not finite and positive raises ``ConfigError``.
     """
     _check_pressure(p)
-    return GasState(*_wave_rho_u(_acoustic_sign(family), anchor, p), p, anchor.gamma)
+    return GasState(*_wave_rho_u(family.value, anchor, p), p, anchor.gamma)
 
 
 def bisect(f, a: float, b: float, fa: float, tol: float, tiny: float) -> float:
@@ -175,4 +168,4 @@ def shock_speed(family: WaveFamily, anchor: GasState, p: float) -> float:
     """Propagation speed of a shock of the given family at pressure ``p >= p_anchor``."""
     g = anchor.gamma
     root = math.sqrt((g + 1.0) / (2.0 * g) * p / anchor.p + (g - 1.0) / (2.0 * g))
-    return anchor.u + _acoustic_sign(family) * anchor.sound_speed * root
+    return anchor.u + family.value * anchor.sound_speed * root

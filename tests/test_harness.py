@@ -8,10 +8,12 @@ from deltawave.dg import field_from_states, make_grid
 from deltawave.errors import ConfigError
 from deltawave.fluxes import Scheme
 from deltawave.runner import (
+    advance,
     constant_region_cells,
     convergence_study,
     error_norms,
     initial_states,
+    profile_rows_from_field,
     reference_cell_averages,
     run_test,
     scheme_from_name,
@@ -73,7 +75,8 @@ class TestErrorComputation:
 class TestProfiles:
     def test_numerical_profile_shape(self, tmp_path):
         out = tmp_path / "p.csv"
-        rep = run_test(1, Scheme.SOLVER, 0.05, out_path=str(out))
+        rep = run_test(1, Scheme.SOLVER, 0.05)
+        write_profile(out, *profile_rows_from_field(rep.field))
         lines = out.read_text().split("\n")
         assert lines[0] == "x,rho,u,p,E"
         data = [l for l in lines[1:] if l]
@@ -86,8 +89,8 @@ class TestProfiles:
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for p in (p1, p2):
-            run_test(2, Scheme.SOLVER, 0.25, t_end=0.3, domain=(-2.0, 2.0),
-                     out_path=str(p))
+            rep = run_test(2, Scheme.SOLVER, 0.25, t_end=0.3, domain=(-2.0, 2.0))
+            write_profile(p, *profile_rows_from_field(rep.field))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seventeen_digit_floats(self, tmp_path):
@@ -243,6 +246,14 @@ class TestRunTestValidation:
     def test_misaligned_h(self):
         with pytest.raises(ConfigError):
             run_test(1, Scheme.SOLVER, 0.3)
+
+    @pytest.mark.parametrize("t_end", [float("nan"), -1.0])
+    def test_advance_rejects_bad_end_time(self, t_end):
+        # Both used to return the field unchanged.
+        case = get_case(2)
+        field = field_from_states(make_grid(-2.0, 2.0, 0.5), *initial_states(case))
+        with pytest.raises(ConfigError, match="finite and positive"):
+            advance(field, case.coeffs, Scheme.SOLVER, t_end, 0.5)
 
     def test_scheme_names(self):
         assert scheme_from_name("kt-nocorr") is Scheme.KT_NOCORR

@@ -110,6 +110,14 @@ class TestDownstream:
         with pytest.raises(NotSolvableError):
             downstream_state(s, TEST1_COEFFS, Branch.SUPERSONIC)
 
+    @pytest.mark.parametrize("curve", [downstream_state, upstream_state])
+    def test_rightward_state_at_mach_zero_is_outside_the_subsonic_branch(self, curve):
+        # u > 0, but the sound speed overflows to inf, so the Mach number is 0.0.
+        state = GasState(1e-300, 1.0, 1e300)
+        assert state.mach == 0.0
+        with pytest.raises(NotSolvableError, match="Mach 0 outside admissible"):
+            curve(state, TEST1_COEFFS, Branch.SUBSONIC)
+
     def test_attenuating_sonic_is_double_valued(self):
         c = coeffs_with_k(-0.2)
         s = state_at_mach(1.0)

@@ -10,6 +10,8 @@ from deltawave import (
     SourceCoefficients,
     choked_downstream,
     downstream_state,
+    evaluate_source,
+    kt_flux,
     physical_flux,
     predict_structure,
     solve_classical,
@@ -215,8 +217,9 @@ class TestOutOfDomain:
             velocity_mismatch(p, GasState(1, 1, 1), GasState(1, 1, 1), coeffs)
 
     def test_velocity_mismatch_rejects_overflowing_downstream_pressure(self):
-        # p is finite, but p * (1 + k2) at the stagnation end overflows.
-        coeffs = SourceCoefficients(0.0, 1e10, 0.0)
+        # p is finite, but p * (1 + k2) at the stagnation end overflows. Large
+        # k1 and k3 keep the derived k at 0, inside the coefficients' domain.
+        coeffs = SourceCoefficients(1e10, 1e10, 1e10)
         with pytest.raises(ConfigError, match="got inf"):
             velocity_mismatch(1e300, GasState(1, 1, 1), GasState(1, 1, 1), coeffs)
 
@@ -246,8 +249,14 @@ OFF_DOMAIN = {
     "rarefaction_ratios_anchor_at_rest": lambda: rarefaction_ratios(0.0, 0.5, GAMMA),
     "rarefaction_ratios_infinite_target": lambda: rarefaction_ratios(0.5, math.inf, GAMMA),
     "solve_classical": lambda: solve_classical(GasState(1, 0, 1), GasState(1, 0, 1, 5.0 / 3.0)),
-    "wave_state_contact": lambda: wave_state(WaveFamily.TWO, GasState(1, 1, 1), 1.0),
     "source_coefficients": lambda: SourceCoefficients(-1.0, 0.0, 0.0),
+    # These raised OverflowError from k, ZeroDivisionError in kt_flux (k rounds
+    # to -1) and returned an infinite source.
+    "source_coefficients_k_overflows": lambda: SourceCoefficients(0.0, 1e200, 0.0).k,
+    "kt_flux_k_at_minus_one": lambda: kt_flux(GasState(1, 1, 1), GasState(1, 1, 1),
+                                              SourceCoefficients(0.0, 1e10, 0.0)),
+    "evaluate_source_infinite_coefficient": lambda: evaluate_source(
+        GasState(1, 1, 1), GasState(1, 1, 1), SourceCoefficients(0.0, math.inf, 0.0)),
 }
 
 

@@ -35,7 +35,12 @@ compare with ``diff``. The groups:
   supersonically, some have zero slopes), the bytes of ``dg_rhs`` under
   each scheme, of ``tvd_limit`` and of one ``ssp_rk3_step``, and the repr
   of ``cfl_dt`` (the error class and message where one raises);
-- ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``.
+- ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``;
+- ``cli.run.N``: the CSV bytes of ``deltawave run --test N --scheme solver
+  --h 0.5``;
+- ``cli.converge``: the names and CSV bytes of the profiles that
+  ``deltawave converge --test 2 --scheme solver --h-list 0.5,0.25 --out-dir``
+  writes.
 
 It takes about 40 s on one core, 3 s of it in the ``stage.*`` group and
 under 2 s in ``curve.*``.
@@ -253,10 +258,18 @@ def _cli() -> dict:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        commands = (("reference", []), ("run", ["--scheme", "solver", "--h", "0.5"]))
         for tid in range(1, 9):
-            path = Path(tmp) / f"ref{tid}.csv"
-            main(["reference", "--test", str(tid), "--out", str(path)], standalone_mode=False)
-            out[f"cli.reference.{tid}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            for command, options in commands:
+                path = Path(tmp) / f"{command}{tid}.csv"
+                main([command, "--test", str(tid), *options, "--out", str(path)],
+                     standalone_mode=False)
+                out[f"cli.{command}.{tid}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        study = Path(tmp) / "converge"
+        main(["converge", "--test", "2", "--scheme", "solver", "--h-list", "0.5,0.25",
+              "--out-dir", str(study)], standalone_mode=False)
+        profiles = sorted(study.iterdir())
+        out["cli.converge"] = _digest(line for p in profiles for line in (p.name, p.read_bytes()))
     return out
 
 
