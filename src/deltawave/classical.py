@@ -189,13 +189,25 @@ def _fan_interior(anchor: GasState, xi: float, s: float) -> GasState:
     return GasState(rho, xi - s * a, p, g)
 
 
+def _left_of_contact(fan: ClassicalFan, xi):
+    """Whether the coordinate xi (a float or an array) samples the left of the contact.
+
+    On a contact at rest, xi = 0 takes the denser star state. That rule reads
+    no side, so the sample at the origin mirrors; the flux there is the same
+    either way (u = 0, equal p).
+    """
+    denser_left = fan.u_star == 0.0 and fan.rho_star_left > fan.rho_star_right
+    return (xi < fan.u_star) | ((xi == 0.0) & denser_left)
+
+
 def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
     """State of the self-similar fan at similarity coordinate xi = x/t.
 
     A coordinate landing exactly on a discontinuity resolves to the state on
-    its right (any consistent rule works for flux evaluation).
+    its right (any consistent rule works for flux evaluation), except on a
+    contact at rest at xi = 0: see ``_left_of_contact``.
     """
-    if xi < fan.u_star:
+    if _left_of_contact(fan, xi):
         anchor = fan.left
         if fan.left_kind is WaveKind.SHOCK:
             return anchor if xi < fan.left_speeds[0] else fan.star_left
@@ -232,7 +244,7 @@ def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray
                       [fan.rho_star_left, fan.u_star, fan.p_star],
                       [fan.rho_star_right, fan.u_star, fan.p_star],
                       [fan.right.rho, fan.right.u, fan.right.p]])
-    on_left = xi < fan.u_star
+    on_left = _left_of_contact(fan, xi)
     region = np.where(on_left, 1, 2)
     interiors = []
     if fan.left_kind is WaveKind.SHOCK:

@@ -3,20 +3,49 @@
 A :class:`GasState` stores the primitive variables (rho, u, p) together with
 the ratio of specific heats, so states with different gamma can coexist.
 Vacuum is not representable: every downstream formula divides by rho or p,
-so the constructor rejects non-positive density or pressure outright, and
-any field that is not finite.
+so the constructor rejects non-positive density or pressure outright, any
+field that is not finite, and a sound speed that underflows or overflows.
+
+States and source coefficients hold Python floats whatever real numbers
+they are given: numpy scalars would run every solver step in numpy-scalar
+arithmetic, which gives the same bits several times slower.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 
 _EPS = 2.220446049250313e-16
+
+
+def _as_floats(obj, names: tuple[str, ...]) -> tuple[float, ...]:
+    """The named fields of the frozen ``obj`` as floats, stored back into it.
+
+    Only real numbers convert: ``float`` also accepts a numeric string or a
+    one-element array, which must not become a valid state. A bool is
+    rejected too; an int too large for a float raises ``ConfigError``.
+    """
+    values = []
+    for name in names:
+        x = getattr(obj, name)
+        if type(x) is not float:
+            # A float subclass (numpy's float64) skips the slower ABC test.
+            if not isinstance(x, float) and (isinstance(x, bool)
+                                             or not isinstance(x, numbers.Real)):
+                raise ConfigError(f"{name} must be a real number, got {x!r}")
+            try:
+                x = float(x)
+            except OverflowError as exc:
+                raise ConfigError(f"{name} overflows a float") from exc
+            object.__setattr__(obj, name, x)
+        values.append(x)
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -29,12 +58,19 @@ class GasState:
     gamma: float = 1.4
 
     def __post_init__(self):
-        # Chained comparisons only: every solver step builds states. NaN fails each.
-        if not (0.0 < self.rho < math.inf and 0.0 < self.p < math.inf
-                and -math.inf < self.u < math.inf):
-            raise ConfigError(f"non-physical state: rho={self.rho}, u={self.u}, p={self.p}")
-        if not self.gamma > 1.0:
-            raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
+        # Type tests and chained comparisons only: every solver step builds
+        # states, from floats. NaN fails each comparison.
+        rho, u, p, gamma = self.rho, self.u, self.p, self.gamma
+        if not (type(rho) is float and type(u) is float and type(p) is float
+                and type(gamma) is float):
+            rho, u, p, gamma = _as_floats(self, ("rho", "u", "p", "gamma"))
+        if not (0.0 < rho < math.inf and 0.0 < p < math.inf and -math.inf < u < math.inf):
+            raise ConfigError(f"non-physical state: rho={rho}, u={u}, p={p}")
+        if not gamma > 1.0:
+            raise ConfigError(f"gamma must exceed 1, got {gamma}")
+        if not 0.0 < gamma * p / rho < math.inf:
+            raise ConfigError(f"sound speed of rho={rho}, p={p}, gamma={gamma} "
+                              f"underflows or overflows")
 
     @property
     def sound_speed(self) -> float:
@@ -63,28 +99,31 @@ class SourceCoefficients:
     Each coefficient must be finite and exceed -1, and so must the derived
     combination ``k``, which controls which stationary-wave branches exist and
     which solution structures are reachable; else ``ConfigError``.
+    ``k = (1+k1)(1+k3)/(1+k2)^2 - 1`` is computed once, at construction, and
+    is exactly 0.0 within 4 eps so that its sign is read one way.
     """
 
     k1: float
     k2: float
     k3: float
+    k: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            if not -1.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and exceed -1, got {getattr(self, name)}")
+        k1, k2, k3 = self.k1, self.k2, self.k3
+        if not (type(k1) is float and type(k2) is float and type(k3) is float):
+            k1, k2, k3 = _as_floats(self, ("k1", "k2", "k3"))
+        for name, value in (("k1", k1), ("k2", k2), ("k3", k3)):
+            if not -1.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and exceed -1, got {value}")
         try:
-            k = self.k
+            k = (1.0 + k1) * (1.0 + k3) / (1.0 + k2) ** 2 - 1.0
         except OverflowError as exc:
             raise ConfigError(f"k of {self} overflows") from exc
+        if abs(k) <= 4.0 * _EPS:
+            k = 0.0
         if not -1.0 < k < math.inf:
             raise ConfigError(f"k of {self} must be finite and exceed -1, got {k}")
-
-    @property
-    def k(self) -> float:
-        """(1+k1)(1+k3)/(1+k2)^2 - 1, exactly 0.0 within 4 eps so its sign is read one way."""
-        k = (1.0 + self.k1) * (1.0 + self.k3) / (1.0 + self.k2) ** 2 - 1.0
-        return 0.0 if abs(k) <= 4.0 * _EPS else k
+        object.__setattr__(self, "k", k)
 
     @property
     def diag(self) -> np.ndarray:

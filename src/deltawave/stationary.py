@@ -191,7 +191,7 @@ def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, bran
     if not corrections:
         lo, hi = critical_mach_numbers(coeffs, state.gamma).interval(side, branch)
         supersonic = branch is Branch.SUPERSONIC
-        # m is 0.0 where u / a underflows or the sound speed overflows.
+        # m is 0.0 where u / a underflows.
         too_slow = m < lo * (1.0 - _GAMMA_SLACK) if supersonic else m <= 0.0
         if too_slow or m > hi * (1.0 + _GAMMA_SLACK):
             where = "upstream" if side is Side.LEFT else "downstream"

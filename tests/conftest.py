@@ -26,6 +26,16 @@ def state_rel_err(s1: GasState, s2: GasState) -> float:
     )
 
 
+def riemann_batch_arrays(n: int):
+    """(k, rho and p, u) arrays of the first ``n`` seed-0 draws of the benchmark's
+    ``riemann_batch`` workload: shapes (n, 3), (n, 4) and (n, 2)."""
+    rng = np.random.default_rng(0)
+    k = rng.uniform(-0.6, 1.5, (n, 3))
+    rp = rng.uniform(0.1, 5.0, (n, 4))
+    u = rng.uniform(-4.0, 4.0, (n, 2))
+    return k, rp, u
+
+
 def coeffs_with_k(k_target: float) -> SourceCoefficients:
     """Coefficients whose derived combination equals ``k_target`` (k2 = 0)."""
     x = math.sqrt(1.0 + k_target) - 1.0

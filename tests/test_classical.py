@@ -12,7 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltawave import GasState, VacuumError, physical_flux, to_conserved
-from deltawave.classical import WaveKind, sample_classical, solve_classical
+from deltawave.classical import (
+    WaveKind,
+    sample_classical,
+    sample_classical_primitives,
+    solve_classical,
+)
 from deltawave.waves import WaveFamily, wave_state
 
 from conftest import GAMMA, random_state
@@ -142,6 +147,21 @@ class TestSampling:
         fan = solve_classical(SOD_LEFT, SOD_RIGHT)
         s = sample_classical(fan, fan.u_star)
         assert abs(s.rho - fan.rho_star_right) < 1e-14
+
+    @pytest.mark.parametrize("rho_left, rho_right", [(1.0, 0.5), (0.5, 1.0)])
+    def test_contact_at_rest_takes_denser_state_at_origin(self, rho_left, rho_right):
+        # A rule that reads no side: the origin sample mirrors, in both samplers.
+        left, right = GasState(rho_left, 0.0, 1.0), GasState(rho_right, 0.0, 1.0)
+        fan = solve_classical(left, right)
+        mirrored = solve_classical(right.mirrored(), left.mirrored())
+        assert fan.u_star == 0.0
+        s = sample_classical(fan, 0.0)
+        assert (s.rho, s.u, s.p) == (1.0, 0.0, 1.0)
+        assert sample_classical(mirrored, 0.0) == s.mirrored()
+        for f in (fan, mirrored):
+            rows = sample_classical_primitives(f, np.array([-0.0, 0.0]))
+            assert rows.tolist() == [[t.rho, t.u, t.p] for t in
+                                     (sample_classical(f, -0.0), sample_classical(f, 0.0))]
 
     def test_mirror_symmetry(self, rng):
         for _ in range(100):

@@ -24,6 +24,8 @@ from deltawave import (
 )
 from deltawave.gas import total_energy
 
+from conftest import riemann_batch_arrays
+
 N_DRAWS = 2000  # the seed-0 problems of the benchmark's riemann_batch workload
 TOL = 1e-10  # relative to the largest boundary flux component
 T = 1.0
@@ -31,10 +33,7 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
 
 
 def _draws():
-    rng = np.random.default_rng(0)
-    k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
-    rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
-    u = rng.uniform(-4.0, 4.0, (N_DRAWS, 2))
+    k, rp, u = riemann_batch_arrays(N_DRAWS)
     return [(GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3]),
              SourceCoefficients(*k[i])) for i in range(N_DRAWS)]
 

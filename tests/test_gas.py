@@ -37,6 +37,31 @@ class TestGasState:
         with pytest.raises(ConfigError, match="non-physical"):
             GasState(*fields)
 
+    @pytest.mark.parametrize("fields", [(1e300, 1.0, 1e-300), (1e-300, 1.0, 1e300)],
+                             ids=["underflows", "overflows"])
+    def test_rejects_sound_speed_out_of_range(self, fields):
+        # Finite, positive fields whose gamma p / rho is 0.0 or inf: the state
+        # would have no Mach number, or Mach 0.0 while it moves.
+        with pytest.raises(ConfigError, match="sound speed"):
+            GasState(*fields)
+
+    def test_fields_are_floats(self):
+        s = GasState(np.float64(0.5), np.int64(-2), 3, np.float64(1.4))
+        assert [type(v) for v in (s.rho, s.u, s.p, s.gamma)] == [float] * 4
+        assert (s.rho, s.u, s.p, s.gamma) == (0.5, -2.0, 3.0, 1.4)
+        assert repr(s) == "GasState(rho=0.5, u=-2.0, p=3.0, gamma=1.4)"
+
+    @pytest.mark.parametrize("bad", ["1", np.array([1.0]), np.array(1.0), True, np.bool_(True),
+                                     None, 1 + 0j, 10**400],
+                             ids=["str", "array1", "array0d", "bool", "np_bool", "none",
+                                  "complex", "huge_int"])
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_non_real_fields(self, bad, position):
+        fields = [1.0, 1.0, 1.0, 1.4]
+        fields[position] = bad
+        with pytest.raises(ConfigError):
+            GasState(*fields)
+
     def test_mirror(self):
         s = GasState(0.7, -1.3, 2.0)
         m = s.mirrored()
@@ -112,6 +137,23 @@ class TestSourceCoefficients:
         c = SourceCoefficients(0.4, 0.2, 0.4)
         assert c.k == (1.4 * 1.4) / (1.2 * 1.2) - 1.0  # bitwise recompute
         assert SourceCoefficients(0.3, 0.3, 0.3).k == 0.0
+
+    def test_fields_and_k_are_floats(self):
+        c = SourceCoefficients(np.float64(0.4), np.int64(0), np.float32(0.5))
+        assert [type(v) for v in (c.k1, c.k2, c.k3, c.k)] == [float] * 4
+        assert (c.k1, c.k2, c.k3) == (0.4, 0.0, 0.5)
+        assert c.k == 1.4 * 1.5 - 1.0
+        assert c == SourceCoefficients(0.4, 0.0, 0.5)
+        assert repr(c) == "SourceCoefficients(k1=0.4, k2=0.0, k3=0.5)"
+
+    @pytest.mark.parametrize("bad", ["0.1", np.array([0.1]), np.array(0.1), False, None, 10**400],
+                             ids=["str", "array1", "array0d", "bool", "none", "huge_int"])
+    @pytest.mark.parametrize("position", range(3))
+    def test_rejects_non_real_coefficients(self, bad, position):
+        ks = [0.1, 0.1, 0.1]
+        ks[position] = bad
+        with pytest.raises(ConfigError):
+            SourceCoefficients(*ks)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -43,14 +43,15 @@ def _attempt(fn, *args):
 
 
 def _wave_at_origin(left, right):
-    """Whether the classical fan has a wave edge exactly at x/t = 0.
+    """Whether the classical fan has an acoustic wave edge exactly at x/t = 0.
 
     The sampler resolves such a coordinate to the state on the wave's right,
-    so the two frames pick opposite sides there by design (a contact at
-    rest, for instance).
+    so the two frames pick opposite sides there by design. A contact at rest
+    is not excluded: there the sampler takes the denser star state in either
+    frame.
     """
     fan = solve_classical(left, right)
-    return 0.0 in (fan.u_star, *fan.left_speeds, *fan.right_speeds)
+    return 0.0 in (*fan.left_speeds, *fan.right_speeds)
 
 
 @fast

@@ -112,8 +112,9 @@ class TestDownstream:
 
     @pytest.mark.parametrize("curve", [downstream_state, upstream_state])
     def test_rightward_state_at_mach_zero_is_outside_the_subsonic_branch(self, curve):
-        # u > 0, but the sound speed overflows to inf, so the Mach number is 0.0.
-        state = GasState(1e-300, 1.0, 1e300)
+        # u > 0, but u / a underflows, so the Mach number is 0.0. (A sound
+        # speed that overflows, the other way to Mach 0.0, is refused by GasState.)
+        state = GasState(1.0, 5e-324, 4.0)
         assert state.mach == 0.0
         with pytest.raises(NotSolvableError, match="Mach 0 outside admissible"):
             curve(state, TEST1_COEFFS, Branch.SUBSONIC)

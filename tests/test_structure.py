@@ -23,7 +23,13 @@ from deltawave.stationary import Branch
 from deltawave.structure import SolutionStructure
 from deltawave.waves import WaveFamily, wave_state
 
-from conftest import GAMMA, coeffs_with_k, random_admissible_upstream, state_rel_err
+from conftest import (
+    GAMMA,
+    coeffs_with_k,
+    random_admissible_upstream,
+    riemann_batch_arrays,
+    state_rel_err,
+)
 
 
 def exact_test1_pair():
@@ -173,6 +179,32 @@ class TestApproximateSolve:
         out = approximate_solve(right.mirrored(), left.mirrored(), coeffs)
         assert state_rel_err(out.minus, right.mirrored()) < 1e-13
         assert state_rel_err(out.plus, left.mirrored()) < 1e-13
+
+    def test_numpy_draws_solve_as_their_floats(self):
+        # The first 500 seed-0 draws of the benchmark's riemann_batch workload,
+        # built from numpy scalars as there, and from the same values as floats.
+        n = 500
+        k, rp, u = riemann_batch_arrays(n)
+        kf, rpf, uf = k.tolist(), rp.tolist(), u.tolist()
+
+        def outcome(left, right, coeffs):
+            try:
+                out = approximate_solve(left, right, coeffs)
+            except Exception as exc:  # the solver is not total: failures compare by class
+                return type(exc)
+            values = [getattr(s, f) for s in (out.minus, out.plus) for f in ("rho", "u", "p")]
+            assert [type(v) for v in values] == [float] * 6
+            return out.structure, np.array(values).tobytes()
+
+        solved = 0
+        for i in range(n):
+            drawn = outcome(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
+                            GasState(rp[i, 2], u[i, 1], rp[i, 3]), SourceCoefficients(*k[i]))
+            floats = outcome(GasState(rpf[i][0], uf[i][0], rpf[i][1]),
+                             GasState(rpf[i][2], uf[i][1], rpf[i][3]), SourceCoefficients(*kf[i]))
+            assert drawn == floats, i
+            solved += isinstance(drawn, tuple)
+        assert solved > 400
 
     def test_exactness_on_random_equilibria(self, rng):
         # randomized admissible stationary pairs across amplifying, neutral

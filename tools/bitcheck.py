@@ -17,9 +17,11 @@ compare with ``diff``. The groups:
   that bracket and of ``pressure_for_mach`` at the critical Mach number that
   bounds it.
   A drift in the wave curves or their root finders then names its layer;
-- ``flux.*``: ``kt_flux`` with and without corrections, ``evaluate_source``
-  and ``llf_flux`` of every draw, and ``jump_residual`` of every solver pair
-  that carries a source;
+- ``flux.*``: ``kt_flux`` with and without corrections, ``solver_flux``,
+  ``evaluate_source`` and ``llf_flux`` of every draw, and ``jump_residual``
+  of every solver pair that carries a source; and ``solver_flux`` of the
+  first 2,000 draws put at rest with the left pressure on both sides, in
+  both orientations, so each is a contact at rest on x/t = 0;
 - ``fan.*``: for the first 300 draws, ``reference_cell_averages`` and
   ``profile_rows_from_fan`` on [-1, 1] (h = 0.01, t = 0.1),
   ``feature_intervals`` and the wave speeds of each fan that
@@ -148,8 +150,22 @@ def _pair(pair) -> str:
     return pair.minus.tobytes().hex() + pair.plus.tobytes().hex()
 
 
+def _contacts_at_rest(dw, draws):
+    """Each draw with both velocities 0 and the left pressure on both sides, and its mirror."""
+    for left, right, coeffs in draws:
+        left, right = dw.GasState(left.rho, 0.0, left.p), dw.GasState(right.rho, 0.0, left.p)
+        yield left, right, coeffs
+        yield right.mirrored(), left.mirrored(), coeffs
+
+
 def _fluxes(dw, draws) -> dict:
+    def solver(*args):
+        return _pair(dw.solver_flux(*args))
+
     return {
+        "flux.solver": _digest(_attempt(solver, *d) for d in draws),
+        "flux.solver_at_rest": _digest(_attempt(solver, *d)
+                                       for d in _contacts_at_rest(dw, draws[:N_CURVES])),
         "flux.kt": _digest(_attempt(lambda *a: _pair(dw.kt_flux(*a)), *d) for d in draws),
         "flux.kt_nocorr": _digest(_attempt(lambda *a: _pair(dw.kt_flux(*a, False)), *d)
                                   for d in draws),
