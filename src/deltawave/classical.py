@@ -2,8 +2,9 @@
 
 The star pressure solves a velocity-matching equation between the family-1
 curve through the left state and the family-3 curve through the right state.
-The root is bracketed, then polished with safeguarded Newton steps using the
-analytic derivative of each curve.
+The root is bracketed, then found by safeguarded Newton steps (``waves.newton``)
+from Toro's two-rarefaction guess, using the analytic derivative of each
+curve.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, VacuumError
 from .gas import GasState
-from .waves import WaveFamily, shock_speed, wave_state
+from .waves import WaveFamily, newton, shock_speed, wave_state
 
 
 class WaveKind(enum.Enum):
@@ -107,18 +108,19 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
     tiny = 1e-13 * scale_u
     # Degenerate inputs where one anchor pressure is already the root: keeps
     # zero-strength waves exactly zero-strength.
-    if abs(defect(left.p)[0]) <= tiny:
+    f_left, f_right = defect(left.p)[0], defect(right.p)[0]
+    if abs(f_left) <= tiny:
         p_star = left.p
-    elif abs(defect(right.p)[0]) <= tiny:
+    elif abs(f_right) <= tiny:
         p_star = right.p
     else:
-        lo = 1e-12 * min(left.p, right.p)
-        hi = max(left.p, right.p)
-        while defect(hi)[0] > 0.0:
+        hi, f_hi = max((left.p, f_left), (right.p, f_right))
+        while f_hi > 0.0:
             hi *= 4.0
             if hi > 1e40:
                 raise VacuumError("pressure equation has no root")
-        p_star = _solve_pressure(defect, lo, hi, tol, scale_u)
+            f_hi = defect(hi)[0]
+        p_star = _solve_pressure(defect, left, right, hi, tol, tiny)
 
     u_star = 0.5 * (ul_of(p_star)[0] + ur_of(p_star)[0])
 
@@ -143,41 +145,27 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 
-def _solve_pressure(defect, lo: float, hi: float, tol: float, scale_u: float) -> float:
-    """Bisection bracket narrowed, then safeguarded Newton to convergence.
+def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: float,
+                    tiny: float) -> float:
+    """Star pressure in [1e-12 min(p_L, p_R), hi], where ``defect(hi) <= 0``.
 
-    ``defect`` is the map of ``_defect_curve``. Converges on the velocity
-    residual itself, so the returned root is accurate even where the
-    pressure function is steep.
+    ``defect`` is the map of ``_defect_curve``. Runs ``waves.newton`` from
+    Toro's two-rarefaction guess (Riemann Solvers and Numerical Methods for
+    Fluid Dynamics, 4.3), which is exact when both waves are rarefactions,
+    clipped into the bracket. It converges on the velocity residual itself
+    (``abs(defect) <= tiny``), so the returned root is accurate even where
+    the pressure function is steep, or else on a step of at most
+    ``0.01 * tol`` relative.
     """
-    flo, _ = defect(lo)
-    fhi, _ = defect(hi)
-    if flo < 0.0 or fhi > 0.0:
+    lo = 1e-12 * min(left.p, right.p)
+    if defect(lo)[0] < 0.0:
         raise VacuumError("failed to bracket the star pressure")
-    for _ in range(8):
-        mid = 0.5 * (lo + hi)
-        fm, _ = defect(mid)
-        if fm > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    p = 0.5 * (lo + hi)
-    for _ in range(100):
-        f, df = defect(p)
-        if abs(f) <= 1e-13 * scale_u:
-            return p
-        if f > 0.0:
-            lo = p
-        else:
-            hi = p
-        step = f / df if df != 0.0 else 0.0
-        p_new = p - step
-        if not (lo < p_new < hi):
-            p_new = 0.5 * (lo + hi)
-        if abs(p_new - p) <= 0.01 * tol * max(1.0, p_new):
-            return p_new
-        p = p_new
-    return p
+    g = left.gamma
+    z = (g - 1.0) / (2.0 * g)
+    a_l, a_r = left.sound_speed, right.sound_speed
+    guess = ((a_l + a_r - 0.5 * (g - 1.0) * (right.u - left.u))
+             / (a_l / left.p ** z + a_r / right.p ** z)) ** (1.0 / z)
+    return newton(defect, lo, hi, min(max(guess, lo), hi), tiny, 0.01 * tol)
 
 
 def _fan_interior(anchor: GasState, xi: float, s: float) -> GasState:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ClassicalFan, sample_classical, sample_classical_primitives, solve_classical
-from .errors import ConfigError, NotSolvableError, RootBracketError, VacuumError
+from .errors import ConfigError, NotSolvableError, VacuumError
 from .gas import GasState, SourceCoefficients, rightward_frame
 from .stationary import (
     Branch,
@@ -32,7 +32,7 @@ from .waves import (
     WaveFamily,
     _check_pressure,
     _wave_rho_u,
-    bisect,
+    illinois,
     pressure_for_mach,
     rarefaction_ratios,
     rest_pressure,
@@ -85,7 +85,7 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
     """
     _check_pressure(p)
     g = left.gamma
-    # The curve states as floats: this runs once per step of the Type1 bisection.
+    # The curve states as floats: this runs once per step of the Type1 root finder.
     rho, u = _wave_rho_u(-1.0, left, p)
     if not rho < math.inf:
         raise ConfigError(f"density on the family-1 curve overflows at p = {p}")
@@ -173,7 +173,7 @@ def predict_structure(left: GasState, right: GasState,
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
                              tol: float) -> float:
-    """Bisection for the root of the velocity mismatch inside the bracket.
+    """Root of the velocity mismatch inside the bracket, by ``waves.illinois``.
 
     Seeds follow a fixed precedence so that data already in equilibrium is
     returned exactly: when the left datum's own pressure lies in the bracket
@@ -201,13 +201,7 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
     if a is None:
         a, b = p_crit, p_rest
         fa, fb = t(a), t(b)
-    if abs(fa) <= tiny:
-        return a
-    if abs(fb) <= tiny:
-        return b
-    if fa * fb > 0.0:
-        raise RootBracketError("velocity mismatch does not change sign over the seed interval")
-    return bisect(t, a, b, fa, tol, tiny)
+    return illinois(t, a, b, fa, fb, tol, tiny)
 
 
 def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients) -> GasState:

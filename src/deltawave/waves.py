@@ -6,6 +6,8 @@ state of the wave and return the right state at a prescribed pressure;
 family-3 curves are anchored on the right state and return the left state.
 The shock branch applies for pressures at or above the anchor pressure, the
 rarefaction branch below; the two branches join continuously at the anchor.
+The module also holds the two root finders of the origin solver: the
+safeguarded Newton routine ``newton`` and the bracketed ``illinois``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import ConfigError
+from .errors import ConfigError, RootBracketError
 from .gas import GasState
 
 # Relative slack for branch-domain checks, forgiving pure roundoff.
@@ -86,27 +88,76 @@ def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     return GasState(*_wave_rho_u(family.value, anchor, p), p, anchor.gamma)
 
 
-def bisect(f, a: float, b: float, fa: float, tol: float, tiny: float) -> float:
-    """Root of ``f`` in the bracket [a, b], where ``fa = f(a)`` and f(b) has the other sign.
+def newton(f, lo: float, hi: float, x: float, tiny: float, xtol: float) -> float:
+    """Root of ``f`` in [lo, hi] by safeguarded Newton steps from ``x``, a point of the bracket.
 
-    Halves the bracket, keeping the half where f changes sign (a zero at the
-    midpoint keeps the lower half), until its width is at most
-    ``tol * max(1, mid)`` or 200 halvings, and returns the final midpoint. A
-    midpoint with ``abs(f) <= tiny`` is returned at once; a negative
-    ``tiny`` never stops early.
+    ``f(x)`` returns the value and its derivative, and the value is positive
+    below the root and negative above it. Each evaluation narrows the
+    bracket to the side of its sign; a Newton step that leaves the bracket,
+    or that a zero or NaN derivative leaves undefined, is replaced by its
+    midpoint, and a step that rounds to nothing keeps its point. Returns a point with
+    ``abs(value) <= tiny``, or the next iterate once a step is at most
+    ``xtol * max(1, iterate)``. Raises ``RootBracketError`` after 100
+    evaluations without either.
     """
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if abs(fm) <= tiny:
-            return mid
-        if fa * fm <= 0.0:
-            b = mid
+    for _ in range(100):
+        fx, dfx = f(x)
+        if abs(fx) <= tiny:
+            return x
+        if fx > 0.0:
+            lo = x
         else:
-            a, fa = mid, fm
-        if b - a <= tol * max(1.0, mid):
-            break
-    return 0.5 * (a + b)
+            hi = x
+        x_new = x - fx / dfx if dfx != 0.0 else math.nan
+        if not lo <= x_new <= hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= xtol * max(1.0, x_new):
+            return x_new
+        x = x_new
+    raise RootBracketError(f"safeguarded Newton did not converge in [{lo!r}, {hi!r}]")
+
+
+def illinois(f, a: float, b: float, fa: float, fb: float, tol: float, tiny: float) -> float:
+    """Root of ``f`` in the bracket [a, b], a < b, where ``fa = f(a)`` and ``fb = f(b)``.
+
+    Regula falsi with the Anderson-Bjorck form of the Illinois rule (BIT 13,
+    1973): when a new point has the sign of the one before it, the value at
+    the far end of the bracket is scaled down, so both ends converge
+    superlinearly on smooth ``f``. A point that would not lie strictly inside
+    the bracket, or that follows three evaluations which did not halve it,
+    is replaced by the midpoint, so the bracket halves at least every four
+    evaluations. An end with ``abs(f) <= tiny`` (``tiny >= 0``) is returned
+    exactly, then ends of equal sign raise ``RootBracketError``. Returns an
+    evaluated point with ``abs(f) <= tiny``, or the midpoint of the bracket
+    once its width is at most ``tol * max(1, x)`` for the last point x.
+    Raises ``RootBracketError`` after 200 evaluations without either.
+    """
+    if abs(fa) <= tiny:
+        return a
+    if abs(fb) <= tiny:
+        return b
+    if fa * fb > 0.0:
+        raise RootBracketError(f"f has the same sign at both ends of [{a!r}, {b!r}]")
+    # From here on (b, fb) is the latest point and (a, fa) the far end of the bracket.
+    widths = (math.inf,) * 3  # bracket widths before the last three evaluations
+    for _ in range(200):
+        x = b - fb * (b - a) / (fb - fa)
+        lo, hi = min(a, b), max(a, b)
+        if not lo < x < hi or hi - lo > 0.5 * widths[0]:
+            x = 0.5 * (a + b)
+        widths = (*widths[1:], hi - lo)
+        fx = f(x)
+        if abs(fx) <= tiny:
+            return x
+        if fx * fb < 0.0:
+            a, fa = b, fb
+        else:
+            m = 1.0 - fx / fb
+            fa *= m if m > 0.0 else 0.5
+        b, fb = x, fx
+        if abs(b - a) <= tol * max(1.0, x):
+            return 0.5 * (a + b)
+    raise RootBracketError(f"bracket [{a!r}, {b!r}] did not narrow to tol = {tol!r}")
 
 
 def rest_pressure(anchor: GasState) -> float:
@@ -128,9 +179,11 @@ def pressure_for_mach(anchor: GasState, target: float) -> float:
     """Invert the family-1 Mach map: the pressure ``p`` at which the Mach number of
     ``wave_state(WaveFamily.ONE, anchor, p)`` is ``target``.
 
-    The rarefaction side (target above the anchor Mach) has a closed form;
-    the shock side is solved by bisection on the monotone Mach map, to a
-    relative width of 1e-12. A target that is negative or not finite, or an
+    The rarefaction side (target above the anchor Mach) has a closed form.
+    The shock side runs ``newton`` on the monotone Mach map inside
+    [anchor pressure, rest pressure], with its analytic derivative, from the
+    linear interpolation of the map between those two ends, until a step is
+    at most 1e-12 relative. A target that is negative or not finite, or an
     anchor at rest or moving leftward, raises ``ConfigError``.
     """
     m0 = anchor.mach
@@ -147,20 +200,27 @@ def pressure_for_mach(anchor: GasState, target: float) -> float:
     p_rest = rest_pressure(anchor)
     if not p_rest < math.inf:
         raise ConfigError(f"rest pressure of {anchor} overflows")
-    return bisect(_shock_mach_map(anchor, target), anchor.p, p_rest, m0 - target, 1e-12, -1.0)
+    guess = anchor.p + (p_rest - anchor.p) * (1.0 - target / m0)
+    return newton(_shock_mach_map(anchor, target), anchor.p, p_rest, guess, 0.0, 1e-12)
 
 
 def _shock_mach_map(anchor: GasState, target: float):
-    """p -> (Mach of the family-1 curve state at p) - target, for p in [anchor.p, rest pressure].
+    """p -> ((Mach of the family-1 curve state at p) - target, its derivative in p),
+    for p in [anchor.p, rest pressure].
 
     Every such p is on the shock branch, finite and positive, so the map
-    evaluates the shock kernel unchecked and builds no state.
+    evaluates the shock kernel unchecked and builds no state. With
+    Q = rho / (gamma p), M = u sqrt(Q) and M' = sqrt(Q) (u' + u Q' / (2 Q)).
     """
     rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
 
-    def defect(p: float) -> float:
+    def defect(p: float) -> tuple[float, float]:
         rho, u = _shock_rho_u(-1.0, rho0, u0, p0, g, p)
-        return u / math.sqrt(g * p / rho) - target
+        a = math.sqrt(g * p / rho)
+        d1 = (g + 1.0) * p + (g - 1.0) * p0
+        du = -_SQRT2 / math.sqrt(rho0 * d1) * (1.0 - 0.5 * (g + 1.0) * (p - p0) / d1)
+        dlog_q = (g + 1.0) / d1 - 1.0 / p - (g - 1.0) / ((g - 1.0) * p + (g + 1.0) * p0)
+        return u / a - target, (du + 0.5 * u * dlog_q) / a
     return defect
 
 

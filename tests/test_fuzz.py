@@ -1,0 +1,110 @@
+"""Checks over the solver's whole fuzz domain: the 20,000 seed-0 draws of the
+benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
+|u| <= 4).
+
+- Every draw either solves or fails with a typed regime error; no root finder
+  reaches its iteration cap (that would raise ``RootBracketError``).
+- Choked (Type3) origin pairs meet their jump relation to the measured worst
+  number of ulps of the flux scale.
+- Wave sides (ROADMAP item 7(a)): a composed fan is a weak solution only if
+  every wave of its left sub-fan has speed <= 0 and every wave of its right
+  sub-fan speed >= 0, within 1e-12 of the largest signal speed |u| + c of the
+  data. The check needs no quadrature, so it covers every draw. The known
+  failures are strict xfails, one per structure.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from deltawave import (
+    DeltawaveError,
+    GasState,
+    SolutionStructure,
+    SourceCoefficients,
+    StationaryPair,
+    approximate_solve,
+    compose_reference_fan,
+    jump_residual,
+    physical_flux,
+)
+from deltawave.stationary import Branch
+
+from conftest import riemann_batch_arrays
+
+N_DRAWS = 20_000
+EPS = float(np.finfo(float).eps)
+# Worst Type3 jump residual over the draws, in ulps of the flux scale: 6.3e4
+# while the choking pressure came from a bisection to 1e-12, 5,623 with
+# Newton steps on the Mach map. Above the 64 ulps of the other pairs, so
+# ROADMAP item 2(d) stays open.
+TYPE3_MAX_ULPS = 5.7e3
+
+
+@pytest.fixture(scope="module")
+def fuzz():
+    """(left, right, coeffs, outcome) per draw: the solver output, or the error class name."""
+    k, rp, u = riemann_batch_arrays(N_DRAWS)
+    out = []
+    for i in range(N_DRAWS):
+        left = GasState(rp[i, 0], u[i, 0], rp[i, 1])
+        right = GasState(rp[i, 2], u[i, 1], rp[i, 3])
+        coeffs = SourceCoefficients(*k[i])
+        try:
+            outcome = approximate_solve(left, right, coeffs)
+        except DeltawaveError as exc:
+            outcome = type(exc).__name__
+        out.append((left, right, coeffs, outcome))
+    return out
+
+
+def _name(outcome):
+    return outcome if isinstance(outcome, str) else outcome.structure.value
+
+
+def test_every_draw_solves_or_fails_typed(fuzz):
+    assert Counter(_name(o) for *_, o in fuzz) == {
+        "Classical": 9923, "Type1": 1661, "Type2": 1464, "Type3": 2739, "Type5": 615,
+        "NotSolvableError": 3521, "VacuumError": 77,
+    }
+
+
+def _ulps(out, coeffs) -> float:
+    pair = StationaryPair(out.minus, out.plus, coeffs, Branch.SUBSONIC)
+    up, down = (out.minus, out.plus) if out.minus.u > 0.0 else \
+        (out.plus.mirrored(), out.minus.mirrored())
+    scale = np.maximum(np.abs((1.0 + coeffs.diag) * physical_flux(up)),
+                       np.abs(physical_flux(down)))
+    return float(np.max(np.abs(jump_residual(pair)) / (EPS * scale)))
+
+
+def test_choked_jump_residuals(fuzz):
+    worst = max(_ulps(o, c) for _, _, c, o in fuzz if _name(o) == "Type3")
+    assert worst <= TYPE3_MAX_ULPS
+
+
+def _off_side(left, right, coeffs) -> bool:
+    fan = compose_reference_fan(left, right, coeffs)
+    tol = 1e-12 * max(abs(left.u) + left.sound_speed, abs(right.u) + right.sound_speed)
+    return any(s > tol for s in fan.left_wave_speeds()) \
+        or any(s < -tol for s in fan.right_wave_speeds())
+
+
+def _strict_xfail(structure, reason):
+    return pytest.param(structure, marks=pytest.mark.xfail(strict=True, reason=reason))
+
+
+@pytest.mark.parametrize("structure", [
+    _strict_xfail(SolutionStructure.TYPE1, "1 Type1 fan (draw 1395) has its upstream 1-shock "
+                                           "moving right (ROADMAP 2(b))"),
+    SolutionStructure.TYPE2,
+    _strict_xfail(SolutionStructure.TYPE3, "97 Type3 fans have a downstream 1-shock moving "
+                                           "left (ROADMAP 2(b))"),
+    _strict_xfail(SolutionStructure.TYPE5, "12 Type5 fans have a downstream 1-shock moving "
+                                           "left (ROADMAP 2(b))"),
+], ids=lambda s: s.value)
+def test_sub_fans_stay_on_their_side(fuzz, structure):
+    off = [i for i, (left, right, coeffs, o) in enumerate(fuzz)
+           if _name(o) == structure.value and _off_side(left, right, coeffs)]
+    assert off == []

@@ -1,6 +1,8 @@
-"""The code-line counter of ``tools/code_lines.py``."""
+"""The code-line counter of ``tools/code_lines.py`` and the A/B timer of ``tools/abtime.py``."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
@@ -40,3 +42,13 @@ def test_counts_code_lines_only():
 
 def test_empty_source_has_no_code():
     assert code_lines.count_code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0
+
+
+def test_abtime_prints_both_ratios():
+    # One round of a tree against itself.
+    root = _PATH.parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "abtime.py"), str(root), str(root),
+                          "--rounds", "1"], capture_output=True, text=True, check=True).stdout
+    rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
+    assert set(rows) == {"solve", "step"}
+    assert all(float(v) > 0.0 for row in rows.values() for v in row[1:4])

@@ -1,0 +1,123 @@
+"""Interleaved in-process A/B timing of the package in two source trees.
+
+    python tools/abtime.py TREE_A TREE_B [--rounds N]
+
+imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
+``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
+rounds (default 40). Each round times both packages, in alternating order,
+on two pieces of work:
+
+- ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
+  benchmark's ``riemann_batch`` workload (draws that fail count too);
+- ``step``: one ``ssp_rk3_step`` of test 8 with the solver flux at
+  h = 0.0125 (1,600 cells), from its initial field; the fastest of five, as
+  one step takes only a few milliseconds.
+
+It prints, per piece of work, each side's median time and the median and
+quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster.
+Both sides of a round run back to back, so the speed phases of a shared host
+that separate benchmark processes cancel in the ratio.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+N_DRAWS = 2000
+STEP_H = 0.0125
+STEP_REPEATS = 5
+
+
+def load(tree: Path, name: str):
+    """The ``deltawave`` package under ``tree/src``, imported as the top-level module ``name``."""
+    init = tree / "src" / "deltawave" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Work:
+    """The two timed pieces of work, set up on one package."""
+
+    def __init__(self, dw, name: str):
+        structure, dg, runner = (importlib.import_module(f"{name}.{m}")
+                                 for m in ("structure", "dg", "runner"))
+        rng = np.random.default_rng(0)  # the draws of riemann_batch, seed 0
+        k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
+        rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
+        u = rng.uniform(-4.0, 4.0, (N_DRAWS, 2))
+        self.draws = [(dw.GasState(rp[i, 0], u[i, 0], rp[i, 1]),
+                       dw.GasState(rp[i, 2], u[i, 1], rp[i, 3]), dw.SourceCoefficients(*k[i]))
+                      for i in range(N_DRAWS)]
+        self.solve_fn, self.error = structure.approximate_solve, dw.DeltawaveError
+        case = dw.get_case(8)
+        left, right = runner.initial_states(case)
+        self.field = dg.field_from_states(dg.make_grid(*case.domain, STEP_H), left, right)
+        self.step_args = (dg.cfl_dt(self.field, runner.CFL), case.coeffs,
+                          runner.scheme_from_name("solver"))
+        self.step_fn = dg.ssp_rk3_step
+
+    def solve(self) -> float:
+        t0 = perf_counter()
+        for left, right, coeffs in self.draws:
+            try:
+                self.solve_fn(left, right, coeffs)
+            except self.error:
+                pass
+        return perf_counter() - t0
+
+    def step(self) -> float:
+        best = float("inf")
+        for _ in range(STEP_REPEATS):
+            t0 = perf_counter()
+            self.step_fn(self.field, *self.step_args)
+            best = min(best, perf_counter() - t0)
+        return best
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--rounds", type=int, default=40)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+    sides = [Work(load(tree.resolve(), name), name)
+             for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
+    names = ("solve", "step")
+    for side in sides:  # warm-up, untimed
+        for name in names:
+            getattr(side, name)()
+    times = {(name, s): [] for name in names for s in range(2)}
+    for r in range(args.rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        for name in names:
+            for s in order:
+                gc.collect()
+                times[name, s].append(getattr(sides[s], name)())
+    print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
+    print(f"{'work':6s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
+    for name in names:
+        a, b = times[name, 0], times[name, 1]
+        ratios = [tb / ta for ta, tb in zip(a, b)]
+        q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        print(f"{name:6s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
+              f"{statistics.median(ratios):11.4f}  {q1:.4f}-{q3:.4f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
