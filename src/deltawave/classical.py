@@ -193,8 +193,11 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
 
     A coordinate landing exactly on a discontinuity resolves to the state on
     its right (any consistent rule works for flux evaluation), except on a
-    contact at rest at xi = 0: see ``_left_of_contact``.
+    contact at rest at xi = 0: see ``_left_of_contact``. A NaN coordinate lies
+    on no side of any wave: it raises ``ConfigError``.
     """
+    if math.isnan(xi):
+        raise ConfigError("similarity coordinate is NaN")
     if _left_of_contact(fan, xi):
         anchor = fan.left
         if fan.left_kind is WaveKind.SHOCK:
@@ -224,9 +227,12 @@ def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray
     searchsorted on the wave speeds would move the edge rules, e.g. the tail
     of a left rarefaction counts as interior). Rarefaction interiors go
     through the scalar ``_fan_interior``, because numpy's array ``power``
-    may round differently from ``**``.
+    may round differently from ``**``. A NaN coordinate raises ``ConfigError``,
+    as in ``sample_classical``.
     """
     xi = np.asarray(xi, dtype=float)
+    if np.isnan(xi).any():
+        raise ConfigError("similarity coordinate is NaN")
     # Constant regions: 0 left, 1 star left, 2 star right, 3 right.
     table = np.array([[fan.left.rho, fan.left.u, fan.left.p],
                       [fan.rho_star_left, fan.u_star, fan.p_star],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSolvableError, UnavailableFluxError
+from .errors import ConfigError, NotSolvableError, UnavailableFluxError
 from .gas import GasState, SourceCoefficients, euler_flux, physical_flux, signal_speed, to_conserved
 from .stationary import Branch, downstream_state, upstream_state
 from .structure import approximate_solve
@@ -104,9 +104,15 @@ def solver_flux(left_trace: GasState, right_trace: GasState,
 
 def origin_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,
                 scheme: Scheme) -> FluxPair:
+    """The origin flux pair of ``scheme``; the splitting scheme's is the plain LLF flux.
+
+    Anything that is not a ``Scheme`` member raises ``ConfigError``.
+    """
     if scheme is Scheme.SOLVER:
         return solver_flux(left_trace, right_trace, coeffs)
     if scheme in (Scheme.KT, Scheme.KT_NOCORR):
         return kt_flux(left_trace, right_trace, coeffs, scheme is Scheme.KT)
+    if scheme is not Scheme.SPLITTING:
+        raise ConfigError(f"unknown scheme {scheme!r}")
     f = llf_flux(left_trace, right_trace)
     return FluxPair(f, f)

@@ -211,5 +211,5 @@ def plateau_representatives(fan: SourceFan, grid: Grid, t: float) -> list[int]:
 
 def scheme_from_name(name: str) -> Scheme:
     if name not in SCHEMES:
-        raise DeltawaveError(f"unknown scheme '{name}'")
+        raise ConfigError(f"unknown scheme '{name}'")
     return SCHEMES[name]

@@ -68,6 +68,9 @@ class CriticalMachNumbers:
 
 
 def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalMachNumbers:
+    """Critical Mach numbers of ``coeffs`` for a gas of ratio ``gamma``, which must exceed 1."""
+    if not gamma > 1.0:
+        raise ConfigError(f"gamma must exceed 1, got {gamma}")
     k = coeffs.k
     g = gamma
     if k > 0.0:
@@ -167,8 +170,8 @@ def _ratios(m2: float, mp2: float, coeffs: SourceCoefficients, gamma: float) -> 
 def stationary_ratios(mach_minus: float, coeffs: SourceCoefficients, gamma: float,
                       branch: Branch, corrections: bool = False) -> tuple[float, float, float]:
     """(rho, u, p) multipliers across the jump as functions of the upstream Mach."""
-    if mach_minus <= 0.0:
-        raise ConfigError("upstream Mach must be positive")
+    if not 0.0 < mach_minus < math.inf:
+        raise ConfigError(f"upstream Mach must be finite and positive, got {mach_minus}")
     mp2 = _branch_mach_sq(mach_minus * mach_minus, 1.0 + coeffs.k, gamma, branch, corrections)
     return _ratios(mach_minus * mach_minus, mp2, coeffs, gamma)
 

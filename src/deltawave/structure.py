@@ -110,35 +110,15 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     at the largest value the subsonic stationary branch admits (the choking
     Mach for amplifying sources, sonic otherwise). The admissible upstream
     pressure lies in [p_crit, p_rest).
-
-    One solve asks for the bracket of its (left, coeffs) up to twice
-    (structure prediction, then the Type1 or Type3 branch), so the last
-    result is returned again for the very same two objects.
     """
-    global _last_bracket
-    last_left, last_coeffs, bracket = _last_bracket
-    if left is last_left and coeffs is last_coeffs:
-        return bracket
-    crit = critical_mach_numbers(coeffs, left.gamma)
-    target = crit.upstream_subsonic_max
-    p_rest = rest_pressure(left)
-    p_crit = pressure_for_mach(left, target)
-    _last_bracket = (left, coeffs, (p_rest, p_crit))
-    return p_rest, p_crit
+    target = critical_mach_numbers(coeffs, left.gamma).upstream_subsonic_max
+    return rest_pressure(left), pressure_for_mach(left, target)
 
 
-# (left, coeffs, bracket) of the last ``subsonic_passage_bracket`` call, read
-# and replaced as one tuple. It is matched by identity: both arguments are
-# frozen, so the same two objects have the same bracket, and holding them
-# keeps their ids from being reused by other objects.
-_last_bracket: tuple = (None, None, None)
-
-
-def _type2_wave_clears_origin(left: GasState, right: GasState,
-                              coeffs: SourceCoefficients) -> bool:
-    """Does the first wave right of a supersonic passage move rightward?"""
-    g = left.gamma
-    down = downstream_state(left, coeffs, Branch.SUPERSONIC)
+def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
+    """Does the first wave right of a supersonic passage, from its downstream state
+    ``down``, move rightward?"""
+    g = down.gamma
     try:
         p_star = solve_classical(down, right).p_star
     except VacuumError:
@@ -149,58 +129,71 @@ def _type2_wave_clears_origin(left: GasState, right: GasState,
     return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p
 
 
+@dataclass(frozen=True)
+class Prediction:
+    """A predicted structure and what predicting it computed.
+
+    ``plus`` is the supersonic downstream state of a Type2 prediction. Every
+    other prediction holds the ends of the subsonic-passage bracket as
+    (pressure, velocity mismatch): ``crit`` at p_crit and ``rest`` at p_rest.
+    """
+
+    structure: SolutionStructure
+    plus: GasState | None = None
+    crit: tuple[float, float] | None = None
+    rest: tuple[float, float] | None = None
+
+
 def predict_structure(left: GasState, right: GasState,
-                      coeffs: SourceCoefficients) -> SolutionStructure:
+                      coeffs: SourceCoefficients) -> Prediction:
     """Predict the structure of the Riemann solution for rightward flow on both sides."""
     frame = rightward_frame(left, right)
     if frame is None or frame[2]:
         raise ConfigError("prediction requires rightward flow on both sides")
-    if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma) \
-            and _type2_wave_clears_origin(left, right, coeffs):
-        return SolutionStructure.TYPE2
+    if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma):
+        down = downstream_state(left, coeffs, Branch.SUPERSONIC)
+        if _type2_wave_clears_origin(down, right):
+            return Prediction(SolutionStructure.TYPE2, plus=down)
     p_rest, p_crit = subsonic_passage_bracket(left, coeffs)
-    t_hi = velocity_mismatch(p_rest, left, right, coeffs)
-    t_lo = velocity_mismatch(p_crit, left, right, coeffs)
-    if t_hi * t_lo < 0.0:
-        return SolutionStructure.TYPE1
-    k = coeffs.k
-    if k > 0.0:
-        return SolutionStructure.TYPE3
-    if k == 0.0:
-        return SolutionStructure.TYPE7
-    return SolutionStructure.TYPE5
+    rest = (p_rest, velocity_mismatch(p_rest, left, right, coeffs))
+    crit = (p_crit, velocity_mismatch(p_crit, left, right, coeffs))
+    if rest[1] * crit[1] < 0.0:
+        structure = SolutionStructure.TYPE1
+    elif coeffs.k > 0.0:
+        structure = SolutionStructure.TYPE3
+    elif coeffs.k == 0.0:
+        structure = SolutionStructure.TYPE7
+    else:
+        structure = SolutionStructure.TYPE5
+    return Prediction(structure, crit=crit, rest=rest)
 
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
+                             crit: tuple[float, float], rest: tuple[float, float],
                              tol: float) -> float:
     """Root of the velocity mismatch inside the bracket, by ``waves.illinois``.
 
-    Seeds follow a fixed precedence so that data already in equilibrium is
-    returned exactly: when the left datum's own pressure lies in the bracket
-    and its mismatch is (numerically) zero, it is the root.
+    ``crit`` and ``rest`` are the bracket ends as (pressure, mismatch), of
+    opposite signs. Seeds follow a fixed precedence so that data already in
+    equilibrium is returned exactly: when the left datum's own pressure lies
+    in the bracket and its mismatch is (numerically) zero, it is the root;
+    otherwise it replaces the end of its own sign, p_rest checked first.
     """
-    p_rest, p_crit = subsonic_passage_bracket(left, coeffs)
+    (a, fa), (b, fb) = crit, rest
     scale_u = abs(left.u) + left.sound_speed + abs(right.u) + right.sound_speed
     tiny = 1e-13 * scale_u
 
     def t(p: float) -> float:
         return velocity_mismatch(p, left, right, coeffs)
 
-    a = b = None
-    if p_crit < left.p < p_rest:
+    if a < left.p < b:
         t_l = t(left.p)
         if abs(t_l) <= tiny:
             return left.p
-        t_hi = t(p_rest)
-        if t_l * t_hi <= 0.0:
-            a, b, fa, fb = left.p, p_rest, t_l, t_hi
-        else:
-            t_lo = t(p_crit)
-            if t_l * t_lo <= 0.0:
-                a, b, fa, fb = p_crit, left.p, t_lo, t_l
-    if a is None:
-        a, b = p_crit, p_rest
-        fa, fb = t(a), t(b)
+        if t_l * fb <= 0.0:
+            a, fa = left.p, t_l
+        elif t_l * fa <= 0.0:
+            b, fb = left.p, t_l
     return illinois(t, a, b, fa, fb, tol, tiny)
 
 
@@ -228,24 +221,23 @@ def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients) -> GasSta
 
 def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoefficients,
                          tol: float) -> SolverOutput:
-    structure = predict_structure(left, right, coeffs)
-    if structure is SolutionStructure.TYPE2:
-        minus = left
-        plus = downstream_state(left, coeffs, Branch.SUPERSONIC)
-    elif structure is SolutionStructure.TYPE1:
-        p = _solve_upstream_pressure(left, right, coeffs, tol)
+    pred = predict_structure(left, right, coeffs)
+    if pred.structure is SolutionStructure.TYPE2:
+        minus, plus = left, pred.plus
+    elif pred.structure is SolutionStructure.TYPE1:
+        p = _solve_upstream_pressure(left, right, coeffs, pred.crit, pred.rest, tol)
         minus = wave_state(WaveFamily.ONE, left, p)
         plus = downstream_state(minus, coeffs, Branch.SUBSONIC)
-    elif structure is SolutionStructure.TYPE3:
-        minus = wave_state(WaveFamily.ONE, left, subsonic_passage_bracket(left, coeffs)[1])
+    elif pred.structure is SolutionStructure.TYPE3:
+        minus = wave_state(WaveFamily.ONE, left, pred.crit[0])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
         minus = _sonic_expansion_state(left, coeffs)
-        if structure is SolutionStructure.TYPE5:
+        if pred.structure is SolutionStructure.TYPE5:
             plus = downstream_state(minus, coeffs, Branch.SUPERSONIC)
         else:
             plus = choked_downstream(minus, coeffs)
-    return SolverOutput(minus, plus, structure)
+    return SolverOutput(minus, plus, pred.structure)
 
 
 def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SolverOutput:
@@ -349,10 +341,8 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
 def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
     """State at similarity coordinate xi = x/t; xi = 0 resolves to the flow-downstream side.
 
-    A NaN coordinate lies on no side of any wave: it raises ``ConfigError``.
+    A NaN coordinate raises ``ConfigError`` in ``sample_classical``.
     """
-    if math.isnan(xi):
-        raise ConfigError("similarity coordinate is NaN")
     eta = -xi if fan.mirrored else xi
     state = sample_classical(fan.left_fan if eta < 0.0 else fan.right_fan, eta)
     return state.mirrored() if fan.mirrored else state
@@ -362,11 +352,9 @@ def sample_source_primitives(fan: SourceFan, xi: np.ndarray) -> np.ndarray:
     """(rho, u, p) rows at the similarity coordinates ``xi``, shape (n, 3).
 
     The array form of ``sample_source_fan``, equal to it row for row; a NaN
-    coordinate raises ``ConfigError`` as there.
+    coordinate raises ``ConfigError`` in ``sample_classical_primitives``.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.isnan(xi).any():
-        raise ConfigError("similarity coordinate is NaN")
     eta = -xi if fan.mirrored else xi
     on_left = eta < 0.0
     out = np.empty(eta.shape + (3,))

@@ -131,12 +131,12 @@ def test_criterion_6_structure_prediction_table():
                  8: SolutionStructure.TYPE7}
         for tid, tag in exact.items():
             case = get_case(tid)
-            assert predict_structure(case.left, case.right, case.coeffs) is tag
+            assert predict_structure(case.left, case.right, case.coeffs).structure is tag
         case5 = get_case(5)
-        assert predict_structure(case5.left, case5.right, case5.coeffs) in (
+        assert predict_structure(case5.left, case5.right, case5.coeffs).structure in (
             SolutionStructure.TYPE2, SolutionStructure.TYPE3)
         case7 = get_case(7)
-        assert predict_structure(case7.left, case7.right, case7.coeffs) in (
+        assert predict_structure(case7.left, case7.right, case7.coeffs).structure in (
             SolutionStructure.TYPE1, SolutionStructure.TYPE5)
         assert time.perf_counter() - start < 1.0
 

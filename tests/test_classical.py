@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltawave import GasState, VacuumError, classical, physical_flux, to_conserved
+from deltawave import ConfigError, GasState, VacuumError, classical, physical_flux, to_conserved
 from deltawave.classical import (
     WaveKind,
     sample_classical,
@@ -191,6 +191,14 @@ class TestSampling:
             rows = sample_classical_primitives(f, np.array([-0.0, 0.0]))
             assert rows.tolist() == [[t.rho, t.u, t.p] for t in
                                      (sample_classical(f, -0.0), sample_classical(f, 0.0))]
+
+    def test_nan_coordinate_raises(self):
+        # Both samplers returned a state for it.
+        fan = solve_classical(SOD_LEFT, SOD_RIGHT)
+        with pytest.raises(ConfigError, match="similarity coordinate is NaN"):
+            sample_classical(fan, math.nan)
+        with pytest.raises(ConfigError, match="similarity coordinate is NaN"):
+            sample_classical_primitives(fan, np.array([0.5, math.nan]))
 
     def test_mirror_symmetry(self, rng):
         for _ in range(100):

@@ -6,7 +6,7 @@ from deltawave.cases import _TABLE, all_cases, get_case
 from deltawave.cli import main as cli_main
 from deltawave.dg import field_from_states, make_grid
 from deltawave.errors import ConfigError
-from deltawave.fluxes import Scheme
+from deltawave.fluxes import Scheme, llf_flux, origin_flux
 from deltawave.runner import (
     advance,
     constant_region_cells,
@@ -259,6 +259,24 @@ class TestRunTestValidation:
         assert scheme_from_name("kt-nocorr") is Scheme.KT_NOCORR
         assert scheme_from_name("kt") is Scheme.KT
         assert scheme_from_name("solver") is Scheme.SOLVER
+        with pytest.raises(ConfigError, match="unknown scheme 'no-such-scheme'"):
+            scheme_from_name("no-such-scheme")
+
+    @pytest.mark.parametrize("scheme", ["solver", "no-such-scheme", None])
+    def test_run_rejects_a_scheme_that_is_not_a_member(self, scheme):
+        # A name in place of its Scheme member used to run without any source:
+        # LLF at the origin and no split update.
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            run_test(2, scheme, 0.5)
+        case = get_case(2)
+        with pytest.raises(ConfigError, match="unknown scheme"):
+            origin_flux(*initial_states(case), case.coeffs, scheme)
+
+    def test_splitting_origin_flux_is_llf(self):
+        case = get_case(2)
+        left, right = initial_states(case)
+        pair = origin_flux(left, right, case.coeffs, Scheme.SPLITTING)
+        assert pair.minus.tobytes() == pair.plus.tobytes() == llf_flux(left, right).tobytes()
 
     def test_equilibrium_initial_states_exact(self):
         case = get_case(1)

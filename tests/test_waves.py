@@ -21,8 +21,8 @@ from deltawave import (
     upstream_state,
 )
 from deltawave import structure, waves
-from deltawave.stationary import Branch, stationary_ratios
-from deltawave.structure import approximate_solve, velocity_mismatch
+from deltawave.stationary import Branch, critical_mach_numbers, stationary_ratios
+from deltawave.structure import SolutionStructure, approximate_solve, velocity_mismatch
 from deltawave.waves import (
     WaveFamily,
     _rarefaction_rho_u,
@@ -262,6 +262,17 @@ OFF_DOMAIN = {
                                               SourceCoefficients(0.0, 1e10, 0.0)),
     "evaluate_source_infinite_coefficient": lambda: evaluate_source(
         GasState(1, 1, 1), GasState(1, 1, 1), SourceCoefficients(0.0, math.inf, 0.0)),
+    # These returned (nan, nan, nan) twice, raised ZeroDivisionError and returned
+    # Mach numbers below 1, raised a bare ValueError and returned NaN twice.
+    "stationary_ratios_nan_mach": lambda: stationary_ratios(math.nan, _C, GAMMA, Branch.SUBSONIC),
+    "stationary_ratios_infinite_mach": lambda: stationary_ratios(math.inf, _C, GAMMA,
+                                                                 Branch.SUPERSONIC),
+    "critical_mach_numbers_gamma_one": lambda: critical_mach_numbers(_C, 1.0),
+    "critical_mach_numbers_gamma_below_one": lambda: critical_mach_numbers(_C, 0.5),
+    "shock_speed_negative_pressure": lambda: shock_speed(WaveFamily.ONE, GasState(1, 1, 1), -1.0),
+    "shock_speed_nan_pressure": lambda: shock_speed(WaveFamily.THREE, GasState(1, 1, 1), math.nan),
+    "shock_speed_infinite_pressure": lambda: shock_speed(WaveFamily.ONE, GasState(1, 1, 1),
+                                                         math.inf),
 }
 
 
@@ -398,25 +409,29 @@ class TestRootFinders:
 
 
 N_COUNTED = 2000  # the seed-0 problems of the benchmark's riemann_batch workload
-# Most evaluations per call over those draws, measured when the superlinear
-# finders replaced bisection: 8.9 and 5.6 on average. The bisections took
-# 40.9 and 41.1 on average, 43 and 42 at most.
+# Most evaluations per call over those draws. A Type1 solve counts every
+# velocity-mismatch evaluation, the prediction's two at the bracket ends
+# included: 9.04 on average and 12 at most since the solve takes those two
+# from the prediction, where evaluating them again read 10.91 and 14. The
+# shock-side Mach map read 5.6 on average when the superlinear finders
+# replaced bisection, which took 41.1 and 42 at most.
 MAX_TYPE1_EVALS = 12
 MAX_SHOCK_MACH_EVALS = 10
 
 
 def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
-    """Per Type1 solve, velocity-mismatch evaluations (seeds and root finder); per
-    shock-side ``pressure_for_mach``, Mach-map evaluations."""
-    mismatches, type1, mach = [], [], []
-    real_solve, real_map = structure._solve_upstream_pressure, waves._shock_mach_map
+    """Per Type1 solve, all velocity-mismatch evaluations (bracket ends, seed and
+    root finder), none at a pressure already evaluated; per Type1 or Type3 solve,
+    one ``pressure_for_mach``; per shock-side ``pressure_for_mach``, Mach-map
+    evaluations."""
+    pressures, inversions, predicted, type1, mach = [], [], [], [], []
+    real_predict, real_invert = structure.predict_structure, structure.pressure_for_mach
+    real_map = waves._shock_mach_map
 
-    def solve(*args):
-        start = len(mismatches)
-        try:
-            return real_solve(*args)
-        finally:
-            type1.append(len(mismatches) - start)
+    def predict(*args):
+        pred = real_predict(*args)
+        predicted.append(pred.structure)
+        return pred
 
     def mach_map(anchor, target):
         calls = []
@@ -425,16 +440,25 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
         return lambda p: calls.append(p) or f(p)
 
     monkeypatch.setattr(structure, "velocity_mismatch",
-                        lambda *a: mismatches.append(a) or velocity_mismatch(*a))
-    monkeypatch.setattr(structure, "_solve_upstream_pressure", solve)
+                        lambda p, *a: pressures.append(p) or velocity_mismatch(p, *a))
+    monkeypatch.setattr(structure, "pressure_for_mach",
+                        lambda *a: inversions.append(a) or real_invert(*a))
+    monkeypatch.setattr(structure, "predict_structure", predict)
     monkeypatch.setattr(waves, "_shock_mach_map", mach_map)
     k, rp, u = riemann_batch_arrays(N_COUNTED)
     for i in range(N_COUNTED):
+        for seen in (pressures, inversions, predicted):
+            seen.clear()
         try:
             approximate_solve(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
                               GasState(rp[i, 2], u[i, 1], rp[i, 3]), SourceCoefficients(*k[i]))
         except DeltawaveError:
             pass
+        if predicted in ([SolutionStructure.TYPE1], [SolutionStructure.TYPE3]):
+            assert len(inversions) == 1, i
+        if predicted == [SolutionStructure.TYPE1]:
+            assert len(set(pressures)) == len(pressures), (i, pressures)
+            type1.append(len(pressures))
     assert len(type1) > 100 and len(mach) > 500
     assert max(type1) <= MAX_TYPE1_EVALS
     assert max(len(calls) for calls in mach) <= MAX_SHOCK_MACH_EVALS
