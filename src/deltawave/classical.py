@@ -1,10 +1,12 @@
 """Exact Riemann solver and self-similar sampler for the homogeneous Euler equations.
 
 The star pressure solves a velocity-matching equation between the family-1
-curve through the left state and the family-3 curve through the right state.
-The root is bracketed, then found by safeguarded Newton steps (``waves.newton``)
-from Toro's two-rarefaction guess, using the analytic derivative of each
-curve.
+curve through the left state and the family-3 curve through the right state,
+both read from ``waves.wave_curve`` with their derivatives in p. The root is
+bracketed below a pressure cap that scales with the data, then found by
+safeguarded Newton steps (``waves.newton``) from Toro's two-rarefaction
+guess. Data that opens a vacuum raises ``VacuumError``; colliding data whose
+star pressure overflows raises ``RootBracketError``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, VacuumError
+from .errors import ConfigError, RootBracketError, VacuumError
 from .gas import GasState
-from .waves import WaveFamily, newton, shock_speed, wave_state
+from .waves import WaveFamily, newton, shock_speed, wave_curve, wave_state
 
 
 class WaveKind(enum.Enum):
@@ -49,43 +51,20 @@ class ClassicalFan:
     def star_right(self) -> GasState:
         return GasState(self.rho_star_right, self.u_star, self.p_star, self.gamma)
 
-    def wave_strength(self, side: str) -> float:
-        anchor = self.left if side == "left" else self.right
+    def wave_strength(self, family: WaveFamily) -> float:
+        anchor = self.left if family is WaveFamily.ONE else self.right
         return abs(self.p_star - anchor.p) / max(self.p_star, anchor.p)
 
 
-def _velocity_curve(anchor: GasState, sign: float):
-    """p -> (velocity on the wave curve through ``anchor``, its derivative in p).
-
-    ``sign`` is -1 for family 1 and +1 for family 3. The anchor's constants
-    are computed once here, as the left prefixes of the per-point
-    expressions, so every value is the same to the bit.
-    """
-    g, rho0, u0, p0 = anchor.gamma, anchor.rho, anchor.u, anchor.p
-    a0 = anchor.sound_speed
-    a_coef = 2.0 / ((g + 1.0) * rho0)
-    b_coef = (g - 1.0) / (g + 1.0) * p0
-    z = (g - 1.0) / (2.0 * g)
-    fan_coef = sign * 2.0 * a0 / (g - 1.0)
-    fan_slope = sign / (rho0 * a0)
-    fan_exp = -(g + 1.0) / (2.0 * g)
-
-    def velocity(p: float) -> tuple[float, float]:
-        if p >= p0:
-            q = math.sqrt(a_coef / (p + b_coef))
-            return u0 + sign * (p - p0) * q, sign * q * (1.0 - 0.5 * (p - p0) / (p + b_coef))
-        return u0 + fan_coef * ((p / p0) ** z - 1.0), fan_slope * (p / p0) ** fan_exp
-    return velocity
-
-
-def _defect_curve(ul_of, ur_of):
-    """p -> (ul - ur, its derivative) of the family-1 and family-3 ``_velocity_curve``s.
+def _defect_curve(left: GasState, right: GasState):
+    """p -> (ul - ur, its derivative), the velocities of the family-1 ``wave_curve``
+    through ``left`` and the family-3 one through ``right``.
 
     Its root is the star pressure.
     """
     def defect(p: float) -> tuple[float, float]:
-        ul, dul = ul_of(p)
-        ur, dur = ur_of(p)
+        _, ul, dul = wave_curve(-1.0, left, p)
+        _, ur, dur = wave_curve(1.0, right, p)
         return ul - ur, dul - dur
     return defect
 
@@ -102,8 +81,7 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
 
-    ul_of, ur_of = _velocity_curve(left, -1.0), _velocity_curve(right, 1.0)
-    defect = _defect_curve(ul_of, ur_of)
+    defect = _defect_curve(left, right)
     scale_u = abs(left.u) + left.sound_speed + abs(right.u) + right.sound_speed
     tiny = 1e-13 * scale_u
     # Degenerate inputs where one anchor pressure is already the root: keeps
@@ -114,18 +92,25 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
     elif abs(f_right) <= tiny:
         p_star = right.p
     else:
+        # Above 2 max(p_L, p_R) both waves are shocks and the defect is at most
+        # (u_L - u_R) - sqrt(p / ((g + 1) max(rho_L, rho_R))), so the root lies
+        # below the larger of those two bounds. Like the star pressure, the cap
+        # scales by s^2 under (rho, u, p) -> (rho, s u, s^2 p); only a root that
+        # overflows reaches it.
+        du = left.u - right.u
+        cap = 1e6 * max(2.0 * max(left.p, right.p), (g + 1.0) * max(left.rho, right.rho) * du * du)
         hi, f_hi = max((left.p, f_left), (right.p, f_right))
-        while f_hi > 0.0:
+        while not f_hi <= 0.0:
             hi *= 4.0
-            if hi > 1e40:
-                raise VacuumError("pressure equation has no root")
+            if not hi < cap:
+                raise RootBracketError(f"compression: the pressure equation has no root "
+                                       f"below {hi / 4.0:.6g}")
             f_hi = defect(hi)[0]
         p_star = _solve_pressure(defect, left, right, hi, tol, tiny)
 
-    u_star = 0.5 * (ul_of(p_star)[0] + ur_of(p_star)[0])
-
     sl = wave_state(WaveFamily.ONE, left, p_star)
     sr = wave_state(WaveFamily.THREE, right, p_star)
+    u_star = 0.5 * (sl.u + sr.u)
 
     lk, lsp = _acoustic_wave(WaveFamily.ONE, left, sl, u_star)
     rk, rsp = _acoustic_wave(WaveFamily.THREE, right, sr, u_star)
@@ -163,8 +148,10 @@ def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: flo
     g = left.gamma
     z = (g - 1.0) / (2.0 * g)
     a_l, a_r = left.sound_speed, right.sound_speed
-    guess = ((a_l + a_r - 0.5 * (g - 1.0) * (right.u - left.u))
-             / (a_l / left.p ** z + a_r / right.p ** z)) ** (1.0 / z)
+    base = (a_l + a_r - 0.5 * (g - 1.0) * (right.u - left.u)) \
+        / (a_l / left.p ** z + a_r / right.p ** z)
+    # Compared in the power z, as a guess above hi may overflow.
+    guess = base ** (1.0 / z) if base < hi ** z else hi
     return newton(defect, lo, hi, min(max(guess, lo), hi), tiny, 0.01 * tol)
 
 

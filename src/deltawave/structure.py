@@ -31,11 +31,11 @@ from .stationary import (
 from .waves import (
     WaveFamily,
     _check_pressure,
-    _wave_rho_u,
     illinois,
     pressure_for_mach,
     rarefaction_ratios,
     rest_pressure,
+    wave_curve,
     wave_state,
 )
 
@@ -86,7 +86,7 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
     _check_pressure(p)
     g = left.gamma
     # The curve states as floats: this runs once per step of the Type1 root finder.
-    rho, u = _wave_rho_u(-1.0, left, p)
+    rho, u, _ = wave_curve(-1.0, left, p)
     if not rho < math.inf:
         raise ConfigError(f"density on the family-1 curve overflows at p = {p}")
     mach = u / math.sqrt(g * p / rho)
@@ -100,7 +100,7 @@ def velocity_mismatch(p: float, left: GasState, right: GasState,
         p_down = p * gp
         u_down = u * gu
     _check_pressure(p_down)
-    return _wave_rho_u(1.0, right, p_down)[1] - u_down
+    return wave_curve(1.0, right, p_down)[1] - u_down
 
 
 def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tuple[float, float]:
@@ -305,12 +305,12 @@ class SourceFan:
 
 def _wave_spans(fan: ClassicalFan) -> list[tuple[float, float]]:
     spans = []
-    if fan.wave_strength("left") > _STRENGTH_TOL:
+    if fan.wave_strength(WaveFamily.ONE) > _STRENGTH_TOL:
         spans.append((fan.left_speeds[0], fan.left_speeds[1]))
     sl, sr = fan.star_left, fan.star_right
     if abs(sl.rho - sr.rho) > _STRENGTH_TOL * max(sl.rho, sr.rho):
         spans.append((fan.u_star, fan.u_star))
-    if fan.wave_strength("right") > _STRENGTH_TOL:
+    if fan.wave_strength(WaveFamily.THREE) > _STRENGTH_TOL:
         spans.append((fan.right_speeds[0], fan.right_speeds[1]))
     return spans
 

@@ -6,6 +6,7 @@ state of the wave and return the right state at a prescribed pressure;
 family-3 curves are anchored on the right state and return the left state.
 The shock branch applies for pressures at or above the anchor pressure, the
 rarefaction branch below; the two branches join continuously at the anchor.
+``wave_curve`` is the one implementation of both families and both branches.
 The module also holds the two root finders of the origin solver: the
 safeguarded Newton routine ``newton`` and the bracketed ``illinois``.
 """
@@ -35,29 +36,29 @@ def _check_pressure(p: float) -> None:
         raise ConfigError(f"pressure must be finite and positive, got {p}")
 
 
-def _shock_rho_u(sign: float, rho0: float, u0: float, p0: float, g: float,
-                 p: float) -> tuple[float, float]:
-    """(rho, u) across a shock at pressure ``p`` from the anchor (rho0, u0, p0); ``sign`` is
-    -1 for family 1 and +1 for family 3. Unchecked: ``p`` must be finite and positive."""
-    rho = rho0 * ((g - 1.0) * p0 + (g + 1.0) * p) / ((g - 1.0) * p + (g + 1.0) * p0)
-    step = _SQRT2 * (p - p0) / math.sqrt(rho0 * ((g + 1.0) * p + (g - 1.0) * p0))
-    return rho, u0 + sign * step
+def wave_curve(sign: float, anchor: GasState, p: float) -> tuple[float, float, float]:
+    """(rho, u, du/dp) on the wave curve through ``anchor`` at pressure ``p``.
 
-
-def _rarefaction_rho_u(sign: float, rho0: float, u0: float, p0: float, g: float, a0: float,
-                       p: float) -> tuple[float, float]:
-    """(rho, u) across a rarefaction, as ``_shock_rho_u``; ``a0`` is the anchor sound speed."""
-    rho = rho0 * (p / p0) ** (1.0 / g)
-    du = 2.0 * a0 / (g - 1.0) * ((p / p0) ** ((g - 1.0) / (2.0 * g)) - 1.0)
-    return rho, u0 + sign * du
-
-
-def _wave_rho_u(sign: float, anchor: GasState, p: float) -> tuple[float, float]:
-    """(rho, u) on the combined curve of ``wave_state``, unchecked as the two kernels."""
-    if p >= anchor.p:
-        return _shock_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
-    return _rarefaction_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma,
-                              anchor.sound_speed, p)
+    ``sign`` is -1 for family 1 and +1 for family 3; the shock branch applies
+    for ``p >= anchor.p``. The one implementation of the acoustic curves:
+    ``wave_state`` wraps it in a ``GasState``, and the root finders read it
+    on plain floats. Unchecked: ``p`` must be finite and positive.
+    """
+    rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
+    gp, gm = g + 1.0, g - 1.0
+    if p >= p0:
+        dp = p - p0
+        # d1 is also the numerator of the density ratio: IEEE addition commutes exactly.
+        d1 = gp * p + gm * p0
+        m = rho0 * d1
+        root = math.sqrt(m)
+        du = sign * _SQRT2 / root * (1.0 - 0.5 * gp * dp / d1)
+        return m / (gm * p + gp * p0), u0 + sign * (_SQRT2 * dp / root), du
+    a0 = math.sqrt(g * p0 / rho0)  # anchor.sound_speed, without the property call
+    ratio = p / p0
+    step = 2.0 * a0 / gm * (ratio ** (gm / (2.0 * g)) - 1.0)
+    du = sign / (rho0 * a0) * ratio ** (-gp / (2.0 * g))
+    return rho0 * ratio ** (1.0 / g), u0 + sign * step, du
 
 
 def rarefaction_ratios(m0: float, m: float, gamma: float) -> tuple[float, float, float]:
@@ -85,7 +86,8 @@ def wave_state(family: WaveFamily, anchor: GasState, p: float) -> GasState:
     A pressure that is not finite and positive raises ``ConfigError``.
     """
     _check_pressure(p)
-    return GasState(*_wave_rho_u(family.value, anchor, p), p, anchor.gamma)
+    rho, u, _ = wave_curve(family.value, anchor, p)
+    return GasState(rho, u, p, anchor.gamma)
 
 
 def newton(f, lo: float, hi: float, x: float, tiny: float, xtol: float) -> float:
@@ -209,16 +211,15 @@ def _shock_mach_map(anchor: GasState, target: float):
     for p in [anchor.p, rest pressure].
 
     Every such p is on the shock branch, finite and positive, so the map
-    evaluates the shock kernel unchecked and builds no state. With
+    reads ``wave_curve`` unchecked and builds no state. With
     Q = rho / (gamma p), M = u sqrt(Q) and M' = sqrt(Q) (u' + u Q' / (2 Q)).
     """
-    rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
+    p0, g = anchor.p, anchor.gamma
 
     def defect(p: float) -> tuple[float, float]:
-        rho, u = _shock_rho_u(-1.0, rho0, u0, p0, g, p)
+        rho, u, du = wave_curve(-1.0, anchor, p)
         a = math.sqrt(g * p / rho)
         d1 = (g + 1.0) * p + (g - 1.0) * p0
-        du = -_SQRT2 / math.sqrt(rho0 * d1) * (1.0 - 0.5 * (g + 1.0) * (p - p0) / d1)
         dlog_q = (g + 1.0) / d1 - 1.0 / p - (g - 1.0) / ((g - 1.0) * p + (g + 1.0) * p0)
         return u / a - target, (du + 0.5 * u * dlog_q) / a
     return defect

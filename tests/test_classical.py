@@ -6,19 +6,28 @@ library (anti-circularity for the frozen Sod values).
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltawave import ConfigError, GasState, VacuumError, classical, physical_flux, to_conserved
+from deltawave import (
+    ConfigError,
+    GasState,
+    RootBracketError,
+    VacuumError,
+    classical,
+    physical_flux,
+    to_conserved,
+)
 from deltawave.classical import (
     WaveKind,
     sample_classical,
     sample_classical_primitives,
     solve_classical,
 )
-from deltawave.waves import WaveFamily, wave_state
+from deltawave.waves import WaveFamily, wave_curve, wave_state
 
 from conftest import GAMMA, random_state, riemann_batch_arrays
 
@@ -87,7 +96,8 @@ class TestDegenerate:
         s = GasState(1.0, 1.0, 1.0)
         fan = solve_classical(s, s)
         assert fan.p_star == 1.0 and fan.u_star == 1.0
-        assert fan.wave_strength("left") == 0.0 and fan.wave_strength("right") == 0.0
+        assert fan.wave_strength(WaveFamily.ONE) == 0.0
+        assert fan.wave_strength(WaveFamily.THREE) == 0.0
         for xi in (-5.0, -0.3, 0.0, 0.7, 5.0):
             got = sample_classical(fan, xi)
             assert (got.rho, got.u, got.p) == (1.0, 1.0, 1.0)
@@ -96,6 +106,35 @@ class TestDegenerate:
         with pytest.raises(VacuumError):
             solve_classical(GasState(1, -6, 1), GasState(1, 6, 1))
         solve_classical(GasState(1, -5, 1), GasState(1, 5, 1))  # borderline, still fine
+
+
+class TestLargeData:
+    """The problem is invariant under (rho, u, p) -> (rho, s u, s^2 p), and so is the solve."""
+
+    @pytest.mark.parametrize("p", [1e30, 1e41])
+    def test_mach_0_001_collision_scales(self, p):
+        # A bracket capped at an absolute pressure, such as 1e40, refuses the one at 1e41.
+        def collide(p):
+            u = 1e-3 * math.sqrt(p)
+            return solve_classical(GasState(1.0, u, p), GasState(1.0, -u, p))
+        unit, fan = collide(1.0), collide(p)
+        assert math.isclose(fan.p_star / p, unit.p_star, rel_tol=1e-12)
+        assert math.isclose(fan.p_star / p, 1.00118, rel_tol=1e-5)
+        assert (fan.left_kind, fan.right_kind) == (WaveKind.SHOCK, WaveKind.SHOCK)
+        for got, want in zip(fan.left_speeds + fan.right_speeds,
+                             unit.left_speeds + unit.right_speeds):
+            assert math.isclose(got / math.sqrt(p), want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("u", [1e21, 1e100])
+    def test_fast_collision_is_a_compression(self, u):
+        # At 1e100 the two-rarefaction guess overflows a float; Newton starts at the bracket top.
+        fan = solve_classical(GasState(1.0, u, 1.0), GasState(1.0, -u, 1.0))
+        assert fan.u_star == 0.0
+        assert math.isclose(fan.p_star, 1.2 * u * u, rel_tol=1e-12)  # (gamma + 1) rho u^2 / 2
+
+    def test_overflowing_star_pressure_names_compression(self):
+        with pytest.raises(RootBracketError, match="compression"):
+            solve_classical(GasState(1.0, 1e160, 1.0), GasState(1.0, -1e160, 1.0))
 
 
 class TestRootQuality:
@@ -225,8 +264,9 @@ class TestSampling:
 def pointwise_curve_velocity(anchor, p, sign):
     """Velocity on the wave curve and its derivative, every constant computed at the point.
 
-    The per-point form the solver evaluated before it hoisted the anchor's
-    constants into ``_velocity_curve``; the two must agree to the bit.
+    Toro's form (Riemann Solvers and Numerical Methods for Fluid Dynamics,
+    4.2), which the solver evaluated before it read ``waves.wave_curve``. The
+    two round differently on the shock branch.
     """
     g = anchor.gamma
     if p >= anchor.p:
@@ -244,15 +284,24 @@ def pointwise_curve_velocity(anchor, p, sign):
 
 
 _positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
+EPS = sys.float_info.epsilon
 
 
-class TestVelocityCurve:
+class TestWaveCurveAgainstToroForm:
+    """``wave_curve``'s velocity and derivative against Toro's form, to a few ulp.
+
+    An ulp here is the machine epsilon times the magnitude: of |u0| + |u - u0|
+    for the velocity, as the sum rounds at that scale, and of the derivative
+    itself. Over 400,000 evaluations the worst read 2.4 and 3.5 ulp.
+    """
+
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive),
            st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 50.0)))
-    def test_per_solve_closure_equals_pointwise_form(self, anchor, ratio):
-        from deltawave.classical import _velocity_curve
-
+    def test_velocity_and_derivative_agree_to_a_few_ulp(self, anchor, ratio):
         p = anchor.p * ratio
         for sign in (-1.0, 1.0):
-            assert _velocity_curve(anchor, sign)(p) == pointwise_curve_velocity(anchor, p, sign)
+            u_toro, du_toro = pointwise_curve_velocity(anchor, p, sign)
+            _, u, du = wave_curve(sign, anchor, p)
+            assert abs(u - u_toro) <= 4.0 * EPS * (abs(anchor.u) + abs(u - anchor.u))
+            assert abs(du - du_toro) <= 8.0 * EPS * abs(du_toro)

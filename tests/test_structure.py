@@ -283,7 +283,7 @@ class TestReferenceFans:
         assert fan.structure is SolutionStructure.TYPE1
         assert all(s <= 0.0 for s in fan.left_wave_speeds())
         # first right-going feature is the contact, moving with the downstream state
-        assert fan.right_fan.wave_strength("left") < 1e-6
+        assert fan.right_fan.wave_strength(WaveFamily.ONE) < 1e-6
         assert abs(fan.right_fan.u_star - fan.plus.u) < 1e-6
         assert fan.plus.u > 0.0
 

@@ -25,16 +25,14 @@ from deltawave.stationary import Branch, critical_mach_numbers, stationary_ratio
 from deltawave.structure import SolutionStructure, approximate_solve, velocity_mismatch
 from deltawave.waves import (
     WaveFamily,
-    _rarefaction_rho_u,
     _shock_mach_map,
-    _shock_rho_u,
-    _wave_rho_u,
     illinois,
     newton,
     pressure_for_mach,
     rarefaction_ratios,
     rest_pressure,
     shock_speed,
+    wave_curve,
     wave_state,
 )
 
@@ -290,36 +288,49 @@ exact = settings(max_examples=500, derandomize=True, database=None, deadline=Non
 
 
 class TestFloatKernels:
-    """The float kernels of the root finders equal the ``GasState`` path to the bit."""
+    """``wave_curve``, the one float kernel of the acoustic curves, against the ``GasState``
+    path and the per-point expressions."""
 
     @exact
     @given(anchors, ratios)
-    def test_kernels_equal_wave_state(self, anchor, ratio):
+    def test_wave_curve_equals_wave_state(self, anchor, ratio):
         p = anchor.p * ratio
-        for sign, family in ((-1.0, WaveFamily.ONE), (1.0, WaveFamily.THREE)):
+        for family in WaveFamily:
             state = wave_state(family, anchor, p)
-            assert _wave_rho_u(sign, anchor, p) == (state.rho, state.u)
-            if p >= anchor.p:
-                kernel = _shock_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma, p)
-            else:
-                kernel = _rarefaction_rho_u(sign, anchor.rho, anchor.u, anchor.p, anchor.gamma,
-                                            anchor.sound_speed, p)
-            assert kernel == (state.rho, state.u)
+            assert wave_curve(family.value, anchor, p)[:2] == (state.rho, state.u)
 
     @exact
     @given(anchors, ratios)
-    def test_kernels_equal_pointwise_form(self, anchor, ratio):
-        # The expressions as written per state before the kernels existed.
+    def test_wave_curve_equals_pointwise_form(self, anchor, ratio):
+        # The expressions as written per state before the kernels existed, and
+        # the derivative of the velocity in p.
         rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
         p = p0 * ratio
         if p >= p0:
+            d1 = (g + 1.0) * p + (g - 1.0) * p0
             rho = rho0 * ((g - 1.0) * p0 + (g + 1.0) * p) / ((g - 1.0) * p + (g + 1.0) * p0)
-            du = math.sqrt(2.0) * (p - p0) / math.sqrt(rho0 * ((g + 1.0) * p + (g - 1.0) * p0))
+            du = math.sqrt(2.0) * (p - p0) / math.sqrt(rho0 * d1)
+            slope = math.sqrt(2.0) / math.sqrt(rho0 * d1) * (1.0 - 0.5 * (g + 1.0) * (p - p0) / d1)
         else:
+            a0 = anchor.sound_speed
             rho = rho0 * (p / p0) ** (1.0 / g)
-            du = 2.0 * anchor.sound_speed / (g - 1.0) * ((p / p0) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+            du = 2.0 * a0 / (g - 1.0) * ((p / p0) ** ((g - 1.0) / (2.0 * g)) - 1.0)
+            slope = 1.0 / (rho0 * a0) * (p / p0) ** (-(g + 1.0) / (2.0 * g))
         for sign in (-1.0, 1.0):
-            assert _wave_rho_u(sign, anchor, p) == (rho, u0 + sign * du)
+            assert wave_curve(sign, anchor, p) == (rho, u0 + sign * du, sign * slope)
+
+    @exact
+    @given(anchors, st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 50.0)))
+    def test_wave_curve_derivative_matches_central_difference(self, anchor, ratio):
+        # Both families, on the rarefaction branch (ratio < 1) and the shock branch.
+        p = anchor.p * ratio
+        h = 1e-6 * p
+        for sign in (-1.0, 1.0):
+            _, u, du = wave_curve(sign, anchor, p)
+            slope = (wave_curve(sign, anchor, p + h)[1] - wave_curve(sign, anchor, p - h)[1]) \
+                / (2.0 * h)
+            # The quotient loses about 2e-16 |u| / h to the rounding of u.
+            assert math.isclose(du, slope, rel_tol=1e-6, abs_tol=1e-9 * (1.0 + abs(u)) / p)
 
     @exact
     @given(anchors, st.floats(1.0, 50.0))
