@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .cases import TestCase, get_case
-from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step
-from .errors import ConfigError, DeltawaveError
+from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step, step_window
+from .errors import ConfigError, DeltawaveError, SchemeError
 from .fluxes import Scheme
 from .gas import GasState, primitives, total_energy
 from .stationary import Branch, downstream_state
@@ -73,11 +74,34 @@ def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) ->
     while t < t_end * (1.0 - 1e-14):
         dt = min(cfl_dt(field, cfl), t_end - t)
         try:
-            field = ssp_rk3_step(field, dt, coeffs, scheme)
+            field = _windowed_step(field, dt, coeffs, scheme)
         except DeltawaveError as exc:
             raise type(exc)(f"{exc} (t={t:.6g}, h={field.grid.h})") from exc
         t = field.time
     return field
+
+
+def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField:
+    """``ssp_rk3_step`` of ``field``, run on the cells of ``step_window`` only.
+
+    The window is widened to whole blocks of 8 cells, so that its stage
+    temporaries come in a few sizes that the allocator reuses: a length
+    that changes by a cell or two from step to step makes the heap grow
+    with the run. A wider window is as exact, as its ends lie further still
+    from the cells that change. The cells outside keep their coefficients,
+    as the full step leaves them. A window as wide as the grid is the full
+    step. A window whose step fails is stepped again on the full grid, so
+    that the error names its cells.
+    """
+    grid, c = field.grid, field.coeffs
+    lo, hi = step_window(c, grid.j0)
+    lo, hi = lo - lo % 8, min(hi - hi % -8, grid.n_cells)
+    if hi - lo < grid.n_cells:
+        sub = Grid(grid.a + lo * grid.h, grid.a + hi * grid.h, hi - lo, grid.h, grid.j0 - lo)
+        with suppress(SchemeError):  # a failing window is stepped again below
+            step = ssp_rk3_step(replace(field, grid=sub, coeffs=c[lo:hi]), dt, coeffs, scheme)
+            return replace(field, coeffs=np.vstack((c[:lo], step.coeffs, c[hi:])), time=step.time)
+    return ssp_rk3_step(field, dt, coeffs, scheme)
 
 
 def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:

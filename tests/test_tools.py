@@ -44,11 +44,11 @@ def test_empty_source_has_no_code():
     assert code_lines.count_code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0
 
 
-def test_abtime_prints_both_ratios():
+def test_abtime_prints_every_ratio():
     # One round of a tree against itself.
     root = _PATH.parents[1]
     out = subprocess.run([sys.executable, str(root / "tools" / "abtime.py"), str(root), str(root),
                           "--rounds", "1"], capture_output=True, text=True, check=True).stdout
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
-    assert set(rows) == {"solve", "step"}
+    assert set(rows) == {"solve", "step", "advance"}
     assert all(float(v) > 0.0 for row in rows.values() for v in row[1:4])

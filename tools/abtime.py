@@ -5,14 +5,19 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on two pieces of work:
+on three pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
   fastest of three passes, as one pass on a shared host spreads widely;
 - ``step``: one ``ssp_rk3_step`` of test 8 with the solver flux at
   h = 0.0125 (1,600 cells), from its initial field; the fastest of five, as
-  one step takes only a few milliseconds.
+  one step takes only a few milliseconds;
+- ``advance``: ``runner.advance`` of the same run from t = 1.5 to 1.6 (about
+  40 steps), from a field that each side computes once at setup with its own
+  ``advance``; the fastest of three. Unlike ``step``, it sees what
+  ``advance`` does around the steps, and a mid-run field, where the waves
+  have spread over part of the grid.
 
 It prints, per piece of work, each side's median time and the median and
 quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster.
@@ -37,6 +42,8 @@ N_DRAWS = 2000
 STEP_H = 0.0125
 SOLVE_REPEATS = 3
 STEP_REPEATS = 5
+ADVANCE_REPEATS = 3
+ADVANCE_FROM, ADVANCE_TO = 1.5, 1.6
 
 
 def load(tree: Path, name: str):
@@ -67,9 +74,11 @@ class Work:
         case = dw.get_case(8)
         left, right = runner.initial_states(case)
         self.field = dg.field_from_states(dg.make_grid(*case.domain, STEP_H), left, right)
-        self.step_args = (dg.cfl_dt(self.field, runner.CFL), case.coeffs,
-                          runner.scheme_from_name("solver"))
+        self.run_args = (case.coeffs, runner.scheme_from_name("solver"))
+        self.step_args = (dg.cfl_dt(self.field, runner.CFL), *self.run_args)
         self.step_fn = dg.ssp_rk3_step
+        self.advance_fn, self.cfl = runner.advance, runner.CFL
+        self.mid_field = runner.advance(self.field, *self.run_args, ADVANCE_FROM, self.cfl)
 
     def _solve_pass(self) -> None:
         for left, right, coeffs in self.draws:
@@ -83,6 +92,10 @@ class Work:
 
     def step(self) -> float:
         return fastest(lambda: self.step_fn(self.field, *self.step_args), STEP_REPEATS)
+
+    def advance(self) -> float:
+        return fastest(lambda: self.advance_fn(self.mid_field, *self.run_args, ADVANCE_TO,
+                                               self.cfl), ADVANCE_REPEATS)
 
 
 def fastest(fn, repeats: int) -> float:
@@ -105,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "step")
+    names = ("solve", "step", "advance")
     for side in sides:  # warm-up, untimed
         for name in names:
             getattr(side, name)()
@@ -117,12 +130,12 @@ def main(argv: list[str] | None = None) -> int:
                 gc.collect()
                 times[name, s].append(getattr(sides[s], name)())
     print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
-    print(f"{'work':6s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
+    print(f"{'work':7s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
     for name in names:
         a, b = times[name, 0], times[name, 1]
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-        print(f"{name:6s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
+        print(f"{name:7s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
               f"{statistics.median(ratios):11.4f}  {q1:.4f}-{q3:.4f}")
     return 0
 
