@@ -155,13 +155,25 @@ def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: flo
     return newton(defect, lo, hi, min(max(guess, lo), hi), tiny, 0.01 * tol)
 
 
-def _fan_interior(anchor: GasState, xi: float, s: float) -> GasState:
-    """State at xi inside the rarefaction fan on ``anchor``; s = -1 (family 1) or +1 (family 3)."""
-    g = anchor.gamma
-    a = 2.0 / (g + 1.0) * (anchor.sound_speed - s * (0.5 * (g - 1.0) * (anchor.u - xi)))
-    rho = anchor.rho * (a / anchor.sound_speed) ** (2.0 / (g - 1.0))
-    p = anchor.p * (a / anchor.sound_speed) ** (2.0 * g / (g - 1.0))
-    return GasState(rho, xi - s * a, p, g)
+def _fan_interior(anchor: GasState, xi, s: float):
+    """(rho, u, p) at xi inside the rarefaction fan on ``anchor``; s = -1 (family 1) or +1 (family 3).
+
+    ``xi`` is a float or an array of coordinates, and so are the three values.
+    """
+    g, c = anchor.gamma, anchor.sound_speed
+    a = 2.0 / (g + 1.0) * (c - s * (0.5 * (g - 1.0) * (anchor.u - xi)))
+    r = a / c
+    return (anchor.rho * _power(r, 2.0 / (g - 1.0)), xi - s * a,
+            anchor.p * _power(r, 2.0 * g / (g - 1.0)))
+
+
+def _power(x, e: float):
+    """``x ** e`` for a float, or element by element for an array.
+
+    Each element goes through Python's ``**`` (libm's ``pow``): numpy's
+    ``power`` rounds differently in a few per cent of values.
+    """
+    return np.array([v ** e for v in x.tolist()]) if isinstance(x, np.ndarray) else x ** e
 
 
 def _left_of_contact(fan: ClassicalFan, xi):
@@ -194,7 +206,7 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
             return anchor
         if xi > tail:
             return fan.star_left
-        return _fan_interior(anchor, xi, -1.0)
+        return GasState(*_fan_interior(anchor, xi, -1.0), anchor.gamma)
     anchor = fan.right
     if fan.right_kind is WaveKind.SHOCK:
         return anchor if xi >= fan.right_speeds[0] else fan.star_right
@@ -203,21 +215,22 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
         return anchor
     if xi < tail:
         return fan.star_right
-    return _fan_interior(anchor, xi, 1.0)
+    return GasState(*_fan_interior(anchor, xi, 1.0), anchor.gamma)
 
 
 def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray:
-    """(rho, u, p) rows of the fan at the similarity coordinates ``xi``, shape (n, 3).
+    """(rho, u, p) rows of the fan at the similarity coordinates ``xi``, shape ``xi.shape + (3,)``.
 
-    Row for row the state ``sample_classical`` returns, to the bit: every
-    point is classified by the same comparisons in the same order (a
-    searchsorted on the wave speeds would move the edge rules, e.g. the tail
-    of a left rarefaction counts as interior). Rarefaction interiors go
-    through the scalar ``_fan_interior``, because numpy's array ``power``
-    may round differently from ``**``. A NaN coordinate raises ``ConfigError``,
-    as in ``sample_classical``.
+    ``xi`` may have any shape. Row for row the state ``sample_classical``
+    returns, to the bit: every point is classified by the same comparisons
+    in the same order (a searchsorted on the wave speeds would move the edge
+    rules, e.g. the tail of a left rarefaction counts as interior), and the
+    interior of each rarefaction is one ``_fan_interior`` call on its rows.
+    A row that is not an admissible state raises the error ``GasState``
+    raises for it in ``sample_classical``; so does a NaN coordinate.
     """
-    xi = np.asarray(xi, dtype=float)
+    shape = np.shape(xi)
+    xi = np.asarray(xi, dtype=float).reshape(-1)
     if np.isnan(xi).any():
         raise ConfigError("similarity coordinate is NaN")
     # Constant regions: 0 left, 1 star left, 2 star right, 3 right.
@@ -245,7 +258,20 @@ def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray
         interiors.append((fan.right, 1.0, on_right & ~outside & ~(xi < tail)))
     out = table[region]
     for anchor, s, inside in interiors:
-        for i in np.flatnonzero(inside):
-            state = _fan_interior(anchor, float(xi[i]), s)
-            out[i] = (state.rho, state.u, state.p)
-    return out
+        if inside.any():
+            rows = np.column_stack(_fan_interior(anchor, xi[inside], s))
+            if not _admissible(rows, anchor.gamma):
+                for x in xi[inside].tolist():  # the scalar path raises the first row's error
+                    GasState(*_fan_interior(anchor, x, s), anchor.gamma)
+            out[inside] = rows
+    return out.reshape(shape + (3,))
+
+
+def _admissible(rows: np.ndarray, gamma: float) -> bool:
+    """Whether every (rho, u, p) row passes ``GasState``'s checks."""
+    if np.iscomplexobj(rows) or not np.isfinite(rows).all():
+        return False
+    rho, _, p = rows.T
+    with np.errstate(all="ignore"):
+        c2 = gamma * p / rho
+    return bool(np.all((rho > 0.0) & (p > 0.0) & (c2 > 0.0) & (c2 < math.inf)))

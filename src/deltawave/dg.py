@@ -101,17 +101,6 @@ def field_from_states(grid: Grid, left: GasState, right: GasState) -> DgField:
     return DgField(grid, left.gamma, coeffs)
 
 
-def _traces(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-edge values (left edge, right edge) of the modal expansion.
-
-    ``modes`` is indexed by mode first: ``modes[m]`` holds mode m, in any layout.
-    The stage kernels build the same sums in place; this is their reference.
-    """
-    lo = modes[0] - 0.5 * modes[1] + modes[2] / 6.0
-    hi = modes[0] + 0.5 * modes[1] + modes[2] / 6.0
-    return lo, hi
-
-
 def _check_admissible(stacks, time: float) -> None:
     """Abort on a non-finite or non-positive state at an interface or a quadrature node.
 

@@ -22,8 +22,6 @@ from .structure import SourceFan, compose_reference_fan, sample_source_primitive
 _REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _REF_NODES = 0.5 * _REF_NODES
 _REF_WEIGHTS = 0.5 * _REF_WEIGHTS
-# Distance from every wave, in cells, that a cell needs to count as constant.
-_MARGIN_CELLS = 5
 
 SCHEMES = {s.value: s for s in Scheme}
 # Default Courant number of every run.
@@ -107,16 +105,19 @@ def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField
 def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
     """Exact-solution conserved cell means by 5-point Gauss quadrature.
 
-    Cells containing a discontinuity pick up an O(h) quadrature defect, which
-    is reported rather than hidden.
+    All nodes of all cells are sampled in one ``sample_source_primitives``
+    call, on (node, cell) coordinates; the weighted sum then runs node by
+    node, so each mean rounds as a loop over the nodes would. Cells
+    containing a discontinuity pick up an O(h) quadrature defect, which is
+    reported rather than hidden.
     """
     t = _positive_time(t)
-    g = fan.minus.gamma
+    xi = (grid.centers + _REF_NODES[:, None] * grid.h) / t
+    rho, u, p = np.moveaxis(sample_source_primitives(fan, xi), -1, 0)
+    conserved = np.stack([rho, rho * u, total_energy(rho, u, p, fan.minus.gamma)], axis=-1)
     out = np.zeros((grid.n_cells, 3))
-    centers = grid.centers
-    for node, w in zip(_REF_NODES, _REF_WEIGHTS):
-        rho, u, p = sample_source_primitives(fan, (centers + node * grid.h) / t).T
-        out += w * np.column_stack([rho, rho * u, total_energy(rho, u, p, g)])
+    for w, node_means in zip(_REF_WEIGHTS, conserved):
+        out += w * node_means
     return out
 
 
@@ -157,9 +158,13 @@ def profile_rows_from_field(field: DgField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def profile_rows_from_fan(fan: SourceFan, xs: np.ndarray, t: float) -> np.ndarray:
-    """Rows (rho, u, p, E) of the exact solution at the points ``xs`` and time ``t``."""
-    rho, u, p = sample_source_primitives(fan, np.asarray(xs) / _positive_time(t)).T
-    return np.column_stack([rho, u, p, total_energy(rho, u, p, fan.minus.gamma)])
+    """Rows (rho, u, p, E) of the exact solution at the points ``xs`` and time ``t``.
+
+    ``xs`` may have any shape; the rows have shape ``xs.shape + (4,)``.
+    """
+    rows = sample_source_primitives(fan, np.asarray(xs) / _positive_time(t))
+    rho, u, p = np.moveaxis(rows, -1, 0)
+    return np.stack([rho, u, p, total_energy(rho, u, p, fan.minus.gamma)], axis=-1)
 
 
 def run_test(test_id: int, scheme: Scheme, h: float, cfl: float = CFL,
@@ -196,41 +201,6 @@ def convergence_study(test_id: int, scheme: Scheme, h_list: list[float],
     if not all(h > finer for h, finer in zip(h_list, h_list[1:])):
         raise ConfigError(f"cell widths must strictly decrease, got {h_list}")
     return [run_test(test_id, scheme, h, cfl=cfl) for h in h_list]
-
-
-def constant_region_cells(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
-    """Indices of cells at least five widths away from every wave."""
-    spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
-    centers = grid.centers
-    margin = _MARGIN_CELLS * grid.h
-    keep = np.ones(grid.n_cells, dtype=bool)
-    for lo, hi in spans:
-        keep &= (centers < lo - margin) | (centers > hi + margin)
-    return np.where(keep)[0]
-
-
-def plateau_representatives(fan: SourceFan, grid: Grid, t: float) -> list[int]:
-    """One cell index per constant region of the exact solution.
-
-    Each constant region between consecutive waves is represented by its most
-    interior cell, provided the region is wide enough to hold cells at least
-    five widths from the bounding waves; narrower regions are not
-    resolvable at this grid and are skipped. The representative cell is where
-    a converged scheme must show the plateau value, clear of the numerically
-    smeared wave footprints on either side.
-    """
-    spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
-    edges = [grid.a] + [e for span in spans for e in span] + [grid.b]
-    margin = _MARGIN_CELLS * grid.h
-    centers = grid.centers
-    picks: list[int] = []
-    for lo, hi in zip(edges[0::2], edges[1::2]):
-        inside = np.where((centers > lo + margin) & (centers < hi - margin))[0]
-        if len(inside) == 0:
-            continue
-        depth = np.minimum(centers[inside] - lo, hi - centers[inside])
-        picks.append(int(inside[np.argmax(depth)]))
-    return picks
 
 
 def scheme_from_name(name: str) -> Scheme:

@@ -349,17 +349,21 @@ def sample_source_fan(fan: SourceFan, xi: float) -> GasState:
 
 
 def sample_source_primitives(fan: SourceFan, xi: np.ndarray) -> np.ndarray:
-    """(rho, u, p) rows at the similarity coordinates ``xi``, shape (n, 3).
+    """(rho, u, p) rows at the similarity coordinates ``xi``, shape ``xi.shape + (3,)``.
 
-    The array form of ``sample_source_fan``, equal to it row for row; a NaN
-    coordinate raises ``ConfigError`` in ``sample_classical_primitives``.
+    The array form of ``sample_source_fan`` for ``xi`` of any shape, equal to
+    it row for row; a NaN coordinate raises ``ConfigError`` in
+    ``sample_classical_primitives``.
     """
     xi = np.asarray(xi, dtype=float)
     eta = -xi if fan.mirrored else xi
-    on_left = eta < 0.0
-    out = np.empty(eta.shape + (3,))
-    out[on_left] = sample_classical_primitives(fan.left_fan, eta[on_left])
-    out[~on_left] = sample_classical_primitives(fan.right_fan, eta[~on_left])
+    if fan.structure is SolutionStructure.CLASSICAL:  # one fan on both sides
+        out = sample_classical_primitives(fan.left_fan, eta)
+    else:
+        on_left = eta < 0.0
+        out = np.empty(eta.shape + (3,))
+        out[on_left] = sample_classical_primitives(fan.left_fan, eta[on_left])
+        out[~on_left] = sample_classical_primitives(fan.right_fan, eta[~on_left])
     if fan.mirrored:
-        out[:, 1] = -out[:, 1]
+        out[..., 1] = -out[..., 1]
     return out

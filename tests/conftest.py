@@ -7,6 +7,8 @@ from deltawave import GasState, SourceCoefficients
 from deltawave.stationary import Branch, critical_mach_numbers
 
 GAMMA = 1.4
+# Distance from every wave, in cells, that a cell needs to count as constant.
+MARGIN_CELLS = 5
 
 
 @pytest.fixture
@@ -67,3 +69,49 @@ def random_admissible_upstream(rng, coeffs: SourceCoefficients, branch: Branch) 
     p = rng.uniform(0.3, 3.0)
     u = mach * math.sqrt(GAMMA * p / rho)
     return GasState(rho, u, p, GAMMA)
+
+
+def traces(modes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cell-edge values (left edge, right edge) of the modal expansion.
+
+    ``modes`` is indexed by mode first: ``modes[m]`` holds mode m, in any layout.
+    The stage kernels of ``dg`` build the same sums in place; this is their reference.
+    """
+    lo = modes[0] - 0.5 * modes[1] + modes[2] / 6.0
+    hi = modes[0] + 0.5 * modes[1] + modes[2] / 6.0
+    return lo, hi
+
+
+def constant_region_cells(fan, grid, t: float) -> np.ndarray:
+    """Indices of cells at least ``MARGIN_CELLS`` widths away from every wave of ``fan`` at time ``t``."""
+    spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
+    centers = grid.centers
+    margin = MARGIN_CELLS * grid.h
+    keep = np.ones(grid.n_cells, dtype=bool)
+    for lo, hi in spans:
+        keep &= (centers < lo - margin) | (centers > hi + margin)
+    return np.where(keep)[0]
+
+
+def plateau_representatives(fan, grid, t: float) -> list[int]:
+    """One cell index per constant region of the exact solution.
+
+    Each constant region between consecutive waves is represented by its most
+    interior cell, provided the region is wide enough to hold cells at least
+    ``MARGIN_CELLS`` widths from the bounding waves; narrower regions are not
+    resolvable at this grid and are skipped. The representative cell is where
+    a converged scheme must show the plateau value, clear of the numerically
+    smeared wave footprints on either side.
+    """
+    spans = [(lo * t, hi * t) for lo, hi in fan.feature_intervals()]
+    edges = [grid.a] + [e for span in spans for e in span] + [grid.b]
+    margin = MARGIN_CELLS * grid.h
+    centers = grid.centers
+    picks: list[int] = []
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        inside = np.where((centers > lo + margin) & (centers < hi - margin))[0]
+        if len(inside) == 0:
+            continue
+        depth = np.minimum(centers[inside] - lo, hi - centers[inside])
+        picks.append(int(inside[np.argmax(depth)]))
+    return picks

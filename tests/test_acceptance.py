@@ -33,7 +33,6 @@ from deltawave.classical import solve_classical
 from deltawave.dg import cfl_dt, field_from_states, make_grid, ssp_rk3_step
 from deltawave.fluxes import Scheme
 from deltawave.runner import (
-    constant_region_cells,
     initial_states,
     reference_cell_averages,
     run_test,
@@ -42,7 +41,14 @@ from deltawave.stationary import Branch
 from deltawave.structure import SolutionStructure
 from deltawave.waves import WaveFamily, wave_state
 
-from conftest import GAMMA, coeffs_with_k, random_admissible_upstream, random_state, state_rel_err
+from conftest import (
+    GAMMA,
+    coeffs_with_k,
+    constant_region_cells,
+    random_admissible_upstream,
+    random_state,
+    state_rel_err,
+)
 from test_classical import oracle_star
 
 
@@ -203,7 +209,7 @@ def test_criterion_9_scheme_convergence():
             left, right = initial_states(case)
             fan = compose_reference_fan(left, right, case.coeffs)
             ref = reference_cell_averages(fan, grid, case.t_end)
-            from deltawave.runner import plateau_representatives
+            from conftest import plateau_representatives
 
             field = fields[0.025]  # run_test's field: make_grid(-10, 10, h), cfl 0.5
             picks = plateau_representatives(fan, grid, case.t_end)

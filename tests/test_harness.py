@@ -9,7 +9,6 @@ from deltawave.errors import ConfigError
 from deltawave.fluxes import Scheme, llf_flux, origin_flux
 from deltawave.runner import (
     advance,
-    constant_region_cells,
     convergence_study,
     error_norms,
     initial_states,
@@ -20,6 +19,8 @@ from deltawave.runner import (
     write_profile,
 )
 from deltawave.structure import compose_reference_fan
+
+from conftest import constant_region_cells
 
 
 class TestRegistry:

@@ -181,7 +181,7 @@ class TestDgRhs:
         rhs = dg_rhs(field, TEST1_COEFFS, SOLVER)
         total = g.h * np.sum(rhs[:, 0, :], axis=0)
 
-        from deltawave.dg import _traces
+        from conftest import traces as _traces
         from deltawave.fluxes import lax_friedrichs, origin_flux
         from deltawave.gas import from_conserved, primitives
 
@@ -269,7 +269,7 @@ class TestLimiter:
         c = field.coeffs.copy()
         c[3, 1, 0] = 5.0  # slope so large the trace density would go negative
         out = tvd_limit(field.with_coeffs(c))
-        from deltawave.dg import _traces
+        from conftest import traces as _traces
 
         lo, hi = _traces(out.coeffs.transpose(1, 0, 2))
         assert np.all(lo[:, 0] > 0) and np.all(hi[:, 0] > 0)

@@ -50,5 +50,5 @@ def test_abtime_prints_every_ratio():
     out = subprocess.run([sys.executable, str(root / "tools" / "abtime.py"), str(root), str(root),
                           "--rounds", "1"], capture_output=True, text=True, check=True).stdout
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
-    assert set(rows) == {"solve", "step", "advance"}
+    assert set(rows) == {"solve", "step", "advance", "reference"}
     assert all(float(v) > 0.0 for row in rows.values() for v in row[1:4])

@@ -5,7 +5,7 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on three pieces of work:
+on four pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
@@ -17,7 +17,10 @@ on three pieces of work:
   40 steps), from a field that each side computes once at setup with its own
   ``advance``; the fastest of three. Unlike ``step``, it sees what
   ``advance`` does around the steps, and a mid-run field, where the waves
-  have spread over part of the grid.
+  have spread over part of the grid;
+- ``reference``: ``compose_reference_fan`` plus ``reference_cell_averages``
+  over the first 100 of those draws, on the benchmark's reference grid
+  (200 cells on [-1, 1], t = 0.1); the fastest of three.
 
 It prints, per piece of work, each side's median time and the median and
 quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster.
@@ -44,6 +47,9 @@ SOLVE_REPEATS = 3
 STEP_REPEATS = 5
 ADVANCE_REPEATS = 3
 ADVANCE_FROM, ADVANCE_TO = 1.5, 1.6
+N_FANS = 100
+REF_H, REF_T = 0.01, 0.1
+REFERENCE_REPEATS = 3
 
 
 def load(tree: Path, name: str):
@@ -58,7 +64,7 @@ def load(tree: Path, name: str):
 
 
 class Work:
-    """The two timed pieces of work, set up on one package."""
+    """The timed pieces of work, set up on one package."""
 
     def __init__(self, dw, name: str):
         structure, dg, runner = (importlib.import_module(f"{name}.{m}")
@@ -79,11 +85,21 @@ class Work:
         self.step_fn = dg.ssp_rk3_step
         self.advance_fn, self.cfl = runner.advance, runner.CFL
         self.mid_field = runner.advance(self.field, *self.run_args, ADVANCE_FROM, self.cfl)
+        self.compose_fn = structure.compose_reference_fan
+        self.reference_fn = runner.reference_cell_averages
+        self.ref_grid = dg.make_grid(-1.0, 1.0, REF_H)
 
     def _solve_pass(self) -> None:
         for left, right, coeffs in self.draws:
             try:
                 self.solve_fn(left, right, coeffs)
+            except self.error:
+                pass
+
+    def _reference_pass(self) -> None:
+        for left, right, coeffs in self.draws[:N_FANS]:
+            try:
+                self.reference_fn(self.compose_fn(left, right, coeffs), self.ref_grid, REF_T)
             except self.error:
                 pass
 
@@ -96,6 +112,9 @@ class Work:
     def advance(self) -> float:
         return fastest(lambda: self.advance_fn(self.mid_field, *self.run_args, ADVANCE_TO,
                                                self.cfl), ADVANCE_REPEATS)
+
+    def reference(self) -> float:
+        return fastest(self._reference_pass, REFERENCE_REPEATS)
 
 
 def fastest(fn, repeats: int) -> float:
@@ -118,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "step", "advance")
+    names = ("solve", "step", "advance", "reference")
     for side in sides:  # warm-up, untimed
         for name in names:
             getattr(side, name)()
@@ -130,12 +149,12 @@ def main(argv: list[str] | None = None) -> int:
                 gc.collect()
                 times[name, s].append(getattr(sides[s], name)())
     print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
-    print(f"{'work':7s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
+    print(f"{'work':9s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
     for name in names:
         a, b = times[name, 0], times[name, 1]
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-        print(f"{name:7s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
+        print(f"{name:9s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
               f"{statistics.median(ratios):11.4f}  {q1:.4f}-{q3:.4f}")
     return 0
 
