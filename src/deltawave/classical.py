@@ -27,7 +27,7 @@ class WaveKind(enum.Enum):
     RAREFACTION = "rarefaction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ClassicalFan:
     """Solved Riemann fan: two acoustic waves around a contact."""
 
@@ -42,6 +42,16 @@ class ClassicalFan:
     left_speeds: tuple[float, float]   # (head, tail); equal for a shock
     right_speeds: tuple[float, float]
     gamma: float
+
+    def __init__(self, left: GasState, right: GasState, p_star: float, u_star: float,
+                 rho_star_left: float, rho_star_right: float, left_kind: WaveKind,
+                 right_kind: WaveKind, left_speeds: tuple[float, float],
+                 right_speeds: tuple[float, float], gamma: float):
+        # One dict update, as in GasState.
+        self.__dict__.update(left=left, right=right, p_star=p_star, u_star=u_star,
+                             rho_star_left=rho_star_left, rho_star_right=rho_star_right,
+                             left_kind=left_kind, right_kind=right_kind,
+                             left_speeds=left_speeds, right_speeds=right_speeds, gamma=gamma)
 
     @property
     def star_left(self) -> GasState:
@@ -69,14 +79,25 @@ def _defect_curve(left: GasState, right: GasState):
     return defect
 
 
+def _opens_vacuum(left: GasState, right: GasState) -> bool:
+    """Whether two rarefactions cannot close the velocity gap of the data, so a vacuum opens."""
+    g = left.gamma
+    gap = 2.0 * left.sound_speed / (g - 1.0) + 2.0 * right.sound_speed / (g - 1.0) \
+        - (right.u - left.u)
+    return gap <= 0.0
+
+
+def _pressure_floor(left: GasState, right: GasState) -> float:
+    """Lowest star pressure searched; a negative defect there means a vacuum opens."""
+    return 1e-12 * min(left.p, right.p)
+
+
 def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> ClassicalFan:
     """Exact solution of the Riemann problem between two states of equal gamma."""
     if left.gamma != right.gamma:
         raise ConfigError("states must share gamma")
     g = left.gamma
-    gap = 2.0 * left.sound_speed / (g - 1.0) + 2.0 * right.sound_speed / (g - 1.0) \
-        - (right.u - left.u)
-    if gap <= 0.0:
+    if _opens_vacuum(left, right):
         raise VacuumError(
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
@@ -142,7 +163,7 @@ def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: flo
     the pressure function is steep, or else on a step of at most
     ``0.01 * tol`` relative.
     """
-    lo = 1e-12 * min(left.p, right.p)
+    lo = _pressure_floor(left, right)
     if defect(lo)[0] < 0.0:
         raise VacuumError("failed to bracket the star pressure")
     g = left.gamma

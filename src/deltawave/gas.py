@@ -48,7 +48,7 @@ def _as_floats(obj, names: tuple[str, ...]) -> tuple[float, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GasState:
     """One fluid state in primitive variables (density, velocity, pressure)."""
 
@@ -57,10 +57,11 @@ class GasState:
     p: float
     gamma: float = 1.4
 
-    def __post_init__(self):
-        # Type tests and chained comparisons only: every solver step builds
-        # states, from floats. NaN fails each comparison.
-        rho, u, p, gamma = self.rho, self.u, self.p, self.gamma
+    def __init__(self, rho: float, u: float, p: float, gamma: float = 1.4):
+        # Every solver step builds states, from floats: one dict update in
+        # place of the generated init's four object.__setattr__ calls, then
+        # type tests and chained comparisons only. NaN fails each comparison.
+        self.__dict__.update(rho=rho, u=u, p=p, gamma=gamma)
         if not (type(rho) is float and type(u) is float and type(p) is float
                 and type(gamma) is float):
             rho, u, p, gamma = _as_floats(self, ("rho", "u", "p", "gamma"))

@@ -66,6 +66,13 @@ class CriticalMachNumbers:
             return 0.0, self.downstream_subsonic_max
         return self.downstream_supersonic_min, self.downstream_supersonic_sup
 
+    def admits(self, mach: float, side: Side, branch: Branch) -> bool:
+        """Exact membership of ``mach`` in the admissible Mach set on ``side`` and ``branch``."""
+        lo, hi = self.interval(side, branch)
+        if branch is Branch.SUBSONIC:
+            return lo < mach <= hi
+        return lo <= mach < hi
+
 
 def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalMachNumbers:
     """Critical Mach numbers of ``coeffs`` for a gas of ratio ``gamma``, which must exceed 1."""
@@ -109,10 +116,7 @@ def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalM
 
 def admissible(mach: float, side: Side, branch: Branch, coeffs: SourceCoefficients, gamma: float) -> bool:
     """Exact membership in the admissible Mach set for the given side and branch."""
-    lo, hi = critical_mach_numbers(coeffs, gamma).interval(side, branch)
-    if branch is Branch.SUBSONIC:
-        return lo < mach <= hi
-    return lo <= mach < hi
+    return critical_mach_numbers(coeffs, gamma).admits(mach, side, branch)
 
 
 def _branch_mach_sq(m2: float, one_plus_k: float, gamma: float, branch: Branch,

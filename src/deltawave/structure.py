@@ -16,13 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalFan, sample_classical, sample_classical_primitives, solve_classical
-from .errors import ConfigError, NotSolvableError, VacuumError
+from .classical import (
+    ClassicalFan,
+    _defect_curve,
+    _opens_vacuum,
+    _pressure_floor,
+    sample_classical,
+    sample_classical_primitives,
+    solve_classical,
+)
+from .errors import ConfigError, NotSolvableError
 from .gas import GasState, SourceCoefficients, rightward_frame
 from .stationary import (
     Branch,
+    CriticalMachNumbers,
     Side,
-    admissible,
     choked_downstream,
     critical_mach_numbers,
     downstream_state,
@@ -58,13 +66,17 @@ _FAN_TOL = 1e-13
 _STRENGTH_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolverOutput:
     """Approximate one-sided states at the origin, with the predicted structure."""
 
     minus: GasState
     plus: GasState
     structure: SolutionStructure
+
+    def __init__(self, minus: GasState, plus: GasState, structure: SolutionStructure):
+        # One dict update, as in GasState.
+        self.__dict__.update(minus=minus, plus=plus, structure=structure)
 
     def mirrored(self) -> "SolverOutput":
         """The same solution seen in the x -> -x reflected frame."""
@@ -111,37 +123,59 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     Mach for amplifying sources, sonic otherwise). The admissible upstream
     pressure lies in [p_crit, p_rest).
     """
-    target = critical_mach_numbers(coeffs, left.gamma).upstream_subsonic_max
-    return rest_pressure(left), pressure_for_mach(left, target)
+    return _passage_bracket(left, critical_mach_numbers(coeffs, left.gamma))
+
+
+def _passage_bracket(left: GasState, critical: CriticalMachNumbers) -> tuple[float, float]:
+    """``subsonic_passage_bracket`` from the critical Mach numbers of its coefficients."""
+    return rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
 
 
 def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     """Does the first wave right of a supersonic passage, from its downstream state
-    ``down``, move rightward?"""
-    g = down.gamma
-    try:
-        p_star = solve_classical(down, right).p_star
-    except VacuumError:
+    ``down``, move rightward?
+
+    That wave is the family-1 wave of the classical fan from ``down`` to
+    ``right``. It moves rightward when it is a rarefaction (star pressure
+    below ``down.p``), or a shock no stronger than the one at rest, whose
+    pressure is (2 gamma M^2 - gamma + 1) p / (gamma + 1) for the Mach M and
+    pressure p of ``down``. The classical velocity defect falls strictly in
+    p, so its sign at those two pressures places the star pressure without
+    solving for it (Toro, Riemann Solvers and Numerical Methods for Fluid
+    Dynamics, 4.3). Data that opens a vacuum, by the tests of
+    ``solve_classical``, does not pass.
+    """
+    defect = _defect_curve(down, right)
+    if _opens_vacuum(down, right) or defect(_pressure_floor(down, right))[0] < 0.0:
         return False
-    if p_star < down.p:
+    if defect(down.p)[0] < 0.0:
         return True
-    m2 = down.mach ** 2
-    return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p
+    g, m = down.gamma, down.mach
+    return defect((2.0 * g * m * m - g + 1.0) * down.p / (g + 1.0))[0] <= 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prediction:
     """A predicted structure and what predicting it computed.
 
+    ``critical`` holds the critical Mach numbers of the solve's coefficients.
     ``plus`` is the supersonic downstream state of a Type2 prediction. Every
     other prediction holds the ends of the subsonic-passage bracket as
     (pressure, velocity mismatch): ``crit`` at p_crit and ``rest`` at p_rest.
     """
 
     structure: SolutionStructure
+    critical: CriticalMachNumbers
     plus: GasState | None = None
     crit: tuple[float, float] | None = None
     rest: tuple[float, float] | None = None
+
+    def __init__(self, structure: SolutionStructure, critical: CriticalMachNumbers,
+                 plus: GasState | None = None, crit: tuple[float, float] | None = None,
+                 rest: tuple[float, float] | None = None):
+        # One dict update, as in GasState.
+        self.__dict__.update(structure=structure, critical=critical, plus=plus, crit=crit,
+                             rest=rest)
 
 
 def predict_structure(left: GasState, right: GasState,
@@ -150,11 +184,14 @@ def predict_structure(left: GasState, right: GasState,
     frame = rightward_frame(left, right)
     if frame is None or frame[2]:
         raise ConfigError("prediction requires rightward flow on both sides")
-    if admissible(left.mach, Side.LEFT, Branch.SUPERSONIC, coeffs, left.gamma):
+    if left.gamma != right.gamma:
+        raise ConfigError("states must share gamma")
+    critical = critical_mach_numbers(coeffs, left.gamma)
+    if critical.admits(left.mach, Side.LEFT, Branch.SUPERSONIC):
         down = downstream_state(left, coeffs, Branch.SUPERSONIC)
         if _type2_wave_clears_origin(down, right):
-            return Prediction(SolutionStructure.TYPE2, plus=down)
-    p_rest, p_crit = subsonic_passage_bracket(left, coeffs)
+            return Prediction(SolutionStructure.TYPE2, critical, plus=down)
+    p_rest, p_crit = _passage_bracket(left, critical)
     rest = (p_rest, velocity_mismatch(p_rest, left, right, coeffs))
     crit = (p_crit, velocity_mismatch(p_crit, left, right, coeffs))
     if rest[1] * crit[1] < 0.0:
@@ -165,7 +202,7 @@ def predict_structure(left: GasState, right: GasState,
         structure = SolutionStructure.TYPE7
     else:
         structure = SolutionStructure.TYPE5
-    return Prediction(structure, crit=crit, rest=rest)
+    return Prediction(structure, critical, crit=crit, rest=rest)
 
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
@@ -197,8 +234,11 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
     return illinois(t, a, b, fa, fb, tol, tiny)
 
 
-def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients) -> GasState:
+def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients,
+                           critical: CriticalMachNumbers) -> GasState:
     """Sonic point on the family-1 rarefaction through the left datum.
+
+    ``critical`` holds the critical Mach numbers of ``coeffs``.
 
     Raises ``NotSolvableError`` where no sonic expansion passes the origin.
     A rarefaction only accelerates the flow, so a supersonic left datum
@@ -211,7 +251,7 @@ def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients) -> GasSta
     except ConfigError as exc:
         raise NotSolvableError(f"supersonic left datum (Mach {left.mach:.6g}) has no sonic "
                                f"expansion to the origin") from exc
-    if math.isinf(critical_mach_numbers(coeffs, left.gamma).downstream_supersonic_min):
+    if math.isinf(critical.downstream_supersonic_min):
         raise NotSolvableError(f"k = {coeffs.k:.6g} <= -1/gamma^2: no supersonic branch "
                                f"downstream of the sonic expansion")
     rho, p = left.rho * gd, left.p * gp
@@ -232,7 +272,7 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
         minus = wave_state(WaveFamily.ONE, left, pred.crit[0])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
-        minus = _sonic_expansion_state(left, coeffs)
+        minus = _sonic_expansion_state(left, coeffs, pred.critical)
         if pred.structure is SolutionStructure.TYPE5:
             plus = downstream_state(minus, coeffs, Branch.SUPERSONIC)
         else:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from deltawave import GasState, SourceCoefficients
+from deltawave.classical import solve_classical
+from deltawave.errors import VacuumError
 from deltawave.stationary import Branch, critical_mach_numbers
 
 GAMMA = 1.4
@@ -115,3 +117,23 @@ def plateau_representatives(fan, grid, t: float) -> list[int]:
         depth = np.minimum(centers[inside] - lo, hi - centers[inside])
         picks.append(int(inside[np.argmax(depth)]))
     return picks
+
+
+def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
+    """Does the first wave right of a supersonic passage, from its downstream state
+    ``down``, move rightward? Decided by a full classical solve.
+
+    The wave is a rarefaction when the star pressure lies below ``down.p``, and
+    otherwise a 1-shock, which moves rightward unless it is stronger than the
+    shock at rest. Data that opens a vacuum does not pass. The reference for
+    ``structure._type2_wave_clears_origin``, which decides from defect signs.
+    """
+    g = down.gamma
+    try:
+        p_star = solve_classical(down, right).p_star
+    except VacuumError:
+        return False
+    if p_star < down.p:
+        return True
+    m2 = down.mach ** 2
+    return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p

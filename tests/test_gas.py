@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,6 +62,27 @@ class TestGasState:
         fields[position] = bad
         with pytest.raises(ConfigError):
             GasState(*fields)
+
+    def test_frozen_value(self):
+        s = GasState(0.5, -2.0, 3.0)
+        assert s.gamma == 1.4
+        assert s == GasState(rho=0.5, u=-2, p=np.float64(3.0), gamma=1.4)
+        assert hash(s) == hash(GasState(0.5, -2.0, 3.0, 1.4))
+        assert s != GasState(0.5, -2.0, 3.0, 1.67)
+        assert vars(s) == {"rho": 0.5, "u": -2.0, "p": 3.0, "gamma": 1.4}
+        for name in ("rho", "u", "p", "gamma"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, 1.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(s, name)
+        moved = dataclasses.replace(s, u=np.int64(1))
+        assert moved == GasState(0.5, 1.0, 3.0) and type(moved.u) is float
+
+    @pytest.mark.parametrize("fields", [{"u": True}, {"p": "1.0"}, {"rho": math.nan},
+                                        {"gamma": np.bool_(True)}])
+    def test_rejects_keyword_fields(self, fields):
+        with pytest.raises(ConfigError):
+            GasState(**{"rho": 1.0, "u": 1.0, "p": 1.0, **fields})
 
     def test_mirror(self):
         s = GasState(0.7, -1.3, 2.0)

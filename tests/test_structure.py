@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import time
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from deltawave import (
+    ConfigError,
     GasState,
     SourceCoefficients,
     StationaryPair,
@@ -18,10 +21,24 @@ from deltawave import (
     velocity_mismatch,
 )
 from deltawave.cases import get_case
-from deltawave.classical import sample_classical, solve_classical
-from deltawave.stationary import Branch
-from deltawave.structure import SolutionStructure
-from deltawave.waves import WaveFamily, wave_state
+from deltawave.classical import (
+    ClassicalFan,
+    _defect_curve,
+    _opens_vacuum,
+    _pressure_floor,
+    sample_classical,
+    solve_classical,
+)
+from deltawave.errors import RootBracketError, VacuumError
+from deltawave.gas import rightward_frame
+from deltawave.stationary import Branch, Side, critical_mach_numbers
+from deltawave.structure import (
+    Prediction,
+    SolutionStructure,
+    SolverOutput,
+    _type2_wave_clears_origin,
+)
+from deltawave.waves import WaveFamily, shock_speed, wave_state
 
 from conftest import (
     GAMMA,
@@ -29,6 +46,7 @@ from conftest import (
     random_admissible_upstream,
     riemann_batch_arrays,
     state_rel_err,
+    type2_wave_clears_origin,
 )
 
 
@@ -139,10 +157,62 @@ class TestPrediction:
         assert pred.rest == (p_rest, velocity_mismatch(p_rest, c.left, c.right, c.coeffs))
         assert pred.crit == (p_crit, velocity_mismatch(p_crit, c.left, c.right, c.coeffs))
 
+    @pytest.mark.parametrize("tid, mirrored, kind", [
+        (2, False, SolutionStructure.TYPE1), (3, False, SolutionStructure.TYPE2),
+        (4, False, SolutionStructure.TYPE3), (6, False, SolutionStructure.TYPE5),
+        (2, True, SolutionStructure.TYPE1), (None, False, SolutionStructure.CLASSICAL),
+    ])
+    def test_one_critical_table_per_solve(self, monkeypatch, tid, mirrored, kind):
+        # ``downstream_state`` checks its Mach against a table of its own;
+        # every other reader shares the one that ``predict_structure`` builds.
+        from deltawave import stationary, structure
+
+        depth, outside, classical_calls = [0], [], []
+        real_table, real_down = stationary.critical_mach_numbers, stationary.downstream_state
+        real_classical = structure.solve_classical
+
+        def table(*args):
+            if depth[0] == 0:
+                outside.append(args)
+            return real_table(*args)
+
+        def down(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_down(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in (stationary, structure):
+            monkeypatch.setattr(module, "critical_mach_numbers", table)
+            monkeypatch.setattr(module, "downstream_state", down)
+        monkeypatch.setattr(structure, "solve_classical",
+                            lambda *args: classical_calls.append(args) or real_classical(*args))
+        if tid is None:  # opposed flow: no source, a classical fan
+            left, right, coeffs = GasState(1.0, 0.5, 1.0), GasState(0.8, -0.4, 0.9), \
+                coeffs_with_k(0.3)
+        else:
+            c = get_case(tid)
+            left, right, coeffs = c.left, c.right, c.coeffs
+        if mirrored:
+            left, right = right.mirrored(), left.mirrored()
+        assert approximate_solve(left, right, coeffs).structure is kind
+        assert len(outside) <= 1
+        if kind is SolutionStructure.TYPE2:
+            assert classical_calls == []
+
     def test_rejects_non_rightward_input(self):
         c = coeffs_with_k(0.2)
         with pytest.raises(ValueError):
             predict_structure(GasState(1, -1, 1), GasState(1, 1, 1), c)
+
+    @pytest.mark.parametrize("tid", [2, 3, 4, 6])
+    def test_rejects_unequal_gamma(self, tid):
+        # Every structure, not only the Type2 candidate, whose classical solve checked it.
+        c = get_case(tid)
+        right = GasState(c.right.rho, c.right.u, c.right.p, 5.0 / 3.0)
+        with pytest.raises(ConfigError, match="share gamma"):
+            approximate_solve(c.left, right, c.coeffs)
 
     def test_legal_tags_per_sign(self, rng):
         legal = {
@@ -156,6 +226,127 @@ class TestPrediction:
                 left = GasState(rng.uniform(0.2, 3), rng.uniform(0.05, 3), rng.uniform(0.2, 3))
                 right = GasState(rng.uniform(0.2, 3), rng.uniform(0.05, 3), rng.uniform(0.2, 3))
                 assert predict_structure(left, right, c).structure in allowed
+
+
+def _normal_shock_pressure(down: GasState) -> float:
+    """Pressure behind the 1-shock at rest on ``down``, as the Type2 test computes it."""
+    g, m = down.gamma, down.mach
+    return (2.0 * g * m * m - g + 1.0) * down.p / (g + 1.0)
+
+
+class TestType2Oracle:
+    """``_type2_wave_clears_origin`` against the full classical solve of conftest."""
+
+    def test_agrees_on_every_fuzz_candidate(self):
+        k, rp, u = riemann_batch_arrays(20_000)
+        verdicts = []
+        for i in range(len(k)):
+            frame = rightward_frame(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
+                                    GasState(rp[i, 2], u[i, 1], rp[i, 3]))
+            if frame is None:
+                continue
+            left, right, _ = frame
+            coeffs = SourceCoefficients(*k[i])
+            if not critical_mach_numbers(coeffs, GAMMA).admits(left.mach, Side.LEFT,
+                                                                Branch.SUPERSONIC):
+                continue
+            down = downstream_state(left, coeffs, Branch.SUPERSONIC)
+            verdict = _type2_wave_clears_origin(down, right)
+            assert verdict is type2_wave_clears_origin(down, right), i
+            verdicts.append(verdict)
+        # Every supersonic-admissible candidate; the 1,464 that pass are the Type2 solves.
+        assert (len(verdicts), sum(verdicts)) == (1499, 1464)
+
+    def test_root_at_the_downstream_pressure(self):
+        # Only a contact separates the states: the defect at down.p is 0.0 exactly.
+        down = GasState(1.0, 2.0, 1.0)
+        right = GasState(0.5, 2.0, 1.0)
+        assert _defect_curve(down, right)(down.p)[0] == 0.0
+        assert _type2_wave_clears_origin(down, right)
+        assert type2_wave_clears_origin(down, right)
+
+    def test_shock_at_zero_speed(self):
+        # The right datum is the state behind the shock at rest, so the root
+        # is exactly the pressure of that shock, which counts as clearing.
+        down = GasState(1.0, 2.0, 1.0)
+        p_normal = _normal_shock_pressure(down)
+        right = wave_state(WaveFamily.ONE, down, p_normal)
+        assert _defect_curve(down, right)(p_normal)[0] == 0.0
+        assert abs(shock_speed(WaveFamily.ONE, down, p_normal)) <= 1e-14
+        assert _type2_wave_clears_origin(down, right)
+        # A shock stronger by 1e-9 relative moves left.
+        stronger = wave_state(WaveFamily.ONE, down, p_normal * (1.0 + 1e-9))
+        assert shock_speed(WaveFamily.ONE, down, stronger.p) < 0.0
+        assert not _type2_wave_clears_origin(down, stronger)
+        assert not type2_wave_clears_origin(down, stronger)
+
+    def test_near_vacuum_does_not_pass(self):
+        # Two rarefactions close the velocity gap, but only below the pressure
+        # floor of the classical solve: the defect there is negative.
+        down = GasState(1.0, 2.0, 1.0)
+        right = GasState(1.0, down.u + 0.99 * 4.0 * down.sound_speed / (GAMMA - 1.0), 1.0)
+        assert not _opens_vacuum(down, right)
+        assert _defect_curve(down, right)(_pressure_floor(down, right))[0] < 0.0
+        with pytest.raises(VacuumError, match="failed to bracket"):
+            solve_classical(down, right)
+        assert not _type2_wave_clears_origin(down, right)
+        assert not type2_wave_clears_origin(down, right)
+
+    def test_extreme_compression_decides(self):
+        # The star pressure overflows, so the classical solve cannot bracket
+        # it; the defect at the shock-at-rest pressure is still positive.
+        down = GasState(1.0, 2.0, 1.0)
+        right = GasState(1.0, -1e155, 1.0)
+        with pytest.raises(RootBracketError):
+            type2_wave_clears_origin(down, right)
+        assert _defect_curve(down, right)(_normal_shock_pressure(down))[0] > 0.0
+        assert not _type2_wave_clears_origin(down, right)
+
+
+def _value_objects():
+    c = get_case(2)
+    fan = solve_classical(c.left, c.right)
+    type2 = get_case(3)
+    return [fan, approximate_solve(c.left, c.right, c.coeffs),
+            predict_structure(c.left, c.right, c.coeffs),
+            predict_structure(type2.left, type2.right, type2.coeffs)]
+
+
+class TestValueClasses:
+    """The hand-written ``__init__`` of each frozen value class keeps the dataclass contract."""
+
+    @pytest.mark.parametrize("cls", [GasState, ClassicalFan, SolverOutput, Prediction])
+    def test_init_takes_the_fields(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == [f.name for f in dataclasses.fields(cls)]
+        for p, f in zip(params, dataclasses.fields(cls)):
+            assert p.default == (inspect.Parameter.empty if f.default is dataclasses.MISSING
+                                 else f.default)
+
+    def test_prediction_defaults(self):
+        critical = critical_mach_numbers(coeffs_with_k(0.3), GAMMA)
+        pred = Prediction(SolutionStructure.TYPE3, critical)
+        assert (pred.plus, pred.crit, pred.rest) == (None, None, None)
+        assert pred.critical is critical
+
+    @pytest.mark.parametrize("obj", _value_objects(),
+                             ids=["ClassicalFan", "SolverOutput", "Prediction", "Prediction2"])
+    def test_frozen_value(self, obj):
+        cls = type(obj)
+        values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        for copy in (cls(*values.values()), cls(**values)):
+            assert copy == obj and hash(copy) == hash(obj)
+            assert vars(copy) == values
+        assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in values.items()) + ")"
+        for name in values:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        first = next(iter(values))
+        changed = dataclasses.replace(obj, **{first: None})
+        assert getattr(changed, first) is None and changed != obj
 
 
 class TestApproximateSolve:

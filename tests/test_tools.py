@@ -49,6 +49,13 @@ def test_abtime_prints_every_ratio():
     root = _PATH.parents[1]
     out = subprocess.run([sys.executable, str(root / "tools" / "abtime.py"), str(root), str(root),
                           "--rounds", "1"], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[1].split()[-3:-1] == ["wins", "B/A"]
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
     assert set(rows) == {"solve", "step", "advance", "reference"}
     assert all(float(v) > 0.0 for row in rows.values() for v in row[1:4])
+    # The rounds B won, of one: 1/1 exactly where B/A is below 1 (a ratio that
+    # prints as 1.0000 may go either way).
+    for row in rows.values():
+        assert row[4] in ("0/1", "1/1")
+        if float(row[3]) != 1.0:
+            assert (row[4] == "1/1") == (float(row[3]) < 1.0)

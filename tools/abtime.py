@@ -22,8 +22,9 @@ on four pieces of work:
   over the first 100 of those draws, on the benchmark's reference grid
   (200 cells on [-1, 1], t = 0.1); the fastest of three.
 
-It prints, per piece of work, each side's median time and the median and
-quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster.
+It prints, per piece of work, each side's median time, the median and
+quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster,
+and the rounds that B won, as k/N.
 Both sides of a round run back to back, so the speed phases of a shared host
 that separate benchmark processes cancel in the ratio.
 """
@@ -149,13 +150,15 @@ def main(argv: list[str] | None = None) -> int:
                 gc.collect()
                 times[name, s].append(getattr(sides[s], name)())
     print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
-    print(f"{'work':9s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s}  B/A quartiles")
+    print(f"{'work':9s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s} "
+          f"{'B wins':>7s}  B/A quartiles")
     for name in names:
         a, b = times[name, 0], times[name, 1]
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+        wins = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
         print(f"{name:9s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
-              f"{statistics.median(ratios):11.4f}  {q1:.4f}-{q3:.4f}")
+              f"{statistics.median(ratios):11.4f} {wins:>7s}  {q1:.4f}-{q3:.4f}")
     return 0
 
 
