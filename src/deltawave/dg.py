@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemeError
-from .fluxes import FluxPair, Scheme, lax_friedrichs, origin_flux
+from .fluxes import Scheme, lax_friedrichs, origin_flux
 from .gas import (GasState, SourceCoefficients, euler_flux, evaluate_source, from_conserved,
                   primitives, rightward_frame, signal_speed, to_conserved)
 
@@ -107,8 +107,8 @@ def _check_admissible(stacks, time: float) -> None:
     ``stacks`` holds (name, states, rho, p) tuples: the states on each side
     of every interface, component-first with shape (2, 3, n_cells + 1), and
     the states at the nodes, (3, 3, n_cells), with their densities and
-    pressures. The two are checked apart: joined, they would make one more
-    large temporary per stage.
+    pressures. ``dg_rhs`` tests its whole stage stack at once and calls this
+    only when that test fails, to name the failing places of each part.
     """
     where = []
     for name, u, rho, p in stacks:
@@ -130,6 +130,55 @@ def _component_major(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coeffs.transpose(1, 2, 0))
 
 
+def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
+    """Euler fluxes of every state of a stage, LLF fluxes of every interface, and the origin traces.
+
+    Every state of a stage sits in one (6, 3, n_cells + 1) stack: rows 0-1
+    hold both sides of every interface, rows 2-4 the three quadrature nodes
+    and row 5 the cell means. Column n_cells of rows 2-5 pads them with the
+    last mean, which is the right ghost ``stack[1, :, n_cells]``, so the pad
+    never adds a failure. Primitives, Euler fluxes and the admissibility test
+    then take one pass each over the stack.
+
+    Returns the Euler fluxes of the stack, (6, 3, n_cells + 1), the LLF flux
+    of every interface, (3, n_cells + 1), and the conserved states either
+    side of the origin, as lists. The stack and its primitives are freed on
+    return, before the volume terms make their temporaries.
+    """
+    g, n = field.gamma, field.grid.n_cells
+    c = _component_major(field.coeffs)
+    means = c[0]
+    stack = np.empty((6, 3, n + 1))
+    stack[5, :, :n] = means
+
+    # States left and right of every interface, with transmissive
+    # (zero-order extrapolated) ghosts: the traces (c0 -+ c1/2) + c2/6 are
+    # built in place over their half and sixth. The right ghost and the pad
+    # are one copy of the last mean.
+    stack[0, :, 0] = means[:, 0]
+    stack[1:, :, n] = means[:, -1]
+    hi = np.multiply(c[1], 0.5, out=stack[0, :, 1:])
+    lo = np.divide(c[2], 6.0, out=stack[1, :, :-1])
+    lo_half = np.subtract(means, hi)
+    hi += means
+    hi += lo
+    lo += lo_half
+    # The states at the three quadrature nodes, (node, variable, cell).
+    uq = np.multiply(c[1], _QNODES[:, None, None], out=stack[2:5, :, :n])
+    uq += means
+    uq += np.multiply(c[2], _QMODE2[:, None, None])
+
+    states = stack.swapaxes(-2, -1)  # the (..., 3) view the gas kernels take
+    rho, vel, p = primitives(states, g)
+    # The minimum of an array holding a NaN is NaN, which fails too.
+    if not (np.isfinite(stack[:5]).all() and rho[:5].min() > 0.0 and p[:5].min() > 0.0):
+        _check_admissible((("interfaces", stack[:2], rho[:2], p[:2]),
+                           ("quadrature cells", uq, rho[2:5, :n], p[2:5, :n])), field.time)
+    flux = euler_flux(states, vel, p)
+    fhat = lax_friedrichs(states[:2], flux[:2], signal_speed(rho[:2], vel[:2], p[:2], g)).T
+    return flux.swapaxes(-2, -1), fhat, stack[:2, :, field.grid.j0].tolist()
+
+
 def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.ndarray:
     """Time derivative of the modal coefficients under the given scheme.
 
@@ -137,52 +186,23 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
     unsplit schemes replace the origin flux by the scheme's two-sided pair,
     so the cells adjacent to the origin see different fluxes there.
     """
-    grid, g, h = field.grid, field.gamma, field.grid.h
-    n, j0 = grid.n_cells, grid.j0
-    c = _component_major(field.coeffs)
-    means = c[0]
+    g, h, n, j0 = field.gamma, field.grid.h, field.grid.n_cells, field.grid.j0
+    flux, fhat, (left, right) = _stage_fluxes(field)
 
-    # States left and right of every interface, with transmissive
-    # (zero-order extrapolated) ghosts: the traces (c0 -+ c1/2) + c2/6 are
-    # built in place over their half and sixth.
-    iface = np.empty((2, 3, n + 1))
-    iface[0, :, 0], iface[1, :, -1] = means[:, 0], means[:, -1]
-    hi = np.multiply(c[1], 0.5, out=iface[0, :, 1:])
-    lo = np.divide(c[2], 6.0, out=iface[1, :, :-1])
-    lo_half = np.subtract(means, hi)
-    hi += means
-    hi += lo
-    lo += lo_half
-    # The states at the three quadrature nodes, (node, variable, cell).
-    uq = np.multiply(c[1], _QNODES[:, None, None])
-    uq += means
-    uq += np.multiply(c[2], _QMODE2[:, None, None])
-    # Primitives are derived once per stack, on (..., 3) views.
-    iface_s, uq_s = iface.swapaxes(-2, -1), uq.swapaxes(-2, -1)
-    w_iface, w_quad = primitives(iface_s, g), primitives(uq_s, g)
-    _check_admissible((("interfaces", iface, w_iface[0], w_iface[2]),
-                       ("quadrature cells", uq, w_quad[0], w_quad[2])), field.time)
-    w_left, w_right = zip(*w_iface)
-    fhat = lax_friedrichs(iface_s[0], iface_s[1], w_left, w_right, g).T
-
-    # Jump and sum of each cell's boundary fluxes; at the origin the two
-    # adjacent cells see the scheme's one-sided pair.
+    # The flux each cell sees on its left and on its right; at the origin the
+    # two adjacent cells see the scheme's one-sided pair, patched into one
+    # copy of the right-hand fluxes and into the interface fluxes themselves.
     flux_l, flux_r = fhat[:, :-1], fhat[:, 1:]
-    jump, total = flux_r - flux_l, flux_r + flux_l
     if scheme is not Scheme.SPLITTING:
-        pair: FluxPair = origin_flux(from_conserved(*iface[0, :, j0].tolist(), g),
-                                     from_conserved(*iface[1, :, j0].tolist(), g),
-                                     coeffs, scheme)
-        jump[:, j0 - 1] = pair.minus - flux_l[:, j0 - 1]
-        total[:, j0 - 1] = pair.minus + flux_l[:, j0 - 1]
-        jump[:, j0] = flux_r[:, j0] - pair.plus
-        total[:, j0] = flux_r[:, j0] + pair.plus
+        pair = origin_flux(from_conserved(*left, g), from_conserved(*right, g), coeffs, scheme)
+        flux_r = flux_r.copy()
+        flux_r[:, j0 - 1], fhat[:, j0] = pair.minus, pair.plus
+    jump, total = flux_r - flux_l, flux_r + flux_l
 
     # Volume terms in deviation form: exact for piecewise-constant data.
     # The weighted node sums start from +0.0, which fixes the sign of a zero.
-    fbar = euler_flux(means.T, *primitives(means.T, g)[1:]).T
-    devs = euler_flux(uq_s, *w_quad[1:]).swapaxes(-2, -1)
-    devs -= fbar
+    fbar = flux[5, :, :n]
+    devs = np.subtract(flux[2:5, :, :n], fbar)
     acc = np.zeros((2, 3, n))
     term = np.empty_like(acc)
     for weights, dev in zip(_QSUMS, devs):

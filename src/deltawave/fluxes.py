@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotSolvableError, UnavailableFluxError
-from .gas import GasState, SourceCoefficients, euler_flux, physical_flux, signal_speed, to_conserved
+from .gas import GasState, SourceCoefficients, euler_flux, signal_speed
 from .stationary import Branch, downstream_state, upstream_state
 from .structure import approximate_solve
 
@@ -39,21 +39,37 @@ class FluxPair:
     plus: np.ndarray
 
 
-def lax_friedrichs(ul: np.ndarray, ur: np.ndarray, wl, wr, gamma: float) -> np.ndarray:
-    """Local Lax-Friedrichs flux between conserved states ``ul`` and ``ur`` (..., 3).
+def lax_friedrichs(u: np.ndarray, flux: np.ndarray, speed: np.ndarray) -> np.ndarray:
+    """Local Lax-Friedrichs flux between the conserved states ``u[0]`` and ``u[1]`` (..., 3).
 
-    ``wl`` and ``wr`` are each side's primitives (rho, u, p), derived once by
-    the caller.
+    ``flux`` holds the Euler fluxes of both sides and ``speed`` their signal
+    speeds (2, ...), derived once by the caller.
     """
-    alpha = np.maximum(signal_speed(*wl, gamma), signal_speed(*wr, gamma))
-    return 0.5 * (euler_flux(ul, *wl[1:]) + euler_flux(ur, *wr[1:])
-                  - alpha[..., None] * (ur - ul))
+    return 0.5 * (flux[0] + flux[1] - np.maximum(speed[0], speed[1])[..., None] * (u[1] - u[0]))
+
+
+def _stacked(states, shape: tuple[int, ...]):
+    """Conserved vectors (..., 3), densities, velocities and pressures of ``states`` in ``shape``.
+
+    The values are those of ``to_conserved``, built in one array, so that
+    one kernel call covers all the states.
+    """
+    rows = np.array([(s.rho, s.rho * s.u, s.energy, s.u, s.p) for s in states]).reshape(shape + (5,))
+    return rows[..., :3], rows[..., 0], rows[..., 3], rows[..., 4]
+
+
+def _llf_rows(lefts: tuple[GasState, ...], rights: tuple[GasState, ...]) -> np.ndarray:
+    """LLF flux of each pair ``(lefts[i], rights[i])`` of one gamma, one row per pair.
+
+    All pairs go through one ``lax_friedrichs`` call on a (2, pairs, 3) stack.
+    """
+    u, rho, vel, p = _stacked(lefts + rights, (2, len(lefts)))
+    return lax_friedrichs(u, euler_flux(u, vel, p), signal_speed(rho, vel, p, lefts[0].gamma))
 
 
 def llf_flux(left: GasState, right: GasState) -> np.ndarray:
     """Local Lax-Friedrichs flux between two traces (of one gamma)."""
-    return lax_friedrichs(to_conserved(left), to_conserved(right), (left.rho, left.u, left.p),
-                          (right.rho, right.u, right.p), left.gamma)
+    return _llf_rows((left,), (right,))[0]
 
 
 def _regime(state: GasState) -> Branch:
@@ -92,14 +108,15 @@ def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficie
         ghost_right = _connect(left_trace, coeffs, corrections, rightward=True)
     except NotSolvableError as exc:
         raise UnavailableFluxError(str(exc)) from exc
-    return FluxPair(llf_flux(left_trace, ghost_left), llf_flux(ghost_right, right_trace))
+    return FluxPair(*_llf_rows((left_trace, ghost_right), (ghost_left, right_trace)))
 
 
 def solver_flux(left_trace: GasState, right_trace: GasState,
                 coeffs: SourceCoefficients) -> FluxPair:
     """Physical fluxes of the approximate Riemann solver's one-sided states."""
     out = approximate_solve(left_trace, right_trace, coeffs)
-    return FluxPair(physical_flux(out.minus), physical_flux(out.plus))
+    u, _, vel, p = _stacked((out.minus, out.plus), (2,))
+    return FluxPair(*euler_flux(u, vel, p))
 
 
 def origin_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time as _time
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,8 @@ def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField
     if hi - lo < grid.n_cells:
         sub = Grid(grid.a + lo * grid.h, grid.a + hi * grid.h, hi - lo, grid.h, grid.j0 - lo)
         with suppress(SchemeError):  # a failing window is stepped again below
-            step = ssp_rk3_step(replace(field, grid=sub, coeffs=c[lo:hi]), dt, coeffs, scheme)
-            return replace(field, coeffs=np.vstack((c[:lo], step.coeffs, c[hi:])), time=step.time)
+            step = ssp_rk3_step(DgField(sub, field.gamma, c[lo:hi], field.time), dt, coeffs, scheme)
+            return DgField(grid, field.gamma, np.vstack((c[:lo], step.coeffs, c[hi:])), step.time)
     return ssp_rk3_step(field, dt, coeffs, scheme)
 
 

@@ -181,13 +181,15 @@ def stationary_ratios(mach_minus: float, coeffs: SourceCoefficients, gamma: floa
 
 
 def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, branch: Branch,
-                   corrections: bool) -> float | None:
+                   corrections: bool, critical: CriticalMachNumbers | None) -> float | None:
     """Mach number of ``state`` as the ``side`` of a jump on ``branch``, checked.
 
     Requires rightward flow. Returns None for the zero-coefficient source,
     which carries no jump (both branches coincide there). Without
     ``corrections`` a Mach number outside the admissible interval, beyond
-    roundoff slack, or at the supersonic existence limit raises.
+    roundoff slack, or at the supersonic existence limit raises; the
+    interval comes from ``critical``, the critical Mach numbers of
+    ``coeffs``, or from a table built here when it is None.
     """
     if state.u <= 0.0:
         caller = "downstream_state" if side is Side.LEFT else "upstream_state"
@@ -196,7 +198,7 @@ def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, bran
         return None
     m = state.mach
     if not corrections:
-        lo, hi = critical_mach_numbers(coeffs, state.gamma).interval(side, branch)
+        lo, hi = (critical or critical_mach_numbers(coeffs, state.gamma)).interval(side, branch)
         supersonic = branch is Branch.SUPERSONIC
         # m is 0.0 where u / a underflows.
         too_slow = m < lo * (1.0 - _GAMMA_SLACK) if supersonic else m <= 0.0
@@ -216,7 +218,17 @@ def downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch
     Requires rightward flow. The zero-coefficient source carries no jump, so
     that case returns the input unchanged (both branches coincide there).
     """
-    m = _crossing_mach(state, coeffs, Side.LEFT, branch, corrections)
+    return _downstream_state(state, coeffs, branch, corrections, None)
+
+
+def _downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
+                      corrections: bool, critical: CriticalMachNumbers | None) -> GasState:
+    """``downstream_state``, checked against ``critical`` unless it is None.
+
+    ``critical`` holds the critical Mach numbers of ``coeffs``; a solve that
+    has built them once hands them in here.
+    """
+    m = _crossing_mach(state, coeffs, Side.LEFT, branch, corrections, critical)
     if m is None:
         return state
     gd, gu, gp = stationary_ratios(m, coeffs, state.gamma, branch, corrections)
@@ -243,7 +255,7 @@ def upstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
 
     Exact inverse of :func:`downstream_state` on its domain.
     """
-    m = _crossing_mach(state, coeffs, Side.RIGHT, branch, corrections)
+    m = _crossing_mach(state, coeffs, Side.RIGHT, branch, corrections, None)
     if m is None:
         return state
     mm2 = _branch_mach_sq(m * m, 1.0 / (1.0 + coeffs.k), state.gamma, branch, corrections)

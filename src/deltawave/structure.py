@@ -31,9 +31,9 @@ from .stationary import (
     Branch,
     CriticalMachNumbers,
     Side,
+    _downstream_state,
     choked_downstream,
     critical_mach_numbers,
-    downstream_state,
     stationary_ratios,
 )
 from .waves import (
@@ -188,7 +188,7 @@ def predict_structure(left: GasState, right: GasState,
         raise ConfigError("states must share gamma")
     critical = critical_mach_numbers(coeffs, left.gamma)
     if critical.admits(left.mach, Side.LEFT, Branch.SUPERSONIC):
-        down = downstream_state(left, coeffs, Branch.SUPERSONIC)
+        down = _downstream_state(left, coeffs, Branch.SUPERSONIC, False, critical)
         if _type2_wave_clears_origin(down, right):
             return Prediction(SolutionStructure.TYPE2, critical, plus=down)
     p_rest, p_crit = _passage_bracket(left, critical)
@@ -267,14 +267,14 @@ def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoeffici
     elif pred.structure is SolutionStructure.TYPE1:
         p = _solve_upstream_pressure(left, right, coeffs, pred.crit, pred.rest, tol)
         minus = wave_state(WaveFamily.ONE, left, p)
-        plus = downstream_state(minus, coeffs, Branch.SUBSONIC)
+        plus = _downstream_state(minus, coeffs, Branch.SUBSONIC, False, pred.critical)
     elif pred.structure is SolutionStructure.TYPE3:
         minus = wave_state(WaveFamily.ONE, left, pred.crit[0])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
         minus = _sonic_expansion_state(left, coeffs, pred.critical)
         if pred.structure is SolutionStructure.TYPE5:
-            plus = downstream_state(minus, coeffs, Branch.SUPERSONIC)
+            plus = _downstream_state(minus, coeffs, Branch.SUPERSONIC, False, pred.critical)
         else:
             plus = choked_downstream(minus, coeffs)
     return SolverOutput(minus, plus, pred.structure)

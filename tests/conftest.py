@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from deltawave import GasState, SourceCoefficients
+from deltawave import GasState, SourceCoefficients, dg, fluxes
 from deltawave.classical import solve_classical
-from deltawave.errors import VacuumError
+from deltawave.dg import _check_admissible
+from deltawave.errors import NotSolvableError, UnavailableFluxError, VacuumError
+from deltawave.fluxes import FluxPair, Scheme
+from deltawave.gas import (euler_flux, from_conserved, physical_flux, primitives, signal_speed,
+                           to_conserved)
 from deltawave.stationary import Branch, critical_mach_numbers
+from deltawave.structure import approximate_solve
 
 GAMMA = 1.4
 # Distance from every wave, in cells, that a cell needs to count as constant.
@@ -137,3 +142,110 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
         return True
     m2 = down.mach ** 2
     return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p
+
+
+def lax_friedrichs(ul: np.ndarray, ur: np.ndarray, wl, wr, gamma: float) -> np.ndarray:
+    """Local Lax-Friedrichs flux between ``ul`` and ``ur`` (..., 3), from each side's
+    primitives ``wl`` and ``wr``, with one Euler flux and one signal speed per side.
+
+    The reference for ``fluxes.lax_friedrichs``, which takes both sides' fluxes
+    and speeds as stacks.
+    """
+    alpha = np.maximum(signal_speed(*wl, gamma), signal_speed(*wr, gamma))
+    return 0.5 * (euler_flux(ul, *wl[1:]) + euler_flux(ur, *wr[1:])
+                  - alpha[..., None] * (ur - ul))
+
+
+def llf_flux(left: GasState, right: GasState) -> np.ndarray:
+    """The LLF flux of two traces, one ``to_conserved`` per trace."""
+    return lax_friedrichs(to_conserved(left), to_conserved(right), (left.rho, left.u, left.p),
+                          (right.rho, right.u, right.p), left.gamma)
+
+
+def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,
+            corrections: bool = True) -> FluxPair:
+    """``fluxes.kt_flux`` with one ``llf_flux`` call per side."""
+    try:
+        ghost_left = fluxes._connect(right_trace, coeffs, corrections, rightward=False)
+        ghost_right = fluxes._connect(left_trace, coeffs, corrections, rightward=True)
+    except NotSolvableError as exc:
+        raise UnavailableFluxError(str(exc)) from exc
+    return FluxPair(llf_flux(left_trace, ghost_left), llf_flux(ghost_right, right_trace))
+
+
+def solver_flux(left_trace: GasState, right_trace: GasState,
+                coeffs: SourceCoefficients) -> FluxPair:
+    """``fluxes.solver_flux`` with one ``physical_flux`` call per side."""
+    out = approximate_solve(left_trace, right_trace, coeffs)
+    return FluxPair(physical_flux(out.minus), physical_flux(out.plus))
+
+
+def origin_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,
+                scheme: Scheme) -> FluxPair:
+    """``fluxes.origin_flux`` over the two-call fluxes above."""
+    if scheme is Scheme.SOLVER:
+        return solver_flux(left_trace, right_trace, coeffs)
+    if scheme in (Scheme.KT, Scheme.KT_NOCORR):
+        return kt_flux(left_trace, right_trace, coeffs, scheme is Scheme.KT)
+    f = llf_flux(left_trace, right_trace)
+    return FluxPair(f, f)
+
+
+def dg_rhs(field, coeffs: SourceCoefficients, scheme: Scheme) -> np.ndarray:
+    """``dg.dg_rhs`` with one stack per kind of state: the interface states, the
+    node states and the means each get their own primitives and Euler fluxes,
+    and the origin pair is patched into four columns of the flux sums.
+
+    The reference for the one-stack kernel; the origin pair comes from the
+    two-call fluxes above.
+    """
+    grid, g, h = field.grid, field.gamma, field.grid.h
+    n, j0 = grid.n_cells, grid.j0
+    c = dg._component_major(field.coeffs)
+    means = c[0]
+    iface = np.empty((2, 3, n + 1))
+    iface[0, :, 0], iface[1, :, -1] = means[:, 0], means[:, -1]
+    hi = np.multiply(c[1], 0.5, out=iface[0, :, 1:])
+    lo = np.divide(c[2], 6.0, out=iface[1, :, :-1])
+    lo_half = np.subtract(means, hi)
+    hi += means
+    hi += lo
+    lo += lo_half
+    uq = np.multiply(c[1], dg._QNODES[:, None, None])
+    uq += means
+    uq += np.multiply(c[2], dg._QMODE2[:, None, None])
+    iface_s, uq_s = iface.swapaxes(-2, -1), uq.swapaxes(-2, -1)
+    w_iface, w_quad = primitives(iface_s, g), primitives(uq_s, g)
+    _check_admissible((("interfaces", iface, w_iface[0], w_iface[2]),
+                       ("quadrature cells", uq, w_quad[0], w_quad[2])), field.time)
+    w_left, w_right = zip(*w_iface)
+    fhat = lax_friedrichs(iface_s[0], iface_s[1], w_left, w_right, g).T
+
+    flux_l, flux_r = fhat[:, :-1], fhat[:, 1:]
+    jump, total = flux_r - flux_l, flux_r + flux_l
+    if scheme is not Scheme.SPLITTING:
+        pair = origin_flux(from_conserved(*iface[0, :, j0].tolist(), g),
+                           from_conserved(*iface[1, :, j0].tolist(), g), coeffs, scheme)
+        jump[:, j0 - 1] = pair.minus - flux_l[:, j0 - 1]
+        total[:, j0 - 1] = pair.minus + flux_l[:, j0 - 1]
+        jump[:, j0] = flux_r[:, j0] - pair.plus
+        total[:, j0] = flux_r[:, j0] + pair.plus
+
+    fbar = euler_flux(means.T, *primitives(means.T, g)[1:]).T
+    devs = euler_flux(uq_s, *w_quad[1:]).swapaxes(-2, -1)
+    devs -= fbar
+    acc = np.zeros((2, 3, n))
+    term = np.empty_like(acc)
+    for weights, dev in zip(dg._QSUMS, devs):
+        acc += np.multiply(weights, dev, out=term)
+    acc1, acc2 = acc
+
+    out = np.empty((n, 3, 3))
+    rhs = out.transpose(1, 2, 0)
+    np.divide(jump, -h, out=rhs[0])
+    acc1 += fbar
+    acc1 -= np.multiply(total, 0.5, out=total)
+    np.divide(acc1, h * dg._MASS[1], out=rhs[1])
+    acc2 -= np.divide(jump, 6.0, out=jump)
+    np.divide(acc2, h * dg._MASS[2], out=rhs[2])
+    return out

@@ -181,8 +181,8 @@ class TestDgRhs:
         rhs = dg_rhs(field, TEST1_COEFFS, SOLVER)
         total = g.h * np.sum(rhs[:, 0, :], axis=0)
 
-        from conftest import traces as _traces
-        from deltawave.fluxes import lax_friedrichs, origin_flux
+        from conftest import lax_friedrichs, traces as _traces
+        from deltawave.fluxes import origin_flux
         from deltawave.gas import from_conserved, primitives
 
         tr_lo, tr_hi = _traces(c.transpose(1, 0, 2))

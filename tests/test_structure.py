@@ -163,29 +163,19 @@ class TestPrediction:
         (2, True, SolutionStructure.TYPE1), (None, False, SolutionStructure.CLASSICAL),
     ])
     def test_one_critical_table_per_solve(self, monkeypatch, tid, mirrored, kind):
-        # ``downstream_state`` checks its Mach against a table of its own;
-        # every other reader shares the one that ``predict_structure`` builds.
+        # Every reader, ``downstream_state``'s entry check included, shares the
+        # one table that ``predict_structure`` builds.
         from deltawave import stationary, structure
 
-        depth, outside, classical_calls = [0], [], []
-        real_table, real_down = stationary.critical_mach_numbers, stationary.downstream_state
-        real_classical = structure.solve_classical
+        tables, classical_calls = [], []
+        real_table, real_classical = stationary.critical_mach_numbers, structure.solve_classical
 
         def table(*args):
-            if depth[0] == 0:
-                outside.append(args)
+            tables.append(args)
             return real_table(*args)
-
-        def down(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return real_down(*args, **kwargs)
-            finally:
-                depth[0] -= 1
 
         for module in (stationary, structure):
             monkeypatch.setattr(module, "critical_mach_numbers", table)
-            monkeypatch.setattr(module, "downstream_state", down)
         monkeypatch.setattr(structure, "solve_classical",
                             lambda *args: classical_calls.append(args) or real_classical(*args))
         if tid is None:  # opposed flow: no source, a classical fan
@@ -197,7 +187,7 @@ class TestPrediction:
         if mirrored:
             left, right = right.mirrored(), left.mirrored()
         assert approximate_solve(left, right, coeffs).structure is kind
-        assert len(outside) <= 1
+        assert len(tables) <= 1
         if kind is SolutionStructure.TYPE2:
             assert classical_calls == []
 

@@ -5,7 +5,7 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on four pieces of work:
+on five pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
@@ -20,7 +20,13 @@ on four pieces of work:
   have spread over part of the grid;
 - ``reference``: ``compose_reference_fan`` plus ``reference_cell_averages``
   over the first 100 of those draws, on the benchmark's reference grid
-  (200 cells on [-1, 1], t = 0.1); the fastest of three.
+  (200 cells on [-1, 1], t = 0.1); the fastest of three;
+- ``sweep``: ``runner.advance`` of test 5 with the kt flux at h = 0.05 from
+  t = 2.0 to 2.35 (about 40 steps on windows of about 200 cells), from a
+  field that each side computes once at setup; the fastest of three. The
+  runs of the benchmark's ``table_sweep`` step such small windows, where a
+  stage costs mostly its fixed per-call work; ``step`` and ``advance`` run
+  far more cells per stage.
 
 It prints, per piece of work, each side's median time, the median and
 quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster,
@@ -51,6 +57,9 @@ ADVANCE_FROM, ADVANCE_TO = 1.5, 1.6
 N_FANS = 100
 REF_H, REF_T = 0.01, 0.1
 REFERENCE_REPEATS = 3
+SWEEP_TEST, SWEEP_H = 5, 0.05
+SWEEP_FROM, SWEEP_TO = 2.0, 2.35
+SWEEP_REPEATS = 3
 
 
 def load(tree: Path, name: str):
@@ -89,6 +98,11 @@ class Work:
         self.compose_fn = structure.compose_reference_fan
         self.reference_fn = runner.reference_cell_averages
         self.ref_grid = dg.make_grid(-1.0, 1.0, REF_H)
+        sweep_case = dw.get_case(SWEEP_TEST)
+        self.sweep_args = (sweep_case.coeffs, runner.scheme_from_name("kt"))
+        sweep_field = dg.field_from_states(dg.make_grid(*sweep_case.domain, SWEEP_H),
+                                           *runner.initial_states(sweep_case))
+        self.sweep_field = runner.advance(sweep_field, *self.sweep_args, SWEEP_FROM, self.cfl)
 
     def _solve_pass(self) -> None:
         for left, right, coeffs in self.draws:
@@ -117,6 +131,10 @@ class Work:
     def reference(self) -> float:
         return fastest(self._reference_pass, REFERENCE_REPEATS)
 
+    def sweep(self) -> float:
+        return fastest(lambda: self.advance_fn(self.sweep_field, *self.sweep_args, SWEEP_TO,
+                                               self.cfl), SWEEP_REPEATS)
+
 
 def fastest(fn, repeats: int) -> float:
     """The shortest wall time, in seconds, of ``repeats`` calls of ``fn()``."""
@@ -138,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "step", "advance", "reference")
+    names = ("solve", "step", "advance", "reference", "sweep")
     for side in sides:  # warm-up, untimed
         for name in names:
             getattr(side, name)()
