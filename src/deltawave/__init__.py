@@ -33,7 +33,6 @@ from .stationary import (
     Branch,
     CriticalMachNumbers,
     StationaryPair,
-    admissible,
     choked_downstream,
     critical_mach_numbers,
     downstream_state,

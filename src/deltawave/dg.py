@@ -72,12 +72,13 @@ def make_grid(a: float, b: float, h: float) -> Grid:
     return Grid(a, b, n, h, j0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgField:
     """Per-cell modal coefficients of the conserved variables.
 
     ``coeffs`` has shape (n_cells, 3 modes, 3 variables); mode 0 is the cell
-    mean of (rho, rho*u, E).
+    mean of (rho, rho*u, E). A field holds an array, so fields compare and
+    hash by identity.
     """
 
     grid: Grid
@@ -101,23 +102,26 @@ def field_from_states(grid: Grid, left: GasState, right: GasState) -> DgField:
     return DgField(grid, left.gamma, coeffs)
 
 
-def _check_admissible(stacks, time: float) -> None:
-    """Abort on a non-finite or non-positive state at an interface or a quadrature node.
+def _check_admissible(stacks, time: float | None = None) -> None:
+    """Abort, naming the places, on a state that is not finite or has rho <= 0 or p <= 0.
 
-    ``stacks`` holds (name, states, rho, p) tuples: the states on each side
-    of every interface, component-first with shape (2, 3, n_cells + 1), and
-    the states at the nodes, (3, 3, n_cells), with their densities and
-    pressures. ``dg_rhs`` tests its whole stage stack at once and calls this
-    only when that test fails, to name the failing places of each part.
+    ``stacks`` holds (name, states, rho, p) tuples, the states component-first
+    with shape (..., 3, n) and rho and p with shape (..., n): the states on
+    each side of every interface, (2, 3, n_cells + 1), the states at the
+    quadrature nodes, (3, 3, n_cells), or the cell means, (3, n_cells). Place
+    j of a part fails when any of its states does. Its callers, the stage
+    stack of ``dg_rhs``, the limiter and ``cfl_dt``, test their states with
+    a few reductions and call this only when that test fails. "(t=...)" is
+    appended only when a ``time`` is given.
     """
     where = []
     for name, u, rho, p in stacks:
-        # The minimum of an array holding a NaN is NaN, which fails too.
-        if not (np.isfinite(u).all() and rho.min() > 0.0 and p.min() > 0.0):
-            ok = (rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-2)
-            where.append(f"{name} {np.flatnonzero(~ok.all(axis=0))[:5]}")
+        ok = np.atleast_2d((rho > 0.0) & (p > 0.0) & np.isfinite(u).all(axis=-2)).all(axis=0)
+        if not ok.all():
+            where.append(f"{name} {np.flatnonzero(~ok)[:5]}")
     if where:
-        raise SchemeError(f"inadmissible state at {', '.join(where)} (t={time:.6g})")
+        at = "" if time is None else f" (t={time:.6g})"
+        raise SchemeError(f"inadmissible state at {', '.join(where)}{at}")
 
 
 def _component_major(coeffs: np.ndarray) -> np.ndarray:
@@ -229,7 +233,8 @@ def _eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarr
     rho <= 0 or p <= 0 has no real eigenvectors: it raises ``SchemeError``.
     """
     rho, u, p = primitives(means.T, gamma)
-    _check_means(rho, p)
+    if not (rho.min() > 0.0 and p.min() > 0.0):  # a NaN minimum fails too
+        _check_admissible((("cells", means, rho, p),))
     a = np.sqrt(gamma * p / rho)
     h_tot = (means[2] + p) / rho
     ua = u * a
@@ -346,20 +351,9 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     if not 0.0 < cfl <= 0.5:
         raise ConfigError(f"cfl must lie in (0, 0.5], got {cfl}")
     rho, u, p = primitives(field.means, field.gamma)
-    if not np.isfinite(u).all():
-        raise SchemeError(f"non-finite field at t={field.time:.6g}")
-    _check_means(rho, p, field.time)
+    if not (np.isfinite(u).all() and rho.min() > 0.0 and p.min() > 0.0):
+        _check_admissible((("cells", field.means.T, rho, p),), field.time)
     return cfl * field.grid.h / float(signal_speed(rho, u, p, field.gamma).max())
-
-
-def _check_means(rho: np.ndarray, p: np.ndarray, time: float | None = None) -> None:
-    """Abort, naming the cells, when a cell mean has rho <= 0 or p <= 0."""
-    if rho.min() > 0.0 and p.min() > 0.0:  # a NaN minimum fails too
-        return
-    bad = ~((rho > 0.0) & (p > 0.0))
-    at = "" if time is None else f" (t={time:.6g})"
-    raise SchemeError(f"non-positive density or pressure in the means of cells "
-                      f"{np.flatnonzero(bad)[:5]}{at}")
 
 
 def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -> DgField:

@@ -31,9 +31,12 @@ class Scheme(enum.Enum):
     SOLVER = "solver"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxPair:
-    """One-sided numerical fluxes at an interface (they differ only at the origin)."""
+    """One-sided numerical fluxes at an interface (they differ only at the origin).
+
+    A pair holds arrays, so pairs compare and hash by identity.
+    """
 
     minus: np.ndarray
     plus: np.ndarray

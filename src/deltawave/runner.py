@@ -28,8 +28,10 @@ SCHEMES = {s.value: s for s in Scheme}
 CFL = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
+    """One run of ``run_test``; it holds its final field, so reports compare and hash by identity."""
+
     test_id: int
     scheme: Scheme
     h: float
@@ -67,7 +69,11 @@ def _positive_time(t: float) -> float:
 
 
 def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) -> DgField:
+    """``field`` stepped to ``t_end``; its coefficients must be a float64 (n_cells, 3, 3) array."""
     t_end = _positive_time(t_end)
+    c, shape = field.coeffs, (field.grid.n_cells, 3, 3)
+    if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape):
+        raise ConfigError(f"coefficients must be a float64 array of shape {shape}")
     t = field.time
     while t < t_end * (1.0 - 1e-14):
         dt = min(cfl_dt(field, cfl), t_end - t)

@@ -114,11 +114,6 @@ def critical_mach_numbers(coeffs: SourceCoefficients, gamma: float) -> CriticalM
     return CriticalMachNumbers(1.0, 1.0, math.inf, 1.0, 1.0, math.inf)
 
 
-def admissible(mach: float, side: Side, branch: Branch, coeffs: SourceCoefficients, gamma: float) -> bool:
-    """Exact membership in the admissible Mach set for the given side and branch."""
-    return critical_mach_numbers(coeffs, gamma).admits(mach, side, branch)
-
-
 def _branch_mach_sq(m2: float, one_plus_k: float, gamma: float, branch: Branch,
                     corrections: bool) -> float:
     """Solve G(x) = one_plus_k * G(m2) for the requested branch, stably.

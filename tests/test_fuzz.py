@@ -11,8 +11,13 @@ benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
   sub-fan speed >= 0, within 1e-12 of the largest signal speed |u| + c of the
   data. The check needs no quadrature, so it covers every draw. The known
   failures are strict xfails, one per structure.
+- Continuity across k = 0 (ROADMAP item 2(c)): for every draw whose flow
+  passes the origin, the origin pair at coefficients eps * d tends to the
+  pair at zero coefficients, with d the draw's own coefficients scaled to a
+  largest magnitude of one. This oracle does not read the predictor.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -40,6 +45,12 @@ EPS = float(np.finfo(float).eps)
 # Newton steps on the Mach map. Above the 64 ulps of the other pairs, so
 # ROADMAP item 2(d) stays open.
 TYPE3_MAX_ULPS = 5.7e3
+# Coefficient scales of the continuity oracle, and its bound: the worst
+# difference over the draws is 3.35 sqrt(|eps|), from the Type7 draws that turn
+# Type3 or Type5 at eps != 0 and converge like sqrt(eps); the others converge
+# like eps.
+CONTINUITY_EPS = (1e-6, -1e-6, 1e-8, -1e-8)
+CONTINUITY_BOUND = 10.0
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +119,34 @@ def test_sub_fans_stay_on_their_side(fuzz, structure):
     off = [i for i, (left, right, coeffs, o) in enumerate(fuzz)
            if _name(o) == structure.value and _off_side(left, right, coeffs)]
     assert off == []
+
+
+def _origin_values(left, right, coeffs) -> np.ndarray:
+    out = approximate_solve(left, right, coeffs)
+    return np.array([out.minus.rho, out.minus.u, out.minus.p, out.plus.rho, out.plus.u, out.plus.p])
+
+
+def test_origin_pair_is_continuous_across_zero_coefficients(fuzz):
+    zero = SourceCoefficients(0.0, 0.0, 0.0)
+    solved = skipped = 0
+    for left, right, coeffs, _ in fuzz:
+        if not left.u * right.u > 0.0:
+            continue
+        try:
+            base = _origin_values(left, right, zero)
+        except DeltawaveError:  # 29 draws fail typed without a source
+            skipped += 1
+            continue
+        solved += 1
+        d = np.array([coeffs.k1, coeffs.k2, coeffs.k3])
+        d /= np.max(np.abs(d))
+        scale = np.max(np.abs(base))
+        diff = {}
+        for eps in CONTINUITY_EPS:
+            near = _origin_values(left, right, SourceCoefficients(*(eps * d).tolist()))
+            diff[eps] = float(np.max(np.abs(near - base))) / scale
+            assert diff[eps] <= CONTINUITY_BOUND * math.sqrt(abs(eps))
+        # Converging at least like sqrt(eps): a hundredth of eps, at most a fifth of the difference.
+        for sign in (1.0, -1.0):
+            assert diff[sign * 1e-8] <= 0.2 * diff[sign * 1e-6]
+    assert (solved, skipped) == (9971, 29)

@@ -6,8 +6,9 @@ from deltawave.cases import _TABLE, all_cases, get_case
 from deltawave.cli import main as cli_main
 from deltawave.dg import field_from_states, make_grid
 from deltawave.errors import ConfigError
-from deltawave.fluxes import Scheme, llf_flux, origin_flux
+from deltawave.fluxes import Scheme, llf_flux, origin_flux, solver_flux
 from deltawave.runner import (
+    RunReport,
     advance,
     convergence_study,
     error_norms,
@@ -255,6 +256,31 @@ class TestRunTestValidation:
         field = field_from_states(make_grid(-2.0, 2.0, 0.5), *initial_states(case))
         with pytest.raises(ConfigError, match="finite and positive"):
             advance(field, case.coeffs, Scheme.SOLVER, t_end, 0.5)
+
+    @pytest.mark.parametrize("bad", [lambda c: c.astype(np.float32), lambda c: c[:, 0, :].copy()],
+                             ids=["float32", "means-only"])
+    def test_advance_rejects_coefficients_of_the_wrong_type_or_shape(self, bad):
+        # They used to fail deep inside: a float32 field with numpy's ValueError
+        # from the step window's int64 view, (n_cells, 3) coefficients with an
+        # IndexError in cfl_dt.
+        case = get_case(2)
+        field = field_from_states(make_grid(-2.0, 2.0, 0.5), *initial_states(case))
+        with pytest.raises(ConfigError, match=r"float64 array of shape \(8, 3, 3\)"):
+            advance(field.with_coeffs(bad(field.coeffs)), case.coeffs, Scheme.SOLVER, 0.1, 0.5)
+
+    def test_array_records_compare_and_hash_by_identity(self):
+        # Generated equality compared their arrays and raised numpy's ValueError,
+        # and hash raised TypeError.
+        case = get_case(2)
+        left, right = initial_states(case)
+        grid = make_grid(-2.0, 2.0, 0.5)
+        pairs = [solver_flux(left, right, case.coeffs) for _ in range(2)]
+        fields = [field_from_states(grid, left, right) for _ in range(2)]
+        reports = [RunReport(2, Scheme.SOLVER, 0.5, grid.n_cells, 1.0, {}, None, 0.0, 0.0, f)
+                   for f in fields]
+        for a, b in (pairs, fields, reports):
+            assert a == a and a != b
+            assert len({a, b, a}) == 2
 
     def test_scheme_names(self):
         assert scheme_from_name("kt-nocorr") is Scheme.KT_NOCORR

@@ -224,7 +224,7 @@ class TestLimiter:
         c[2, 1, 0] = 0.1  # a slope for the limiter to look at
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail the test
-            with pytest.raises(SchemeError, match=r"cells \[3\]"):
+            with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[3\]$"):
                 tvd_limit(field.with_coeffs(c))
 
     def test_smooth_gentle_slopes_kept(self):
@@ -433,7 +433,16 @@ class TestCfl:
         field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
         c = field.coeffs.copy()
         c[3, 0, 2] = 0.01  # energy below the kinetic energy: p < 0
-        with pytest.raises(SchemeError, match=r"cells \[3\]"):
+        with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[3\] \(t=0\)$"):
+            cfl_dt(field.with_coeffs(c), 0.5)
+
+    def test_non_finite_mean_names_its_cell(self):
+        # It used to raise "non-finite field", naming no cell.
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
+        c = field.coeffs.copy()
+        c[4, 0, 1] = math.nan
+        with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] \(t=0\)$"):
             cfl_dt(field.with_coeffs(c), 0.5)
 
 

@@ -7,7 +7,6 @@ from deltawave import (
     GasState,
     SourceCoefficients,
     StationaryPair,
-    admissible,
     choked_downstream,
     critical_mach_numbers,
     downstream_state,
@@ -72,23 +71,23 @@ class TestAdmissible:
     def test_amplifying_rows(self):
         crit = critical_mach_numbers(TEST1_COEFFS, GAMMA)
         m1, m2 = crit.upstream_subsonic_max, crit.upstream_supersonic_min
-        assert admissible(m1 / 2, Side.LEFT, Branch.SUBSONIC, TEST1_COEFFS, GAMMA)
-        assert admissible(m1, Side.LEFT, Branch.SUBSONIC, TEST1_COEFFS, GAMMA)
+        assert critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(m1 / 2, Side.LEFT, Branch.SUBSONIC)
+        assert critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(m1, Side.LEFT, Branch.SUBSONIC)
         mid = 0.5 * (m1 + m2)
-        assert not admissible(mid, Side.LEFT, Branch.SUBSONIC, TEST1_COEFFS, GAMMA)
-        assert not admissible(mid, Side.LEFT, Branch.SUPERSONIC, TEST1_COEFFS, GAMMA)
-        assert admissible(m2, Side.LEFT, Branch.SUPERSONIC, TEST1_COEFFS, GAMMA)
-        assert admissible(1.0, Side.RIGHT, Branch.SUBSONIC, TEST1_COEFFS, GAMMA)
-        assert not admissible(1.0001, Side.RIGHT, Branch.SUBSONIC, TEST1_COEFFS, GAMMA)
+        assert not critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(mid, Side.LEFT, Branch.SUBSONIC)
+        assert not critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(mid, Side.LEFT, Branch.SUPERSONIC)
+        assert critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(m2, Side.LEFT, Branch.SUPERSONIC)
+        assert critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(1.0, Side.RIGHT, Branch.SUBSONIC)
+        assert not critical_mach_numbers(TEST1_COEFFS, GAMMA).admits(1.0001, Side.RIGHT, Branch.SUBSONIC)
 
     def test_attenuating_supersonic_interval_right_open(self):
         c = coeffs_with_k(-0.2)
         crit = critical_mach_numbers(c, GAMMA)
         sup = crit.upstream_supersonic_sup
-        assert admissible(sup * 0.999, Side.LEFT, Branch.SUPERSONIC, c, GAMMA)
-        assert not admissible(sup, Side.LEFT, Branch.SUPERSONIC, c, GAMMA)
-        assert admissible(crit.downstream_subsonic_max, Side.RIGHT, Branch.SUBSONIC, c, GAMMA)
-        assert admissible(crit.downstream_supersonic_min, Side.RIGHT, Branch.SUPERSONIC, c, GAMMA)
+        assert critical_mach_numbers(c, GAMMA).admits(sup * 0.999, Side.LEFT, Branch.SUPERSONIC)
+        assert not critical_mach_numbers(c, GAMMA).admits(sup, Side.LEFT, Branch.SUPERSONIC)
+        assert critical_mach_numbers(c, GAMMA).admits(crit.downstream_subsonic_max, Side.RIGHT, Branch.SUBSONIC)
+        assert critical_mach_numbers(c, GAMMA).admits(crit.downstream_supersonic_min, Side.RIGHT, Branch.SUPERSONIC)
 
 
 class TestDownstream:

@@ -1,4 +1,5 @@
-"""The code-line counter of ``tools/code_lines.py`` and the A/B timer of ``tools/abtime.py``."""
+"""The code-line counter of ``tools/code_lines.py``, the A/B timer of ``tools/abtime.py`` and
+the census of ``tools/census.py``."""
 
 import importlib.util
 import subprocess
@@ -59,3 +60,22 @@ def test_abtime_prints_every_ratio():
         assert row[4] in ("0/1", "1/1")
         if float(row[3]) != 1.0:
             assert (row[4] == "1/1") == (float(row[3]) < 1.0)
+
+
+CENSUS_200 = """\
+structure          mismatch           fan                 draws
+no-source                                                   116
+Type5              ++                 NotSolvableError       35
+Type3              ++                 on-side                24
+Type2              ++                 on-side                14
+Type1              -+                 on-side                 7
+Type5              ++                 on-side                 4
+total                                                       200
+"""
+
+
+def test_census_table_of_200_draws():
+    root = _PATH.parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "census.py"), "--draws", "200"],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == CENSUS_200

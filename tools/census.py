@@ -1,0 +1,110 @@
+"""Census of the origin solver over its fuzz domain: one table of draw counts.
+
+    python tools/census.py [--draws N]
+
+takes the first N (default 20,000) seed-0 draws of the benchmark's
+``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
+|u| <= 4), in its order, and counts them by three keys:
+
+- ``structure``: what ``predict_structure`` predicts in the rightward frame,
+  or the class of the error it raises;
+- ``mismatch``: the signs of ``velocity_mismatch`` at p_crit and at p_rest,
+  the ends of ``subsonic_passage_bracket`` (``+``, ``-`` or ``0``, in that
+  order), or the class of the error either raises;
+- ``fan``: the verdict of the wave-side check of ``tests/test_fuzz.py`` on
+  the fan that ``compose_reference_fan`` composes (``on-side``, or
+  ``wrong-side`` when a wave of the left sub-fan moves right or one of the
+  right sub-fan left, beyond 1e-12 of the largest signal speed of the
+  data), or the class of the error it raises.
+
+Draws whose velocities have mixed signs carry no source; they are counted
+in one ``no-source`` row. Rows are printed by count, largest first. The
+tool imports ``deltawave`` from the ``src`` beside it and reads its public
+names only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from deltawave import (  # noqa: E402
+    DeltawaveError,
+    GasState,
+    SourceCoefficients,
+    compose_reference_fan,
+    predict_structure,
+    subsonic_passage_bracket,
+    velocity_mismatch,
+)
+from deltawave.gas import rightward_frame  # noqa: E402
+
+
+def draws(n: int):
+    """(left, right, coeffs) of the first ``n`` seed-0 ``riemann_batch`` draws."""
+    rng = np.random.default_rng(0)
+    k = rng.uniform(-0.6, 1.5, (n, 3))
+    rp = rng.uniform(0.1, 5.0, (n, 4))
+    u = rng.uniform(-4.0, 4.0, (n, 2))
+    for i in range(n):
+        yield (GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3]),
+               SourceCoefficients(*k[i]))
+
+
+def _attempt(fn, *args) -> str:
+    """``fn(*args)``, or the class name of the ``DeltawaveError`` it raises."""
+    try:
+        return fn(*args)
+    except DeltawaveError as exc:
+        return type(exc).__name__
+
+
+def _signs(left: GasState, right: GasState, coeffs: SourceCoefficients) -> str:
+    p_rest, p_crit = subsonic_passage_bracket(left, coeffs)
+    return "".join("+" if t > 0.0 else "-" if t < 0.0 else "0"
+                   for t in (velocity_mismatch(p, left, right, coeffs) for p in (p_crit, p_rest)))
+
+
+def _verdict(left: GasState, right: GasState, coeffs: SourceCoefficients) -> str:
+    fan = compose_reference_fan(left, right, coeffs)
+    tol = 1e-12 * max(abs(left.u) + left.sound_speed, abs(right.u) + right.sound_speed)
+    off = any(s > tol for s in fan.left_wave_speeds()) \
+        or any(s < -tol for s in fan.right_wave_speeds())
+    return "wrong-side" if off else "on-side"
+
+
+def census(n: int) -> Counter:
+    """Counts of the first ``n`` draws by (structure, mismatch, fan)."""
+    counts = Counter()
+    for left, right, coeffs in draws(n):
+        frame = rightward_frame(left, right)
+        if frame is None:
+            counts["no-source", "", ""] += 1
+            continue
+        rl, rr, _ = frame  # the pair in its rightward frame
+        structure = _attempt(lambda: predict_structure(rl, rr, coeffs).structure.value)
+        counts[structure, _attempt(_signs, rl, rr, coeffs),
+               _attempt(_verdict, left, right, coeffs)] += 1
+    return counts
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--draws", type=int, default=20_000)
+    counts = census(parser.parse_args(argv).draws)
+    rows = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    print(f"{'structure':<18} {'mismatch':<18} {'fan':<18} {'draws':>6}")
+    for (structure, signs, fan), count in rows:
+        print(f"{structure:<18} {signs:<18} {fan:<18} {count:>6}")
+    print(f"{'total':<56} {sum(counts.values()):>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
