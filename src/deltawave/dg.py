@@ -4,7 +4,9 @@ Cells carry modal coefficients on the scaled Legendre basis 1, xi, xi^2-1/12
 over the reference element xi in [-1/2, 1/2], so the zeroth mode is the cell
 mean. Volume integrals use 3-point Gauss quadrature in the deviation-from-
 mean form, which keeps piecewise-constant equilibrium data bit-exact. A
-characteristicwise TVD minmod limiter runs after every Runge-Kutta stage.
+characteristicwise TVD minmod limiter runs after every Runge-Kutta stage; it
+maps to characteristic variables and back through the closed-form
+eigenvectors of the Euler flux Jacobian, with no matrix built per cell.
 """
 
 from __future__ import annotations
@@ -225,61 +227,56 @@ def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.nda
     return out
 
 
-def _eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right eigenvector matrices of the flux Jacobian at each cell mean.
+def _characteristic(x: np.ndarray, u, a, u2, b1) -> np.ndarray:
+    """Characteristic variables of a (3, k, n) stack of conserved vectors, k per cell.
 
-    ``means`` is component-first, (3, n); entry (i, j) of either matrix is
-    the row ``[i, j]`` of the returned (3, 3, n) arrays. A mean with
-    rho <= 0 or p <= 0 has no real eigenvectors: it raises ``SchemeError``.
+    The left eigenvectors of the Euler flux Jacobian at each cell's mean, in
+    closed form (Toro, Riemann Solvers and Numerical Methods for Fluid
+    Dynamics, section 3.1): with s = b1 ((u^2/2) x0 - u x1 + x2) and
+    t = (u x0 - x1) / a, the variables are ((s + t) / 2, x0 - s, (s - t) / 2).
+    ``u``, ``a``, ``u2`` = u^2/2 and ``b1`` = (gamma - 1) / a^2 are per cell,
+    (n,). Every sum is mirror-symmetric term by term: under u -> -u and
+    x1 -> -x1, s keeps its bits and t changes sign exactly, so the first and
+    last variables swap bit for bit. A zero stack gives +0.0.
     """
-    rho, u, p = primitives(means.T, gamma)
-    if not (rho.min() > 0.0 and p.min() > 0.0):  # a NaN minimum fails too
-        _check_admissible((("cells", means, rho, p),))
-    a = np.sqrt(gamma * p / rho)
-    h_tot = (means[2] + p) / rho
-    ua = u * a
-    right = np.empty((3, 3) + u.shape)
-    right[0] = 1.0
-    np.subtract(u, a, out=right[1, 0])
-    right[1, 1] = u
-    np.add(u, a, out=right[1, 2])
-    np.subtract(h_tot, ua, out=right[2, 0])
-    np.multiply(np.multiply(0.5, u, out=right[2, 1]), u, out=right[2, 1])
-    np.add(h_tot, ua, out=right[2, 2])
-
-    # u*a above, and u/a, 1/a, b1*u and 0.5*b1 here, are each derived once.
-    b1 = (gamma - 1.0) / (a * a)
-    u_a, inv_a = u / a, 1.0 / a
-    left = np.empty_like(right)
-    half_b1 = np.multiply(0.5, b1, out=left[0, 2])
-    b1u = np.multiply(b1, u, out=left[1, 1])
-    b2 = half_b1 * u  # 0.5*b1*u*u
-    b2 *= u
-    np.multiply(np.add(b2, u_a, out=left[0, 0]), 0.5, out=left[0, 0])
-    np.multiply(np.add(b1u, inv_a, out=left[0, 1]), -0.5, out=left[0, 1])
-    np.subtract(1.0, b2, out=left[1, 0])
-    np.negative(b1, out=left[1, 2])
-    np.multiply(np.subtract(b2, u_a, out=left[2, 0]), 0.5, out=left[2, 0])
-    np.multiply(np.subtract(b1u, inv_a, out=left[2, 1]), -0.5, out=left[2, 1])
-    left[2, 2] = half_b1
-    return left, right
+    x0, x1, x2 = x
+    s = np.multiply(u2, x0)
+    t = np.multiply(u, x1)
+    s -= t
+    s += x2
+    s *= b1
+    np.multiply(u, x0, out=t)
+    t -= x1
+    t /= a
+    ch = np.empty_like(x)
+    np.subtract(x0, s, out=ch[1])
+    np.multiply(np.add(s, t, out=ch[0]), 0.5, out=ch[0])
+    np.multiply(np.subtract(s, t, out=ch[2]), 0.5, out=ch[2])
+    return ch
 
 
-def _matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cellwise products of (3, 3, n) matrices with a (3, k, n) stack of k vectors per cell.
+def _conserved(m: np.ndarray, u, a, u2, h_tot) -> np.ndarray:
+    """The conserved vector m0 r0 + m1 r1 + m2 r2 of (3, n) characteristic variables.
 
-    The terms are summed as (0 + 2) + 1. That order is this package's own
-    bit contract, which every limited DG output follows; it is not numpy's.
-    On numpy 2.4.6, ``einsum('ijn,jkn->ikn', m, x)`` sums (0 + 1) + 2 and
-    equals this product in only 65.3% of the values of the limiter stacks of
-    test 8 (solver flux, h = 0.05, to t = 1); with the j axis of both
-    operands reordered to (0, 2, 1) it equals it in all of them. A zero may
-    come out as -0.0, where a sum that starts at +0.0 gives +0.0.
+    The right eigenvectors (1, u - a, H - u a), (1, u, u^2/2) and
+    (1, u + a, H + u a) in closed form: with S = (m0 + m2) + m1 and
+    d = m2 - m0, the vector is (S, u S + a d, (H (m0 + m2) + (u^2/2) m1) +
+    u (a d)), where H = (E + p) / rho is ``h_tot``. Under u -> -u with m0
+    and m2 swapped, d and the momentum change sign and the rest keeps its
+    bits. A zero stack gives +0.0.
     """
-    out = m[:, 0, None] * x[0]
-    term = m[:, 2, None] * x[2]
-    out += term
-    out += np.multiply(m[:, 1, None], x[1], out=term)
+    m0, m1, m2 = m
+    out = np.empty_like(m)
+    outer = np.add(m0, m2)
+    np.add(outer, m1, out=out[0])
+    ad = np.subtract(m2, m0)
+    ad *= a
+    np.multiply(u, out[0], out=out[1])
+    out[1] += ad
+    outer *= h_tot
+    outer += np.multiply(u2, m1)
+    ad *= u
+    np.add(outer, ad, out=out[2])
     return out
 
 
@@ -309,7 +306,13 @@ def tvd_limit(field: DgField) -> DgField:
     c = _component_major(field.coeffs)
     means = c[0]
     n = means.shape[1]
-    left, right = _eig_matrices(means, g)
+    rho, u, p = primitives(means.T, g)
+    # A NaN extremum fails too; an infinite density or energy fails the maximum.
+    if not (rho.min() > 0.0 and p.min() > 0.0 and means.max() < math.inf):
+        _check_admissible((("cells", means, rho, p),))
+    a2 = g * p / rho
+    a = np.sqrt(a2)
+    u2 = 0.5 * u * u
 
     # One stack per cell and variable, mapped to characteristic variables
     # at once: the right and left interface deviations c1/2 +- c2/6, the
@@ -324,12 +327,11 @@ def tvd_limit(field: DgField) -> DgField:
     np.subtract(means[:, 1:], means[:, :-1], out=x[:, 3, :-1])
     x[:, 3, -1] = x[:, 4, 0] = 0.0
     x[:, 4, 1:] = x[:, 3, :-1]
-    ch = _matvec(left, x)
+    ch = _characteristic(x, u, a, u2, (g - 1.0) / a2)
     mod = _minmod3(ch[:, :3], ch[:, 3:4], ch[:, 4:])
 
     troubled = (mod[:, :2] != ch[:, :2]).any(axis=(0, 1))
-    slope = _matvec(right, mod[:, 2:])[:, 0]
-    slope += 0.0  # turns the -0.0 of a zero slope's product into +0.0
+    slope = _conserved(mod[:, 2], u, a, u2, (means[2] + p) / rho)
     np.copyto(c[1], slope, where=troubled)
     np.copyto(c[2], 0.0, where=troubled)
 
@@ -351,9 +353,11 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     if not 0.0 < cfl <= 0.5:
         raise ConfigError(f"cfl must lie in (0, 0.5], got {cfl}")
     rho, u, p = primitives(field.means, field.gamma)
-    if not (np.isfinite(u).all() and rho.min() > 0.0 and p.min() > 0.0):
+    ok = np.isfinite(u).all() and rho.min() > 0.0 and p.min() > 0.0
+    speed = float(signal_speed(rho, u, p, field.gamma).max()) if ok else math.inf
+    if not speed < math.inf:  # an infinite energy passes the test above, with p = inf
         _check_admissible((("cells", field.means.T, rho, p),), field.time)
-    return cfl * field.grid.h / float(signal_speed(rho, u, p, field.gamma).max())
+    return cfl * field.grid.h / speed
 
 
 def _apply_split_source(field: DgField, coeffs: SourceCoefficients, dt: float) -> DgField:

@@ -37,7 +37,7 @@ class Side(enum.Enum):
     RIGHT = "right"  # downstream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriticalMachNumbers:
     """Endpoints of the admissible Mach intervals on each side of the jump.
 
@@ -55,6 +55,17 @@ class CriticalMachNumbers:
     downstream_subsonic_max: float
     downstream_supersonic_min: float
     downstream_supersonic_sup: float
+
+    def __init__(self, upstream_subsonic_max: float, upstream_supersonic_min: float,
+                 upstream_supersonic_sup: float, downstream_subsonic_max: float,
+                 downstream_supersonic_min: float, downstream_supersonic_sup: float):
+        # One dict update, as in GasState: every solve of one-sign flow builds a table.
+        self.__dict__.update(upstream_subsonic_max=upstream_subsonic_max,
+                             upstream_supersonic_min=upstream_supersonic_min,
+                             upstream_supersonic_sup=upstream_supersonic_sup,
+                             downstream_subsonic_max=downstream_subsonic_max,
+                             downstream_supersonic_min=downstream_supersonic_min,
+                             downstream_supersonic_sup=downstream_supersonic_sup)
 
     def interval(self, side: Side, branch: Branch) -> tuple[float, float]:
         """Endpoints of the admissible Mach set on ``side`` and ``branch``."""

@@ -249,3 +249,30 @@ def dg_rhs(field, coeffs: SourceCoefficients, scheme: Scheme) -> np.ndarray:
     acc2 -= np.divide(jump, 6.0, out=jump)
     np.divide(acc2, h * dg._MASS[2], out=rhs[2])
     return out
+
+
+def eig_matrices(means: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right eigenvector matrices of the flux Jacobian at each cell mean.
+
+    ``means`` is component-first, (3, n); entry (i, j) of either matrix is
+    the row ``[i, j]`` of the returned (3, 3, n) arrays. The reference for
+    the closed-form kernels ``dg._characteristic`` and ``dg._conserved``.
+    """
+    rho, u, p = primitives(means.T, gamma)
+    a = np.sqrt(gamma * p / rho)
+    h_tot = (means[2] + p) / rho
+    one = np.ones_like(u)
+    right = np.array([[one, one, one],
+                      [u - a, u, u + a],
+                      [h_tot - u * a, 0.5 * u * u, h_tot + u * a]])
+    b1 = (gamma - 1.0) / (a * a)
+    b2 = 0.5 * b1 * u * u
+    left = np.array([[0.5 * (b2 + u / a), -0.5 * (b1 * u + 1.0 / a), 0.5 * b1],
+                     [1.0 - b2, b1 * u, -b1],
+                     [0.5 * (b2 - u / a), -0.5 * (b1 * u - 1.0 / a), 0.5 * b1]])
+    return left, right
+
+
+def matvec(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cellwise products of (3, 3, n) matrices with a (3, k, n) stack of k vectors per cell."""
+    return np.einsum("ijn,jkn->ikn", m, x)

@@ -25,13 +25,15 @@ from deltawave.dg import (
     ssp_rk3_combine,
     ssp_rk3_step,
     tvd_limit,
-    _eig_matrices,
+    _characteristic,
+    _conserved,
 )
 from deltawave.errors import ConfigError, SchemeError
 from deltawave.fluxes import Scheme
+from deltawave.gas import primitives
 from deltawave.stationary import Branch
 
-from conftest import GAMMA, coeffs_with_k, random_state
+from conftest import GAMMA, coeffs_with_k, eig_matrices, matvec, random_state
 
 SOLVER = Scheme.SOLVER
 KT = Scheme.KT
@@ -209,6 +211,20 @@ class TestDgRhs:
             dg_rhs(field.with_coeffs(c), TEST1_COEFFS, SOLVER)
 
 
+def _random_means(rng, n: int, sign: float) -> np.ndarray:
+    """(3, n) admissible cell means whose velocities have the sign of ``sign`` (0: at rest)."""
+    rho, p = rng.uniform(0.1, 5.0, (2, n))
+    u = sign * rng.uniform(0.01, 4.0, n)
+    return np.array([rho, rho * u, p / (GAMMA - 1.0) + 0.5 * rho * u * u])
+
+
+def _kernel_inputs(means: np.ndarray):
+    """(u, a, u^2/2, b1, H) of (3, n) cell means, as ``tvd_limit`` derives them."""
+    rho, u, p = primitives(means.T, GAMMA)
+    a2 = GAMMA * p / rho
+    return u, np.sqrt(a2), 0.5 * u * u, (GAMMA - 1.0) / a2, (means[2] + p) / rho
+
+
 class TestLimiter:
     def test_constant_field_unchanged(self):
         g = make_grid(-1.0, 1.0, 0.25)
@@ -274,11 +290,69 @@ class TestLimiter:
         lo, hi = _traces(out.coeffs.transpose(1, 0, 2))
         assert np.all(lo[:, 0] > 0) and np.all(hi[:, 0] > 0)
 
-    def test_eigenvector_matrices_invert(self, rng):
+    @pytest.mark.parametrize("var", [0, 2], ids=["density", "energy"])
+    def test_infinite_mean_names_its_cell(self, var):
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
+        c = field.coeffs.copy()
+        c[4, 0, var] = math.inf
+        c[2, 1, 0] = 0.1  # a slope for the limiter to look at
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail the test
+            with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\]$"):
+                tvd_limit(field.with_coeffs(c))
+
+    def test_characteristic_pair_round_trips(self, rng):
+        # The closed-form pair maps the unit vectors back to themselves: R L = I per cell.
         states = np.array([to_conserved(random_state(rng, u_range=(-2, 2))) for _ in range(50)])
-        left, right = (m.transpose(2, 0, 1) for m in _eig_matrices(states.T, GAMMA))
-        prod = np.einsum("nij,njk->nik", left, right)
-        assert np.allclose(prod, np.eye(3)[None, :, :], atol=1e-12)
+        eye = np.broadcast_to(np.eye(3)[:, :, None], (3, 3, 50))
+        u, a, u2, b1, h_tot = _kernel_inputs(states.T)
+        ch = _characteristic(eye, u, a, u2, b1)
+        back = np.stack([_conserved(ch[:, j], u, a, u2, h_tot) for j in range(3)], axis=1)
+        assert np.all(np.abs(back - eye) <= 1e-12)
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0], ids=["u<0", "u=0", "u>0"])
+    def test_closed_form_matches_the_matrix_products(self, rng, sign):
+        # Each result within a few ulp of the sum of its terms' magnitudes.
+        means = _random_means(rng, 400, sign)
+        u, a, u2, b1, h_tot = _kernel_inputs(means)
+        left, right = eig_matrices(means, GAMMA)
+        x = rng.standard_normal((3, 5, 400))
+        x0, x1, x2 = np.abs(x)
+        s = b1 * (u2 * x0 + np.abs(u) * x1 + x2)
+        t = (np.abs(u) * x0 + x1) / a
+        scale = np.array([s + t, x0 + s, s + t])
+        err = np.abs(_characteristic(x, u, a, u2, b1) - matvec(left, x))
+        assert np.all(err <= 4e-15 * scale)
+
+        m = x[:, 0]
+        outer, mid = np.abs(m[0]) + np.abs(m[2]), np.abs(m[1])
+        scale = np.array([outer + mid, (np.abs(u) + a) * outer + np.abs(u) * mid,
+                          (h_tot + np.abs(u) * a) * outer + u2 * mid])
+        err = np.abs(_conserved(m, u, a, u2, h_tot) - matvec(right, m[:, None])[:, 0])
+        assert np.all(err <= 4e-15 * scale)
+
+    def test_kernels_mirror_bit_for_bit(self, rng):
+        # u -> -u with the momentum negated swaps the outer characteristic
+        # variables; swapping them back negates the momentum, to the bit.
+        means = np.concatenate([_random_means(rng, 100, sign) for sign in (-1.0, 0.0, 1.0)], axis=1)
+        flip = np.array([1.0, -1.0, 1.0])
+        u, a, u2, b1, h_tot = _kernel_inputs(means)
+        mu, ma, mu2, mb1, mh_tot = _kernel_inputs(means * flip[:, None])
+        x = rng.standard_normal((3, 5, 300))
+        ch = _characteristic(x, u, a, u2, b1)
+        assert _characteristic(x * flip[:, None, None], mu, ma, mu2, mb1).tobytes() \
+            == ch[::-1].tobytes()
+        m = ch[:, 2]
+        assert _conserved(m[::-1], mu, ma, mu2, mh_tot).tobytes() \
+            == (_conserved(m, u, a, u2, h_tot) * flip[:, None]).tobytes()
+
+    def test_zero_stacks_give_positive_zeros(self, rng):
+        means = np.concatenate([_random_means(rng, 10, sign) for sign in (-1.0, 0.0, 1.0)], axis=1)
+        u, a, u2, b1, h_tot = _kernel_inputs(means)
+        for out in (_characteristic(np.zeros((3, 5, 30)), u, a, u2, b1),
+                    _conserved(np.zeros((3, 30)), u, a, u2, h_tot)):
+            assert not np.any(out) and not np.signbit(out).any()
 
 
 class TestTimeStepping:
@@ -445,6 +519,23 @@ class TestCfl:
         with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] \(t=0\)$"):
             cfl_dt(field.with_coeffs(c), 0.5)
 
+    def test_infinite_mean_energy_names_its_cell(self):
+        # It used to give dt = 0.0, on which advance raised ConfigError.
+        from deltawave.runner import advance
+
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
+        c = field.coeffs.copy()
+        c[4, 0, 2] = math.inf
+        field = field.with_coeffs(c)
+        message = r"^inadmissible state at cells \[4\] \(t=0\)$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemeError, match=message):
+                cfl_dt(field, 0.5)
+            with pytest.raises(SchemeError, match=message):
+                advance(field, TEST1_COEFFS, SOLVER, 0.1, 0.5)
+
 
 class TestFreeStreamMultiStep:
     def test_all_schemes_preserve_constant_state(self):
@@ -485,12 +576,12 @@ class TestDgMirror:
                         0.3 * case.t_end, 0.5)
         mirrored = field.with_coeffs(_mirrored(field.coeffs))
 
-        for got, want in [
-            (dg_rhs(mirrored, case.coeffs, scheme), _mirrored(dg_rhs(field, case.coeffs, scheme))),
-            (tvd_limit(mirrored).coeffs, _mirrored(tvd_limit(field).coeffs)),
-        ]:
-            scale = np.max(np.abs(want), axis=0)
-            assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        got = dg_rhs(mirrored, case.coeffs, scheme)
+        want = _mirrored(dg_rhs(field, case.coeffs, scheme))
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        # The limiter's sums are mirror-symmetric term by term: it commutes bit for bit.
+        assert np.array_equal(tvd_limit(mirrored).coeffs, _mirrored(tvd_limit(field).coeffs))
 
     @pytest.mark.parametrize("tid", [2, 6, 8])
     def test_split_source_commutes_with_reflection(self, tid):

@@ -31,7 +31,7 @@ from deltawave.classical import (
 )
 from deltawave.errors import RootBracketError, VacuumError
 from deltawave.gas import rightward_frame
-from deltawave.stationary import Branch, Side, critical_mach_numbers
+from deltawave.stationary import Branch, CriticalMachNumbers, Side, critical_mach_numbers
 from deltawave.structure import (
     Prediction,
     SolutionStructure,
@@ -299,13 +299,15 @@ def _value_objects():
     type2 = get_case(3)
     return [fan, approximate_solve(c.left, c.right, c.coeffs),
             predict_structure(c.left, c.right, c.coeffs),
-            predict_structure(type2.left, type2.right, type2.coeffs)]
+            predict_structure(type2.left, type2.right, type2.coeffs),
+            critical_mach_numbers(c.coeffs, GAMMA)]
 
 
 class TestValueClasses:
     """The hand-written ``__init__`` of each frozen value class keeps the dataclass contract."""
 
-    @pytest.mark.parametrize("cls", [GasState, ClassicalFan, SolverOutput, Prediction])
+    @pytest.mark.parametrize("cls", [GasState, ClassicalFan, SolverOutput, Prediction,
+                                     CriticalMachNumbers])
     def test_init_takes_the_fields(self, cls):
         params = list(inspect.signature(cls).parameters.values())
         assert [p.name for p in params] == [f.name for f in dataclasses.fields(cls)]
@@ -320,7 +322,8 @@ class TestValueClasses:
         assert pred.critical is critical
 
     @pytest.mark.parametrize("obj", _value_objects(),
-                             ids=["ClassicalFan", "SolverOutput", "Prediction", "Prediction2"])
+                             ids=["ClassicalFan", "SolverOutput", "Prediction", "Prediction2",
+                                  "CriticalMachNumbers"])
     def test_frozen_value(self, obj):
         cls = type(obj)
         values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}

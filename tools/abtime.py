@@ -5,7 +5,7 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on five pieces of work:
+on six pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
@@ -26,7 +26,10 @@ on five pieces of work:
   field that each side computes once at setup; the fastest of three. The
   runs of the benchmark's ``table_sweep`` step such small windows, where a
   stage costs mostly its fixed per-call work; ``step`` and ``advance`` run
-  far more cells per stage.
+  far more cells per stage;
+- ``limit``: one ``tvd_limit`` alone, on the cells of ``step_window`` of the
+  t = 1.5 field of ``advance`` (511 of the 1,600 cells); the fastest of
+  five, as one call takes a fraction of a millisecond.
 
 It prints, per piece of work, each side's median time, the median and
 quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster,
@@ -60,6 +63,7 @@ REFERENCE_REPEATS = 3
 SWEEP_TEST, SWEEP_H = 5, 0.05
 SWEEP_FROM, SWEEP_TO = 2.0, 2.35
 SWEEP_REPEATS = 3
+LIMIT_REPEATS = 5
 
 
 def load(tree: Path, name: str):
@@ -95,6 +99,13 @@ class Work:
         self.step_fn = dg.ssp_rk3_step
         self.advance_fn, self.cfl = runner.advance, runner.CFL
         self.mid_field = runner.advance(self.field, *self.run_args, ADVANCE_FROM, self.cfl)
+        grid, c = self.mid_field.grid, self.mid_field.coeffs
+        lo, hi = dg.step_window(c, grid.j0)
+        window = dg.Grid(grid.a + lo * grid.h, grid.a + hi * grid.h, hi - lo, grid.h,
+                         grid.j0 - lo)
+        self.window = dg.DgField(window, self.mid_field.gamma, c[lo:hi].copy(),
+                                 self.mid_field.time)
+        self.limit_fn = dg.tvd_limit
         self.compose_fn = structure.compose_reference_fan
         self.reference_fn = runner.reference_cell_averages
         self.ref_grid = dg.make_grid(-1.0, 1.0, REF_H)
@@ -135,6 +146,9 @@ class Work:
         return fastest(lambda: self.advance_fn(self.sweep_field, *self.sweep_args, SWEEP_TO,
                                                self.cfl), SWEEP_REPEATS)
 
+    def limit(self) -> float:
+        return fastest(lambda: self.limit_fn(self.window), LIMIT_REPEATS)
+
 
 def fastest(fn, repeats: int) -> float:
     """The shortest wall time, in seconds, of ``repeats`` calls of ``fn()``."""
@@ -156,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "step", "advance", "reference", "sweep")
+    names = ("solve", "step", "advance", "reference", "sweep", "limit")
     for side in sides:  # warm-up, untimed
         for name in names:
             getattr(side, name)()
