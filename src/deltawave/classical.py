@@ -5,8 +5,12 @@ curve through the left state and the family-3 curve through the right state,
 both read from ``waves.wave_curve`` with their derivatives in p. The root is
 bracketed below a pressure cap that scales with the data, then found by
 safeguarded Newton steps (``waves.newton``) from Toro's two-rarefaction
-guess. Data that opens a vacuum raises ``VacuumError``; colliding data whose
-star pressure overflows raises ``RootBracketError``.
+guess. Each anchor defect reads one curve, as at its own pressure the
+anchor's curve returns the anchor velocity exactly. Data that opens a vacuum
+raises ``VacuumError``; colliding data whose star pressure overflows raises
+``RootBracketError``. ``origin_state`` gives the state at x/t = 0 that
+``sample_classical`` reads from the solved fan, from the one wave on the
+origin's side of the contact.
 """
 
 from __future__ import annotations
@@ -94,6 +98,31 @@ def _pressure_floor(left: GasState, right: GasState) -> float:
 
 def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> ClassicalFan:
     """Exact solution of the Riemann problem between two states of equal gamma."""
+    sl, sr, u_star = _star_states(left, right, tol)
+    lk, lsp = _acoustic_wave(WaveFamily.ONE, left, sl, u_star)
+    rk, rsp = _acoustic_wave(WaveFamily.THREE, right, sr, u_star)
+    return ClassicalFan(left, right, sl.p, u_star, sl.rho, sr.rho, lk, rk, lsp, rsp, left.gamma)
+
+
+def origin_state(left: GasState, right: GasState, tol: float = 1e-12) -> GasState:
+    """``sample_classical(solve_classical(left, right, tol), 0.0)``, bit for bit.
+
+    Builds no fan: only the wave on the side of the contact that holds the
+    origin, which the decisions of ``sample_classical`` then read.
+    """
+    sl, sr, u_star = _star_states(left, right, tol)
+    if _left_of_contact(u_star, sl.rho, sr.rho, 0.0):
+        family, anchor, star = WaveFamily.ONE, left, sl
+    else:
+        family, anchor, star = WaveFamily.THREE, right, sr
+    kind, speeds = _acoustic_wave(family, anchor, star, u_star)
+    return _sample_wave(family.value, anchor, kind, speeds, (star.rho, u_star, star.p), 0.0)
+
+
+def _star_states(left: GasState, right: GasState,
+                 tol: float) -> tuple[GasState, GasState, float]:
+    """The states of the family-1 curve through ``left`` and the family-3 curve
+    through ``right`` at the star pressure, and the star velocity, their mean."""
     if left.gamma != right.gamma:
         raise ConfigError("states must share gamma")
     g = left.gamma
@@ -102,17 +131,21 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
 
-    defect = _defect_curve(left, right)
     scale_u = abs(left.u) + left.sound_speed + abs(right.u) + right.sound_speed
     tiny = 1e-13 * scale_u
+    # The velocity defect at each anchor pressure. There the anchor's own
+    # curve takes its shock branch with dp = 0 and returns the anchor
+    # velocity exactly, so each reads one curve.
+    f_left = left.u - wave_curve(1.0, right, left.p)[1]
+    f_right = wave_curve(-1.0, left, right.p)[1] - right.u
     # Degenerate inputs where one anchor pressure is already the root: keeps
     # zero-strength waves exactly zero-strength.
-    f_left, f_right = defect(left.p)[0], defect(right.p)[0]
     if abs(f_left) <= tiny:
         p_star = left.p
     elif abs(f_right) <= tiny:
         p_star = right.p
     else:
+        defect = _defect_curve(left, right)
         # Above 2 max(p_L, p_R) both waves are shocks and the defect is at most
         # (u_L - u_R) - sqrt(p / ((g + 1) max(rho_L, rho_R))), so the root lies
         # below the larger of those two bounds. Like the star pressure, the cap
@@ -127,16 +160,16 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
                 raise RootBracketError(f"compression: the pressure equation has no root "
                                        f"below {hi / 4.0:.6g}")
             f_hi = defect(hi)[0]
-        p_star = _solve_pressure(defect, left, right, hi, tol, tiny)
+        lo = _pressure_floor(left, right)
+        # The defect falls strictly in p, and an anchor defect that is not
+        # zero exceeds tiny: if one is positive, so is the defect at lo.
+        if not (f_left > 0.0 or f_right > 0.0) and defect(lo)[0] < 0.0:
+            raise VacuumError("failed to bracket the star pressure")
+        p_star = _solve_pressure(defect, left, right, lo, hi, tol, tiny)
 
     sl = wave_state(WaveFamily.ONE, left, p_star)
     sr = wave_state(WaveFamily.THREE, right, p_star)
-    u_star = 0.5 * (sl.u + sr.u)
-
-    lk, lsp = _acoustic_wave(WaveFamily.ONE, left, sl, u_star)
-    rk, rsp = _acoustic_wave(WaveFamily.THREE, right, sr, u_star)
-
-    return ClassicalFan(left, right, p_star, u_star, sl.rho, sr.rho, lk, rk, lsp, rsp, g)
+    return sl, sr, 0.5 * (sl.u + sr.u)
 
 
 def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
@@ -151,9 +184,9 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 
-def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: float,
-                    tiny: float) -> float:
-    """Star pressure in [1e-12 min(p_L, p_R), hi], where ``defect(hi) <= 0``.
+def _solve_pressure(defect, left: GasState, right: GasState, lo: float, hi: float,
+                    tol: float, tiny: float) -> float:
+    """Star pressure in [lo, hi], where ``defect(lo) >= 0 >= defect(hi)``.
 
     ``defect`` is the map of ``_defect_curve``. Runs ``waves.newton`` from
     Toro's two-rarefaction guess (Riemann Solvers and Numerical Methods for
@@ -163,9 +196,6 @@ def _solve_pressure(defect, left: GasState, right: GasState, hi: float, tol: flo
     the pressure function is steep, or else on a step of at most
     ``0.01 * tol`` relative.
     """
-    lo = _pressure_floor(left, right)
-    if defect(lo)[0] < 0.0:
-        raise VacuumError("failed to bracket the star pressure")
     g = left.gamma
     z = (g - 1.0) / (2.0 * g)
     a_l, a_r = left.sound_speed, right.sound_speed
@@ -197,15 +227,32 @@ def _power(x, e: float):
     return np.array([v ** e for v in x.tolist()]) if isinstance(x, np.ndarray) else x ** e
 
 
-def _left_of_contact(fan: ClassicalFan, xi):
+def _left_of_contact(u_star: float, rho_star_left: float, rho_star_right: float, xi):
     """Whether the coordinate xi (a float or an array) samples the left of the contact.
 
     On a contact at rest, xi = 0 takes the denser star state. That rule reads
     no side, so the sample at the origin mirrors; the flux there is the same
     either way (u = 0, equal p).
     """
-    denser_left = fan.u_star == 0.0 and fan.rho_star_left > fan.rho_star_right
-    return (xi < fan.u_star) | ((xi == 0.0) & denser_left)
+    denser_left = u_star == 0.0 and rho_star_left > rho_star_right
+    return (xi < u_star) | ((xi == 0.0) & denser_left)
+
+
+def _sample_wave(s: float, anchor: GasState, kind: WaveKind, speeds: tuple[float, float],
+                 star: tuple[float, float, float], xi: float) -> GasState:
+    """State at xi on one side of the contact: ``anchor``, the star state, or inside the fan.
+
+    ``s`` is -1 for the family-1 wave left of the contact and +1 for the
+    family-3 wave right of it, ``speeds`` its edges in increasing order and
+    ``star`` the (rho, u, p) between it and the contact. The one copy of the
+    decisions of ``sample_classical``.
+    """
+    lo, hi = speeds
+    if (xi < lo) if s < 0.0 else (xi >= hi):
+        return anchor
+    if kind is WaveKind.SHOCK or ((xi > hi) if s < 0.0 else (xi < lo)):
+        return GasState(*star, anchor.gamma)
+    return GasState(*_fan_interior(anchor, xi, s), anchor.gamma)
 
 
 def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
@@ -218,25 +265,11 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
     """
     if math.isnan(xi):
         raise ConfigError("similarity coordinate is NaN")
-    if _left_of_contact(fan, xi):
-        anchor = fan.left
-        if fan.left_kind is WaveKind.SHOCK:
-            return anchor if xi < fan.left_speeds[0] else fan.star_left
-        head, tail = fan.left_speeds
-        if xi < head:
-            return anchor
-        if xi > tail:
-            return fan.star_left
-        return GasState(*_fan_interior(anchor, xi, -1.0), anchor.gamma)
-    anchor = fan.right
-    if fan.right_kind is WaveKind.SHOCK:
-        return anchor if xi >= fan.right_speeds[0] else fan.star_right
-    tail, head = fan.right_speeds
-    if xi >= head:
-        return anchor
-    if xi < tail:
-        return fan.star_right
-    return GasState(*_fan_interior(anchor, xi, 1.0), anchor.gamma)
+    if _left_of_contact(fan.u_star, fan.rho_star_left, fan.rho_star_right, xi):
+        return _sample_wave(-1.0, fan.left, fan.left_kind, fan.left_speeds,
+                            (fan.rho_star_left, fan.u_star, fan.p_star), xi)
+    return _sample_wave(1.0, fan.right, fan.right_kind, fan.right_speeds,
+                        (fan.rho_star_right, fan.u_star, fan.p_star), xi)
 
 
 def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray:
@@ -259,7 +292,7 @@ def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray
                       [fan.rho_star_left, fan.u_star, fan.p_star],
                       [fan.rho_star_right, fan.u_star, fan.p_star],
                       [fan.right.rho, fan.right.u, fan.right.p]])
-    on_left = _left_of_contact(fan, xi)
+    on_left = _left_of_contact(fan.u_star, fan.rho_star_left, fan.rho_star_right, xi)
     region = np.where(on_left, 1, 2)
     interiors = []
     if fan.left_kind is WaveKind.SHOCK:

@@ -353,9 +353,11 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     if not 0.0 < cfl <= 0.5:
         raise ConfigError(f"cfl must lie in (0, 0.5], got {cfl}")
     rho, u, p = primitives(field.means, field.gamma)
-    ok = np.isfinite(u).all() and rho.min() > 0.0 and p.min() > 0.0
+    # An infinite density gives u = 0 and a sound speed of 0, and an infinite
+    # energy p = inf: the first fails the maximum, the second the speed test.
+    ok = np.isfinite(u).all() and 0.0 < rho.min() and rho.max() < math.inf and p.min() > 0.0
     speed = float(signal_speed(rho, u, p, field.gamma).max()) if ok else math.inf
-    if not speed < math.inf:  # an infinite energy passes the test above, with p = inf
+    if not speed < math.inf:
         _check_admissible((("cells", field.means.T, rho, p),), field.time)
     return cfl * field.grid.h / speed
 

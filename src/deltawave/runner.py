@@ -80,7 +80,9 @@ def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) ->
         try:
             field = _windowed_step(field, dt, coeffs, scheme)
         except DeltawaveError as exc:
-            raise type(exc)(f"{exc} (t={t:.6g}, h={field.grid.h})") from exc
+            at = f"t={t:.6g}"
+            msg = str(exc).removesuffix(f" ({at})")  # a stage error already ends in it
+            raise type(exc)(f"{msg} ({at}, h={field.grid.h})") from exc
         t = field.time
     return field
 

@@ -21,6 +21,7 @@ from .classical import (
     _defect_curve,
     _opens_vacuum,
     _pressure_floor,
+    origin_state,
     sample_classical,
     sample_classical_primitives,
     solve_classical,
@@ -148,7 +149,8 @@ def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     defect = _defect_curve(down, right)
     if _opens_vacuum(down, right) or defect(_pressure_floor(down, right))[0] < 0.0:
         return False
-    if defect(down.p)[0] < 0.0:
+    # At down.p the family-1 curve through ``down`` returns down.u exactly.
+    if down.u - wave_curve(1.0, right, down.p)[1] < 0.0:
         return True
     g, m = down.gamma, down.mach
     return defect((2.0 * g * m * m - g + 1.0) * down.p / (g + 1.0))[0] <= 0.0
@@ -284,13 +286,13 @@ def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficient
     """One-sided origin states of the approximate Riemann solver.
 
     Flow that does not pass through the origin carries no source; the
-    homogeneous solution applies and both sides coincide. Leftward flow is
+    homogeneous solution at x/t = 0 applies (``classical.origin_state``) and
+    both sides coincide. Leftward flow is
     mirrored through the rightward construction.
     """
     frame = rightward_frame(left, right)
     if frame is None:
-        fan = solve_classical(left, right)
-        state = sample_classical(fan, 0.0)
+        state = origin_state(left, right, _SOLVE_TOL)
         return SolverOutput(state, state, SolutionStructure.CLASSICAL)
     left, right, mirrored = frame
     out = _solve_positive_flow(left, right, coeffs, _SOLVE_TOL)

@@ -16,13 +16,16 @@ from deltawave import (
     ConfigError,
     GasState,
     RootBracketError,
+    SourceCoefficients,
     VacuumError,
+    approximate_solve,
     classical,
     physical_flux,
     to_conserved,
 )
 from deltawave.classical import (
     WaveKind,
+    origin_state,
     sample_classical,
     sample_classical_primitives,
     solve_classical,
@@ -160,10 +163,12 @@ class TestRootQuality:
 
 
 N_COUNTED = 2000  # the seed-0 problems of the benchmark's riemann_batch workload
-# Most defect evaluations per solve over those draws, measured when Newton
-# from the two-rarefaction guess replaced eight bisections before Newton:
-# 6.5 on average. Before, a solve took 17.5 on average, 38 at most.
-MAX_SOLVE_EVALS = 12
+# Most defect evaluations per solve over those draws. The anchor defects read
+# one curve each and count for none; the vacuum guard at the pressure floor
+# runs only for two rarefactions: 3.9 on average, 9 at most. Before, 6.5 and
+# 12, with Newton from the two-rarefaction guess; before that, with eight
+# bisections before Newton, 17.5 and 38.
+MAX_SOLVE_EVALS = 9
 
 
 def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
@@ -184,8 +189,70 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
                             GasState(rp[i, 2], u[i, 1], rp[i, 3]))
         except VacuumError:
             pass
-    assert len(counts) > 1900  # a draw whose data open vacuum builds no defect
+    assert len(counts) > 1900  # no defect for data that open vacuum or hold the root at an anchor
     assert max(len(calls) for calls in counts) <= MAX_SOLVE_EVALS
+
+
+SHOCK, RAREFACTION = WaveKind.SHOCK, WaveKind.RAREFACTION
+# Data whose x/t = 0 lies in each region of the left wave, with a test of the
+# fan that places it there. The tail case is (1, 0, 1) | (1, 2, 0.5) shifted
+# by its tail speed, which then rounds to 0.0 exactly.
+ORIGIN_CASES = {
+    "ahead of a shock": ((1.0, 3.0, 1.0), (1.0, -0.5, 1.0),
+                         lambda f: f.left_kind is SHOCK and 0.0 < f.left_speeds[0] < f.u_star),
+    "behind a shock": ((1.0, 0.5, 1.0), (1.0, -0.3, 1.0),
+                       lambda f: f.left_kind is SHOCK and f.left_speeds[0] < 0.0 < f.u_star),
+    "ahead of a fan": ((1.0, 2.0, 1.0), (1.0, 3.0, 1.0),
+                       lambda f: f.left_kind is RAREFACTION and 0.0 < f.left_speeds[0]),
+    "on a fan's head": ((1.0, math.sqrt(1.4), 1.0), (1.0, math.sqrt(1.4) + 1.0, 1.0),
+                        lambda f: f.left_kind is RAREFACTION and f.left_speeds[0] == 0.0),
+    "inside a transonic fan": ((1.0, 0.5, 1.0), (1.0, 2.5, 0.5),
+                               lambda f: f.left_speeds[0] < 0.0 < f.left_speeds[1] < f.u_star),
+    "on a fan's tail": ((1.0, -0.45799825225809376, 1.0), (1.0, 1.5420017477419061, 0.5),
+                        lambda f: f.left_kind is RAREFACTION
+                        and f.left_speeds[1] == 0.0 < f.u_star),
+    "behind a fan": ((1.0, 0.0, 1.0), (0.125, 0.0, 0.1),
+                     lambda f: f.left_kind is RAREFACTION and f.left_speeds[1] < 0.0 < f.u_star),
+}
+
+
+class TestOriginState:
+    """``origin_state`` builds one wave; the full fan sampled at x/t = 0 is its
+    oracle, bit for bit."""
+
+    @staticmethod
+    def assert_is_sampled_fan(left, right):
+        want = repr(sample_classical(solve_classical(left, right), 0.0))
+        assert repr(origin_state(left, right)) == want
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["left wave", "right wave"])
+    @pytest.mark.parametrize("case", ORIGIN_CASES)
+    def test_each_region_of_each_wave(self, case, mirrored):
+        left, right, places = ORIGIN_CASES[case]
+        left, right = GasState(*left), GasState(*right)
+        assert places(solve_classical(left, right))
+        if mirrored:
+            left, right = right.mirrored(), left.mirrored()
+        self.assert_is_sampled_fan(left, right)
+
+    @pytest.mark.parametrize("rho_left, rho_right", [(1.0, 0.5), (0.5, 1.0)])
+    def test_contact_at_rest(self, rho_left, rho_right):
+        left, right = GasState(rho_left, 0.0, 1.0), GasState(rho_right, 0.0, 1.0)
+        assert solve_classical(left, right).u_star == 0.0
+        self.assert_is_sampled_fan(left, right)
+        out = approximate_solve(left, right, SourceCoefficients(0.1, 0.1, 0.1))
+        assert repr(out.minus) == repr(out.plus) == repr(origin_state(left, right))
+
+    def test_near_vacuum_fails_to_bracket(self):
+        # Two rarefactions whose star pressure lies below the floor: the one
+        # case in which the guard at the floor runs and fires.
+        left, right = GasState(1.0, -5.85, 1.0), GasState(1.0, 5.85, 1.0)
+        assert not classical._opens_vacuum(left, right)
+        assert classical._defect_curve(left, right)(classical._pressure_floor(left, right))[0] < 0.0
+        for solve in (solve_classical, origin_state,
+                      lambda l, r: approximate_solve(l, r, SourceCoefficients(0.1, 0.1, 0.1))):
+            with pytest.raises(VacuumError, match="^failed to bracket the star pressure$"):
+                solve(left, right)
 
 
 class TestSampling:

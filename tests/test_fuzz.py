@@ -11,6 +11,9 @@ benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
   sub-fan speed >= 0, within 1e-12 of the largest signal speed |u| + c of the
   data. The check needs no quadrature, so it covers every draw. The known
   failures are strict xfails, one per structure.
+- Origin states of the draws whose flow does not pass the origin: the
+  solver builds one wave of the classical fan, and returns the full fan's
+  sample at x/t = 0 bit for bit, or raises its error.
 - Continuity across k = 0 (ROADMAP item 2(c)): for every draw whose flow
   passes the origin, the origin pair at coefficients eps * d tends to the
   pair at zero coefficients, with d the draw's own coefficients scaled to a
@@ -18,6 +21,7 @@ benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -34,6 +38,8 @@ from deltawave import (
     jump_residual,
     physical_flux,
 )
+from deltawave.classical import sample_classical, solve_classical
+from deltawave.gas import rightward_frame
 from deltawave.stationary import Branch
 
 from conftest import riemann_batch_arrays
@@ -79,6 +85,24 @@ def test_every_draw_solves_or_fails_typed(fuzz):
         "Classical": 9923, "Type1": 1661, "Type2": 1464, "Type3": 2739, "Type5": 615,
         "NotSolvableError": 3521, "VacuumError": 77,
     }
+
+
+def test_classical_origin_states_are_the_sampled_fans(fuzz):
+    # Every draw whose flow does not pass the origin: the solver reads one wave
+    # of the classical fan, and must return the full fan's sample at x/t = 0.
+    n = 0
+    for left, right, coeffs, outcome in fuzz:
+        if rightward_frame(left, right) is not None:
+            continue
+        n += 1
+        try:
+            want = repr(sample_classical(solve_classical(left, right), 0.0))
+        except DeltawaveError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                approximate_solve(left, right, coeffs)
+            continue
+        assert repr(outcome.minus) == repr(outcome.plus) == want
+    assert n == 10_000
 
 
 def _ulps(out, coeffs) -> float:

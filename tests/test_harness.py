@@ -5,8 +5,9 @@ from click.testing import CliRunner
 from deltawave.cases import _TABLE, all_cases, get_case
 from deltawave.cli import main as cli_main
 from deltawave.dg import field_from_states, make_grid
-from deltawave.errors import ConfigError
+from deltawave.errors import ConfigError, SchemeError
 from deltawave.fluxes import Scheme, llf_flux, origin_flux, solver_flux
+from deltawave.gas import GasState
 from deltawave.runner import (
     RunReport,
     advance,
@@ -267,6 +268,17 @@ class TestRunTestValidation:
         field = field_from_states(make_grid(-2.0, 2.0, 0.5), *initial_states(case))
         with pytest.raises(ConfigError, match=r"float64 array of shape \(8, 3, 3\)"):
             advance(field.with_coeffs(bad(field.coeffs)), case.coeffs, Scheme.SOLVER, 0.1, 0.5)
+
+    def test_advance_gives_the_time_of_a_stage_error_once(self):
+        # The stage error ends in "(t=0)"; advance used to append "(t=0, h=0.25)" to it.
+        grid = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(grid, GasState(1, 1, 1), GasState(0.9, 0.4, 1.3))
+        c = field.coeffs.copy()
+        c[4, 2, 0] = np.inf  # the means pass cfl_dt; the traces of cell 4 do not
+        message = (r"^inadmissible state at interfaces \[4 5\], quadrature cells \[4\] "
+                   r"\(t=0, h=0.25\)$")
+        with pytest.raises(SchemeError, match=message):
+            advance(field.with_coeffs(c), get_case(1).coeffs, Scheme.SOLVER, 0.1, 0.5)
 
     def test_array_records_compare_and_hash_by_identity(self):
         # Generated equality compared their arrays and raised numpy's ValueError,

@@ -536,6 +536,18 @@ class TestCfl:
             with pytest.raises(SchemeError, match=message):
                 advance(field, TEST1_COEFFS, SOLVER, 0.1, 0.5)
 
+    def test_infinite_mean_density_names_its_cell(self):
+        # Its velocity and sound speed were 0, so cfl_dt returned 0.0573 and the
+        # next stage stack raised.
+        g = make_grid(-1.0, 1.0, 0.25)
+        field = field_from_states(g, GasState(1, 1, 1), GasState(0.9, 0.4, 1.3))
+        c = field.coeffs.copy()
+        c[4, 0, 0] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] \(t=0\)$"):
+                cfl_dt(field.with_coeffs(c), 0.5)
+
 
 class TestFreeStreamMultiStep:
     def test_all_schemes_preserve_constant_state(self):
