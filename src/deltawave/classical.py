@@ -104,13 +104,13 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
     return ClassicalFan(left, right, sl.p, u_star, sl.rho, sr.rho, lk, rk, lsp, rsp, left.gamma)
 
 
-def origin_state(left: GasState, right: GasState, tol: float = 1e-12) -> GasState:
-    """``sample_classical(solve_classical(left, right, tol), 0.0)``, bit for bit.
+def origin_state(left: GasState, right: GasState) -> GasState:
+    """``sample_classical(solve_classical(left, right), 0.0)``, bit for bit.
 
     Builds no fan: only the wave on the side of the contact that holds the
     origin, which the decisions of ``sample_classical`` then read.
     """
-    sl, sr, u_star = _star_states(left, right, tol)
+    sl, sr, u_star = _star_states(left, right, 1e-12)
     if _left_of_contact(u_star, sl.rho, sr.rho, 0.0):
         family, anchor, star = WaveFamily.ONE, left, sl
     else:

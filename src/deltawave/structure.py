@@ -292,7 +292,7 @@ def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficient
     """
     frame = rightward_frame(left, right)
     if frame is None:
-        state = origin_state(left, right, _SOLVE_TOL)
+        state = origin_state(left, right)
         return SolverOutput(state, state, SolutionStructure.CLASSICAL)
     left, right, mirrored = frame
     out = _solve_positive_flow(left, right, coeffs, _SOLVE_TOL)
