@@ -74,7 +74,7 @@ def make_grid(a: float, b: float, h: float) -> Grid:
     return Grid(a, b, n, h, j0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DgField:
     """Per-cell modal coefficients of the conserved variables.
 
@@ -87,6 +87,11 @@ class DgField:
     gamma: float
     coeffs: np.ndarray
     time: float = 0.0
+
+    def __init__(self, grid: Grid, gamma: float, coeffs: np.ndarray, time: float = 0.0):
+        # Every stage wraps its coefficients in a field three times: one dict
+        # update in place of the generated init's four object.__setattr__ calls.
+        self.__dict__.update(grid=grid, gamma=gamma, coeffs=coeffs, time=time)
 
     @property
     def means(self) -> np.ndarray:
@@ -130,8 +135,7 @@ def _component_major(coeffs: np.ndarray) -> np.ndarray:
     """(mode, variable, cell) copy of (cell, mode, variable) coefficients.
 
     The stage kernels work on this layout, where every row is a contiguous
-    run over the cells; its swapped-axes views are the (..., 3) arrays the
-    gas kernels take.
+    run over the cells; ``gas.primitives`` takes its swapped-axes views.
     """
     return np.ascontiguousarray(coeffs.transpose(1, 2, 0))
 
@@ -144,7 +148,9 @@ def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
     and row 5 the cell means. Column n_cells of rows 2-5 pads them with the
     last mean, which is the right ghost ``stack[1, :, n_cells]``, so the pad
     never adds a failure. Primitives, Euler fluxes and the admissibility test
-    then take one pass each over the stack.
+    then take one pass each over the stack. ``gas.euler_flux`` and
+    ``fluxes.lax_friedrichs`` are plain expressions, applied here to the
+    stack's component rows as the origin fluxes apply them to floats.
 
     Returns the Euler fluxes of the stack, (6, 3, n_cells + 1), the LLF flux
     of every interface, (3, n_cells + 1), and the conserved states either
@@ -174,15 +180,16 @@ def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
     uq += means
     uq += np.multiply(c[2], _QMODE2[:, None, None])
 
-    states = stack.swapaxes(-2, -1)  # the (..., 3) view the gas kernels take
-    rho, vel, p = primitives(states, g)
+    rho, vel, p = primitives(stack.swapaxes(-2, -1), g)
     # The minimum of an array holding a NaN is NaN, which fails too.
     if not (np.isfinite(stack[:5]).all() and rho[:5].min() > 0.0 and p[:5].min() > 0.0):
         _check_admissible((("interfaces", stack[:2], rho[:2], p[:2]),
                            ("quadrature cells", uq, rho[2:5, :n], p[2:5, :n])), field.time)
-    flux = euler_flux(states, vel, p)
-    fhat = lax_friedrichs(states[:2], flux[:2], signal_speed(rho[:2], vel[:2], p[:2], g)).T
-    return flux.swapaxes(-2, -1), fhat, stack[:2, :, field.grid.j0].tolist()
+    flux = np.empty_like(stack)
+    flux[:, 0], flux[:, 1], flux[:, 2] = euler_flux(stack[:, 1], stack[:, 2], vel, p)
+    speed = signal_speed(rho[:2], vel[:2], p[:2], g)
+    fhat = lax_friedrichs(stack[0], stack[1], flux[0], flux[1], np.maximum(speed[0], speed[1]))
+    return flux, fhat, stack[:2, :, field.grid.j0].tolist()
 
 
 def dg_rhs(field: DgField, coeffs: SourceCoefficients, scheme: Scheme) -> np.ndarray:

@@ -7,6 +7,10 @@ constructions provide that pair: wrapping each trace through the opposite
 stationary curve before a Lax-Friedrichs evaluation (the curve-transform
 flux), and evaluating the physical flux on the output of the structure-based
 approximate Riemann solver (the solver flux).
+
+The origin fluxes work on the traces' Python floats: ``gas.euler_flux`` and
+``lax_friedrichs`` are plain expressions, which the DG stage applies to its
+component rows and these functions to one flux component at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotSolvableError, UnavailableFluxError
-from .gas import GasState, SourceCoefficients, euler_flux, signal_speed
+from .gas import GasState, SourceCoefficients, euler_flux, physical_flux
 from .stationary import Branch, downstream_state, upstream_state
 from .structure import approximate_solve
 
@@ -42,37 +46,31 @@ class FluxPair:
     plus: np.ndarray
 
 
-def lax_friedrichs(u: np.ndarray, flux: np.ndarray, speed: np.ndarray) -> np.ndarray:
-    """Local Lax-Friedrichs flux between the conserved states ``u[0]`` and ``u[1]`` (..., 3).
+def lax_friedrichs(ul, ur, fl, fr, speed):
+    """Local Lax-Friedrichs flux between the conserved states ``ul`` and ``ur``.
 
-    ``flux`` holds the Euler fluxes of both sides and ``speed`` their signal
-    speeds (2, ...), derived once by the caller.
+    ``fl`` and ``fr`` are their Euler fluxes and ``speed`` the larger of
+    their signal speeds. A plain expression: the DG stage applies it to
+    component-first rows, (3, n) with speeds (n,), and the origin to one
+    component of two traces at a time, as floats.
     """
-    return 0.5 * (flux[0] + flux[1] - np.maximum(speed[0], speed[1])[..., None] * (u[1] - u[0]))
+    return 0.5 * (fl + fr - speed * (ur - ul))
 
 
-def _stacked(states, shape: tuple[int, ...]):
-    """Conserved vectors (..., 3), densities, velocities and pressures of ``states`` in ``shape``.
+def _conserved_flux(state: GasState) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The conserved vector of ``state``, with ``to_conserved``'s values, and its Euler flux.
 
-    The values are those of ``to_conserved``, built in one array, so that
-    one kernel call covers all the states.
+    Both are tuples of floats.
     """
-    rows = np.array([(s.rho, s.rho * s.u, s.energy, s.u, s.p) for s in states]).reshape(shape + (5,))
-    return rows[..., :3], rows[..., 0], rows[..., 3], rows[..., 4]
-
-
-def _llf_rows(lefts: tuple[GasState, ...], rights: tuple[GasState, ...]) -> np.ndarray:
-    """LLF flux of each pair ``(lefts[i], rights[i])`` of one gamma, one row per pair.
-
-    All pairs go through one ``lax_friedrichs`` call on a (2, pairs, 3) stack.
-    """
-    u, rho, vel, p = _stacked(lefts + rights, (2, len(lefts)))
-    return lax_friedrichs(u, euler_flux(u, vel, p), signal_speed(rho, vel, p, lefts[0].gamma))
+    mom, energy = state.rho * state.u, state.energy
+    return (state.rho, mom, energy), euler_flux(mom, energy, state.u, state.p)
 
 
 def llf_flux(left: GasState, right: GasState) -> np.ndarray:
-    """Local Lax-Friedrichs flux between two traces (of one gamma)."""
-    return _llf_rows((left,), (right,))[0]
+    """Local Lax-Friedrichs flux between two traces, on floats, with signal speeds |u| + a."""
+    (ul, fl), (ur, fr) = _conserved_flux(left), _conserved_flux(right)
+    speed = max(abs(left.u) + left.sound_speed, abs(right.u) + right.sound_speed)
+    return np.array([lax_friedrichs(*row, speed) for row in zip(ul, ur, fl, fr)])
 
 
 def _regime(state: GasState) -> Branch:
@@ -111,15 +109,14 @@ def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficie
         ghost_right = _connect(left_trace, coeffs, corrections, rightward=True)
     except NotSolvableError as exc:
         raise UnavailableFluxError(str(exc)) from exc
-    return FluxPair(*_llf_rows((left_trace, ghost_right), (ghost_left, right_trace)))
+    return FluxPair(llf_flux(left_trace, ghost_left), llf_flux(ghost_right, right_trace))
 
 
 def solver_flux(left_trace: GasState, right_trace: GasState,
                 coeffs: SourceCoefficients) -> FluxPair:
     """Physical fluxes of the approximate Riemann solver's one-sided states."""
     out = approximate_solve(left_trace, right_trace, coeffs)
-    u, _, vel, p = _stacked((out.minus, out.plus), (2,))
-    return FluxPair(*euler_flux(u, vel, p))
+    return FluxPair(physical_flux(out.minus), physical_flux(out.plus))
 
 
 def origin_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,

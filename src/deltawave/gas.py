@@ -8,7 +8,9 @@ field that is not finite, and a sound speed that underflows or overflows.
 
 States and source coefficients hold Python floats whatever real numbers
 they are given: numpy scalars would run every solver step in numpy-scalar
-arithmetic, which gives the same bits several times slower.
+arithmetic, which gives the same bits several times slower. For the same
+reason ``euler_flux`` is a plain expression: the origin fluxes evaluate it
+on the floats of a state, the DG stage on arrays of conserved rows.
 """
 
 from __future__ import annotations
@@ -161,13 +163,13 @@ def primitives(u: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.
     return rho, vel, p
 
 
-def euler_flux(u: np.ndarray, vel, p) -> np.ndarray:
-    """Euler flux (rho*u, rho*u^2 + p, (E + p)*u) of conserved states ``u`` (..., 3)."""
-    out = np.empty_like(u)
-    out[..., 0] = u[..., 1]
-    out[..., 1] = u[..., 1] * vel + p
-    out[..., 2] = (u[..., 2] + p) * vel
-    return out
+def euler_flux(mom, energy, vel, p):
+    """Euler flux (rho*u, rho*u^2 + p, (E + p)*u) from momentum, energy, velocity and pressure.
+
+    A plain expression: floats give a tuple of floats (the origin traces),
+    arrays of one shape a tuple of arrays of that shape (the DG stage).
+    """
+    return mom, mom * vel + p, (energy + p) * vel
 
 
 def signal_speed(rho, vel, p, gamma: float):
@@ -176,8 +178,8 @@ def signal_speed(rho, vel, p, gamma: float):
 
 
 def physical_flux(state: GasState) -> np.ndarray:
-    """Euler flux of one state."""
-    return euler_flux(to_conserved(state), state.u, state.p)
+    """Euler flux of one state, from the momentum and energy of ``to_conserved``."""
+    return np.array(euler_flux(state.rho * state.u, state.energy, state.u, state.p))
 
 
 def eigenvalues(state: GasState) -> tuple[float, float, float]:

@@ -42,7 +42,10 @@ def wave_curve(sign: float, anchor: GasState, p: float) -> tuple[float, float, f
     ``sign`` is -1 for family 1 and +1 for family 3; the shock branch applies
     for ``p >= anchor.p``. The one implementation of the acoustic curves:
     ``wave_state`` wraps it in a ``GasState``, and the root finders read it
-    on plain floats. Unchecked: ``p`` must be finite and positive.
+    on plain floats. Unchecked: ``p`` must be finite and positive. Data of a
+    tiny scale (rho and p near 1e-165), whose shock-branch product
+    rho0 ((gamma + 1) p + (gamma - 1) p0) underflows to 0, raise
+    ``ConfigError``, as a state whose squared sound speed underflows does.
     """
     rho0, u0, p0, g = anchor.rho, anchor.u, anchor.p, anchor.gamma
     gp, gm = g + 1.0, g - 1.0
@@ -52,7 +55,10 @@ def wave_curve(sign: float, anchor: GasState, p: float) -> tuple[float, float, f
         d1 = gp * p + gm * p0
         m = rho0 * d1
         root = math.sqrt(m)
-        du = sign * _SQRT2 / root * (1.0 - 0.5 * gp * dp / d1)
+        try:  # costs nothing unless it raises
+            du = sign * _SQRT2 / root * (1.0 - 0.5 * gp * dp / d1)
+        except ZeroDivisionError:
+            raise ConfigError(f"shock curve through {anchor} underflows at p = {p!r}") from None
         return m / (gm * p + gp * p0), u0 + sign * (_SQRT2 * dp / root), du
     a0 = math.sqrt(g * p0 / rho0)  # anchor.sound_speed, without the property call
     ratio = p / p0

@@ -8,8 +8,7 @@ from deltawave.classical import solve_classical
 from deltawave.dg import _check_admissible
 from deltawave.errors import NotSolvableError, UnavailableFluxError, VacuumError
 from deltawave.fluxes import FluxPair, Scheme
-from deltawave.gas import (euler_flux, from_conserved, physical_flux, primitives, signal_speed,
-                           to_conserved)
+from deltawave.gas import from_conserved, primitives, signal_speed, to_conserved
 from deltawave.stationary import Branch, critical_mach_numbers
 from deltawave.structure import approximate_solve
 
@@ -144,12 +143,42 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p
 
 
+def euler_flux(u: np.ndarray, vel, p) -> np.ndarray:
+    """Euler flux (rho*u, rho*u^2 + p, (E + p)*u) of conserved states ``u`` (..., 3).
+
+    The reference for ``gas.euler_flux``, which is a plain expression on the
+    momentum and energy: this one takes whole conserved vectors as arrays,
+    so the stage, LLF and physical fluxes below share no code with it.
+    """
+    out = np.empty_like(u)
+    out[..., 0] = u[..., 1]
+    out[..., 1] = u[..., 1] * vel + p
+    out[..., 2] = (u[..., 2] + p) * vel
+    return out
+
+
+def physical_flux(state: GasState) -> np.ndarray:
+    """``gas.physical_flux``: the array Euler flux above of ``to_conserved(state)``."""
+    return euler_flux(to_conserved(state), state.u, state.p)
+
+
+def evaluate_source(left: GasState, right: GasState, coeffs: SourceCoefficients) -> np.ndarray:
+    """``gas.evaluate_source`` without the mirrored frame: the coefficient-scaled flux of
+    the upstream trace, negated whole for leftward flow, and zero unless the flow
+    passes the origin."""
+    if left.u > 0.0 and right.u > 0.0:
+        return coeffs.diag * physical_flux(left)
+    if left.u < 0.0 and right.u < 0.0:
+        return -(coeffs.diag * physical_flux(right))
+    return np.zeros(3)
+
+
 def lax_friedrichs(ul: np.ndarray, ur: np.ndarray, wl, wr, gamma: float) -> np.ndarray:
     """Local Lax-Friedrichs flux between ``ul`` and ``ur`` (..., 3), from each side's
     primitives ``wl`` and ``wr``, with one Euler flux and one signal speed per side.
 
     The reference for ``fluxes.lax_friedrichs``, which takes both sides' fluxes
-    and speeds as stacks.
+    and the larger speed, and for ``fluxes.llf_flux``, which applies it to floats.
     """
     alpha = np.maximum(signal_speed(*wl, gamma), signal_speed(*wr, gamma))
     return 0.5 * (euler_flux(ul, *wl[1:]) + euler_flux(ur, *wr[1:])
@@ -164,7 +193,7 @@ def llf_flux(left: GasState, right: GasState) -> np.ndarray:
 
 def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficients,
             corrections: bool = True) -> FluxPair:
-    """``fluxes.kt_flux`` with one ``llf_flux`` call per side."""
+    """``fluxes.kt_flux`` over the reference ``llf_flux`` above."""
     try:
         ghost_left = fluxes._connect(right_trace, coeffs, corrections, rightward=False)
         ghost_right = fluxes._connect(left_trace, coeffs, corrections, rightward=True)
@@ -175,7 +204,7 @@ def kt_flux(left_trace: GasState, right_trace: GasState, coeffs: SourceCoefficie
 
 def solver_flux(left_trace: GasState, right_trace: GasState,
                 coeffs: SourceCoefficients) -> FluxPair:
-    """``fluxes.solver_flux`` with one ``physical_flux`` call per side."""
+    """``fluxes.solver_flux`` with the reference ``physical_flux`` above, one call per side."""
     out = approximate_solve(left_trace, right_trace, coeffs)
     return FluxPair(physical_flux(out.minus), physical_flux(out.plus))
 

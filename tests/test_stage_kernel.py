@@ -1,10 +1,11 @@
-"""The one-stack stage kernel and the stacked origin fluxes, bit for bit against the references.
+"""The one-stack stage kernel and the float origin fluxes, bit for bit against the references.
 
 ``dg.dg_rhs`` derives primitives, Euler fluxes and the admissibility test
 once over one stack of every state of a stage; ``conftest.dg_rhs`` is the
-kernel it replaced, with one stack per kind of state. ``kt_flux`` evaluates
-both of its LLF fluxes in one call and ``solver_flux`` both physical fluxes
-in one call; ``conftest`` keeps their two-call forms. Every comparison is on
+kernel it replaced, with one stack per kind of state. The origin fluxes
+(``physical_flux``, ``evaluate_source``, ``llf_flux``, ``kt_flux`` and
+``solver_flux``) work on the traces' floats; ``conftest`` keeps forms of them
+built on its own array Euler flux of ``to_conserved``. Every comparison is on
 the bytes of the result, or on the error class and message where one side
 raises.
 """
@@ -12,7 +13,8 @@ raises.
 import numpy as np
 import pytest
 
-from deltawave import GasState, SourceCoefficients, dg, kt_flux, llf_flux, solver_flux
+from deltawave import (GasState, SourceCoefficients, dg, evaluate_source, kt_flux, llf_flux,
+                       physical_flux, solver_flux)
 from deltawave.dg import dg_rhs, make_grid
 from deltawave.fluxes import FluxPair, Scheme
 
@@ -133,17 +135,34 @@ def _draws():
                SourceCoefficients(*k[i]))
 
 
+def _at_rest(state: GasState) -> GasState:
+    return GasState(state.rho, 0.0, state.p, state.gamma)
+
+
+def _pairs(left: GasState, right: GasState):
+    """The draw, its mirror image (the other flow orientation), and each side put at rest."""
+    return ((left, right), (right.mirrored(), left.mirrored()), (_at_rest(left), right),
+            (left, _at_rest(right)))
+
+
 def test_origin_fluxes_match_two_call_forms():
     failed = {"kt": 0, "kt-nocorr": 0, "solver": 0}
-    for left, right, k in _draws():
-        assert outcome(llf_flux, left, right) == outcome(ref.llf_flux, left, right)
-        for name, corrections in (("kt", True), ("kt-nocorr", False)):
-            want = outcome(ref.kt_flux, left, right, k, corrections)
-            assert outcome(kt_flux, left, right, k, corrections) == want
-            failed[name] += isinstance(want[0], str)
-        want = outcome(ref.solver_flux, left, right, k)
-        assert outcome(solver_flux, left, right, k) == want
-        failed["solver"] += isinstance(want[0], str)
+    n_pairs = 0
+    for draw_left, draw_right, k in _draws():
+        for left, right in _pairs(draw_left, draw_right):
+            n_pairs += 1
+            for state in (left, right):
+                assert outcome(physical_flux, state) == outcome(ref.physical_flux, state)
+            assert outcome(evaluate_source, left, right, k) == outcome(ref.evaluate_source,
+                                                                       left, right, k)
+            assert outcome(llf_flux, left, right) == outcome(ref.llf_flux, left, right)
+            for name, corrections in (("kt", True), ("kt-nocorr", False)):
+                want = outcome(ref.kt_flux, left, right, k, corrections)
+                assert outcome(kt_flux, left, right, k, corrections) == want
+                failed[name] += isinstance(want[0], str)
+            want = outcome(ref.solver_flux, left, right, k)
+            assert outcome(solver_flux, left, right, k) == want
+            failed["solver"] += isinstance(want[0], str)
     # Both outcomes occur: values and typed refusals (the corrected kt flux
-    # refuses none of these draws).
-    assert 0 < failed["kt-nocorr"] < N_DRAWS and 0 < failed["solver"] < N_DRAWS
+    # refuses none of these pairs).
+    assert 0 < failed["kt-nocorr"] < n_pairs and 0 < failed["solver"] < n_pairs

@@ -235,6 +235,19 @@ class TestOutOfDomain:
             velocity_mismatch(1e308, GasState(1, 1, 1), GasState(1, 1, 1),
                               SourceCoefficients(0.1, 0, 0.1))
 
+    @pytest.mark.parametrize("solve", [
+        lambda s: solve_classical(GasState(s, 0.1, s), GasState(2.0 * s, -0.2, s)),
+        lambda s: approximate_solve(GasState(s, 0.5, s), GasState(2.0 * s, 0.2, s),
+                                    SourceCoefficients(0.1, 0.0, 0.0)),
+    ], ids=["solve_classical", "approximate_solve"])
+    def test_tiny_scale_fails_typed(self, solve):
+        # At 1e-165 the shock-branch product rho0 ((gamma + 1) p + (gamma - 1) p0)
+        # underflows to 0, and both raised ZeroDivisionError. At 1e-160 it is
+        # subnormal but not 0, and the same data solve.
+        with pytest.raises(ConfigError, match="shock curve through .* underflows at p = "):
+            solve(1e-165)
+        solve(1e-160)
+
 
 _C = SourceCoefficients(0.1, 0.0, 0.1)
 _LEFTWARD = GasState(1.0, -1.0, 1.0)

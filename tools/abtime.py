@@ -5,11 +5,15 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on six pieces of work:
+on seven pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
   fastest of three passes, as one pass on a shared host spreads widely;
+- ``origin``: ``fluxes.origin_flux`` under the kt and the solver schemes
+  over the same 2,000 draws (refusals count too); the fastest of three
+  passes. It times the origin flux pairs alone, which every stage of an
+  unsplit run evaluates once from its two traces;
 - ``step``: one ``ssp_rk3_step`` of test 8 with the solver flux at
   h = 0.0125 (1,600 cells), from its initial field; the fastest of five, as
   one step takes only a few milliseconds;
@@ -54,6 +58,7 @@ import numpy as np
 N_DRAWS = 2000
 STEP_H = 0.0125
 SOLVE_REPEATS = 3
+ORIGIN_REPEATS = 3
 STEP_REPEATS = 5
 ADVANCE_REPEATS = 3
 ADVANCE_FROM, ADVANCE_TO = 1.5, 1.6
@@ -81,8 +86,8 @@ class Work:
     """The timed pieces of work, set up on one package."""
 
     def __init__(self, dw, name: str):
-        structure, dg, runner = (importlib.import_module(f"{name}.{m}")
-                                 for m in ("structure", "dg", "runner"))
+        structure, dg, runner, fluxes = (importlib.import_module(f"{name}.{m}")
+                                         for m in ("structure", "dg", "runner", "fluxes"))
         rng = np.random.default_rng(0)  # the draws of riemann_batch, seed 0
         k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
         rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
@@ -91,6 +96,8 @@ class Work:
                        dw.GasState(rp[i, 2], u[i, 1], rp[i, 3]), dw.SourceCoefficients(*k[i]))
                       for i in range(N_DRAWS)]
         self.solve_fn, self.error = structure.approximate_solve, dw.DeltawaveError
+        self.origin_fn = fluxes.origin_flux
+        self.origin_schemes = (fluxes.Scheme.KT, fluxes.Scheme.SOLVER)
         case = dw.get_case(8)
         left, right = runner.initial_states(case)
         self.field = dg.field_from_states(dg.make_grid(*case.domain, STEP_H), left, right)
@@ -122,6 +129,14 @@ class Work:
             except self.error:
                 pass
 
+    def _origin_pass(self) -> None:
+        for left, right, coeffs in self.draws:
+            for scheme in self.origin_schemes:
+                try:
+                    self.origin_fn(left, right, coeffs, scheme)
+                except self.error:
+                    pass
+
     def _reference_pass(self) -> None:
         for left, right, coeffs in self.draws[:N_FANS]:
             try:
@@ -131,6 +146,9 @@ class Work:
 
     def solve(self) -> float:
         return fastest(self._solve_pass, SOLVE_REPEATS)
+
+    def origin(self) -> float:
+        return fastest(self._origin_pass, ORIGIN_REPEATS)
 
     def step(self) -> float:
         return fastest(lambda: self.step_fn(self.field, *self.step_args), STEP_REPEATS)
@@ -170,7 +188,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--rounds must be at least 1")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "step", "advance", "reference", "sweep", "limit")
+    names = ("solve", "origin", "step", "advance", "reference", "sweep", "limit")
     for side in sides:  # warm-up, untimed
         for name in names:
             getattr(side, name)()
