@@ -147,8 +147,9 @@ def euler_flux(u: np.ndarray, vel, p) -> np.ndarray:
     """Euler flux (rho*u, rho*u^2 + p, (E + p)*u) of conserved states ``u`` (..., 3).
 
     The reference for ``gas.euler_flux``, which is a plain expression on the
-    momentum and energy: this one takes whole conserved vectors as arrays,
-    so the stage, LLF and physical fluxes below share no code with it.
+    momentum and energy. This one takes whole conserved vectors as arrays;
+    the reference stage, LLF and physical fluxes below build on it, so they
+    share no flux code with the package.
     """
     out = np.empty_like(u)
     out[..., 0] = u[..., 1]
