@@ -10,7 +10,9 @@ anchor's curve returns the anchor velocity exactly. Data that opens a vacuum
 raises ``VacuumError``; colliding data whose star pressure overflows raises
 ``RootBracketError``. ``origin_state`` gives the state at x/t = 0 that
 ``sample_classical`` reads from the solved fan, from the one wave on the
-origin's side of the contact.
+origin's side of the contact; where a supersonic datum's shock moves away
+from the origin, it returns that datum without solving for the star
+pressure.
 """
 
 from __future__ import annotations
@@ -70,15 +72,18 @@ class ClassicalFan:
         return abs(self.p_star - anchor.p) / max(self.p_star, anchor.p)
 
 
-def _defect_curve(left: GasState, right: GasState):
+def _defect_curve(left: GasState, right: GasState, last: list | None = None):
     """p -> (ul - ur, its derivative), the velocities of the family-1 ``wave_curve``
     through ``left`` and the family-3 one through ``right``.
 
-    Its root is the star pressure.
+    Its root is the star pressure. Each evaluation stores its curve values
+    (p, rho_l, ul, rho_r, ur) as the first item of ``last``, when given.
     """
     def defect(p: float) -> tuple[float, float]:
-        _, ul, dul = wave_curve(-1.0, left, p)
-        _, ur, dur = wave_curve(1.0, right, p)
+        rl, ul, dul = wave_curve(-1.0, left, p)
+        rr, ur, dur = wave_curve(1.0, right, p)
+        if last is not None:
+            last[0] = (p, rl, ul, rr, ur)
         return ul - ur, dul - dur
     return defect
 
@@ -107,10 +112,14 @@ def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> Clas
 def origin_state(left: GasState, right: GasState) -> GasState:
     """``sample_classical(solve_classical(left, right), 0.0)``, bit for bit.
 
-    Builds no fan: only the wave on the side of the contact that holds the
-    origin, which the decisions of ``sample_classical`` then read.
+    Builds no fan. A datum whose shock moves away from the origin is
+    returned before the star pressure is solved for (see ``_star_states``).
+    Otherwise only the wave on the side of the contact that holds the origin
+    is built, and the decisions of ``sample_classical`` read it.
     """
-    sl, sr, u_star = _star_states(left, right, 1e-12)
+    sl, sr, u_star = _star_states(left, right, 1e-12, origin=True)
+    if u_star is None:
+        return sl
     if _left_of_contact(u_star, sl.rho, sr.rho, 0.0):
         family, anchor, star = WaveFamily.ONE, left, sl
     else:
@@ -119,10 +128,16 @@ def origin_state(left: GasState, right: GasState) -> GasState:
     return _sample_wave(family.value, anchor, kind, speeds, (star.rho, u_star, star.p), 0.0)
 
 
-def _star_states(left: GasState, right: GasState,
-                 tol: float) -> tuple[GasState, GasState, float]:
+def _star_states(left: GasState, right: GasState, tol: float,
+                 origin: bool = False) -> tuple[GasState, GasState, float]:
     """The states of the family-1 curve through ``left`` and the family-3 curve
-    through ``right`` at the star pressure, and the star velocity, their mean."""
+    through ``right`` at the star pressure, and the star velocity, their mean.
+
+    Where the root finder stops on a pressure it has evaluated, the states
+    are that evaluation's curve values. With ``origin``, a datum that the
+    fan holds at x/t = 0 because its shock moves away from the origin comes
+    back as (datum, None, None), before the star pressure is solved for.
+    """
     if left.gamma != right.gamma:
         raise ConfigError("states must share gamma")
     g = left.gamma
@@ -130,14 +145,14 @@ def _star_states(left: GasState, right: GasState,
         raise VacuumError(
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
-
-    scale_u = abs(left.u) + left.sound_speed + abs(right.u) + right.sound_speed
-    tiny = 1e-13 * scale_u
+    a_l, a_r = left.sound_speed, right.sound_speed
+    tiny = 1e-13 * (abs(left.u) + a_l + abs(right.u) + a_r)
     # The velocity defect at each anchor pressure. There the anchor's own
     # curve takes its shock branch with dp = 0 and returns the anchor
     # velocity exactly, so each reads one curve.
     f_left = left.u - wave_curve(1.0, right, left.p)[1]
     f_right = wave_curve(-1.0, left, right.p)[1] - right.u
+    last = [None]
     # Degenerate inputs where one anchor pressure is already the root: keeps
     # zero-strength waves exactly zero-strength.
     if abs(f_left) <= tiny:
@@ -145,7 +160,23 @@ def _star_states(left: GasState, right: GasState,
     elif abs(f_right) <= tiny:
         p_star = right.p
     else:
-        defect = _defect_curve(left, right)
+        defect = _defect_curve(left, right, last)
+        if origin:
+            # A datum that flows supersonically toward the other one (Mach
+            # m > 1 toward it) meets a shock of its family that stands still
+            # at p0 = p (2 g m^2 - g + 1) / (g + 1). The defect falls
+            # strictly in p: above the margin at the datum's pressure and
+            # below minus it at p0, it puts the star pressure between them,
+            # so the wave is a shock slower than the one at rest, which
+            # leaves the datum at x/t = 0 (Toro, Riemann Solvers and Numerical
+            # Methods for Fluid Dynamics, 4.3). A positive anchor defect also
+            # rules out the vacuum guard below, and a margin of 1e4 tiny keeps
+            # roundoff in the star pressure from flipping the decision.
+            margin = 1e4 * tiny
+            for m, datum, own in ((left.u / a_l, left, f_left), (-right.u / a_r, right, f_right)):
+                if m > 1.0 and own > margin \
+                        and defect((2.0 * g * m * m - g + 1.0) * datum.p / (g + 1.0))[0] < -margin:
+                    return datum, None, None
         # Above 2 max(p_L, p_R) both waves are shocks and the defect is at most
         # (u_L - u_R) - sqrt(p / ((g + 1) max(rho_L, rho_R))), so the root lies
         # below the larger of those two bounds. Like the star pressure, the cap
@@ -165,10 +196,14 @@ def _star_states(left: GasState, right: GasState,
         # zero exceeds tiny: if one is positive, so is the defect at lo.
         if not (f_left > 0.0 or f_right > 0.0) and defect(lo)[0] < 0.0:
             raise VacuumError("failed to bracket the star pressure")
-        p_star = _solve_pressure(defect, left, right, lo, hi, tol, tiny)
+        p_star = _solve_pressure(defect, left, right, a_l, a_r, lo, hi, tol, tiny)
 
-    sl = wave_state(WaveFamily.ONE, left, p_star)
-    sr = wave_state(WaveFamily.THREE, right, p_star)
+    seen = last[0]
+    if seen is not None and seen[0] == p_star:
+        sl, sr = GasState(seen[1], seen[2], p_star, g), GasState(seen[3], seen[4], p_star, g)
+    else:
+        sl = wave_state(WaveFamily.ONE, left, p_star)
+        sr = wave_state(WaveFamily.THREE, right, p_star)
     return sl, sr, 0.5 * (sl.u + sr.u)
 
 
@@ -184,11 +219,12 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
     return WaveKind.RAREFACTION, edges if s < 0.0 else edges[::-1]
 
 
-def _solve_pressure(defect, left: GasState, right: GasState, lo: float, hi: float,
-                    tol: float, tiny: float) -> float:
+def _solve_pressure(defect, left: GasState, right: GasState, a_l: float, a_r: float,
+                    lo: float, hi: float, tol: float, tiny: float) -> float:
     """Star pressure in [lo, hi], where ``defect(lo) >= 0 >= defect(hi)``.
 
-    ``defect`` is the map of ``_defect_curve``. Runs ``waves.newton`` from
+    ``defect`` is the map of ``_defect_curve``, ``a_l`` and ``a_r`` the
+    sound speeds of the data. Runs ``waves.newton`` from
     Toro's two-rarefaction guess (Riemann Solvers and Numerical Methods for
     Fluid Dynamics, 4.3), which is exact when both waves are rarefactions,
     clipped into the bracket. It converges on the velocity residual itself
@@ -198,7 +234,6 @@ def _solve_pressure(defect, left: GasState, right: GasState, lo: float, hi: floa
     """
     g = left.gamma
     z = (g - 1.0) / (2.0 * g)
-    a_l, a_r = left.sound_speed, right.sound_speed
     base = (a_l + a_r - 0.5 * (g - 1.0) * (right.u - left.u)) \
         / (a_l / left.p ** z + a_r / right.p ** z)
     # Compared in the power z, as a guess above hi may overflow.

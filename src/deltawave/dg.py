@@ -175,9 +175,13 @@ def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
     hi += means
     hi += lo
     lo += lo_half
-    # The states at the three quadrature nodes, (node, variable, cell).
-    uq = np.multiply(c[1], _QNODES[:, None, None], out=stack[2:5, :, :n])
-    uq += means
+    # The states at the three quadrature nodes, (node, variable, cell). The
+    # middle node is at 0, so only the outer two take the slope: an infinite
+    # slope times 0 would be NaN, with a RuntimeWarning, before the test below.
+    uq = stack[2:5, :, :n]
+    outer = np.multiply(c[1], _QNODES[::2, None, None], out=uq[::2])
+    outer += means
+    uq[1] = means
     uq += np.multiply(c[2], _QMODE2[:, None, None])
 
     rho, vel, p = primitives(stack.swapaxes(-2, -1), g)
@@ -359,13 +363,19 @@ def cfl_dt(field: DgField, cfl: float) -> float:
     """Time step from the fastest characteristic speed on cell means."""
     if not 0.0 < cfl <= 0.5:
         raise ConfigError(f"cfl must lie in (0, 0.5], got {cfl}")
-    rho, u, p = primitives(field.means, field.gamma)
-    # An infinite density gives u = 0 and a sound speed of 0, and an infinite
-    # energy p = inf: the first fails the maximum, the second the speed test.
-    ok = np.isfinite(u).all() and 0.0 < rho.min() and rho.max() < math.inf and p.min() > 0.0
-    speed = float(signal_speed(rho, u, p, field.gamma).max()) if ok else math.inf
+    means, speed = field.means, math.inf
+    # The density is tested first, as a zero one would divide the momentum by
+    # zero. An infinite density gives u = 0 and a sound speed of 0, and an
+    # infinite energy p = inf: the first fails the maximum, the second the
+    # speed test.
+    if 0.0 < means[:, 0].min() and means[:, 0].max() < math.inf:
+        rho, u, p = primitives(means, field.gamma)
+        if np.isfinite(u).all() and p.min() > 0.0:
+            speed = float(signal_speed(rho, u, p, field.gamma).max())
     if not speed < math.inf:
-        _check_admissible((("cells", field.means.T, rho, p),), field.time)
+        with np.errstate(all="ignore"):
+            rho, _, p = primitives(means, field.gamma)
+        _check_admissible((("cells", means.T, rho, p),), field.time)
     return cfl * field.grid.h / speed
 
 

@@ -69,15 +69,20 @@ def _positive_time(t: float) -> float:
 
 
 def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) -> DgField:
-    """``field`` stepped to ``t_end``; its coefficients must be a float64 (n_cells, 3, 3) array."""
+    """``field`` stepped to ``t_end``; its coefficients must be a float64 (n_cells, 3, 3) array.
+
+    An error of a step, from its time step or from a stage, is raised again
+    with its class and message, ending in one "(t=..., h=...)": the time the
+    step started from and the cell width.
+    """
     t_end = _positive_time(t_end)
     c, shape = field.coeffs, (field.grid.n_cells, 3, 3)
     if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape):
         raise ConfigError(f"coefficients must be a float64 array of shape {shape}")
     t = field.time
     while t < t_end * (1.0 - 1e-14):
-        dt = min(cfl_dt(field, cfl), t_end - t)
         try:
+            dt = min(cfl_dt(field, cfl), t_end - t)
             field = _windowed_step(field, dt, coeffs, scheme)
         except DeltawaveError as exc:
             at = f"t={t:.6g}"

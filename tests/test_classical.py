@@ -6,6 +6,7 @@ library (anti-circularity for the frozen Sod values).
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltawave import (
     ConfigError,
+    DeltawaveError,
     GasState,
     RootBracketError,
     SourceCoefficients,
@@ -193,6 +195,26 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
     assert max(len(calls) for calls in counts) <= MAX_SOLVE_EVALS
 
 
+def test_star_states_from_the_last_evaluation(monkeypatch):
+    # Over the draws Newton stops on a pressure it has evaluated, so the star
+    # states are that evaluation's curve values: wave_state's at p*, bit for
+    # bit, which the solve then does not call.
+    calls = []
+    monkeypatch.setattr(classical, "wave_state", lambda *a: calls.append(a) or wave_state(*a))
+    k, rp, u = riemann_batch_arrays(N_COUNTED)
+    n = 0
+    for i in range(N_COUNTED):
+        left, right = GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3])
+        try:
+            sl, sr, u_star = classical._star_states(left, right, 1e-12)
+        except VacuumError:
+            continue
+        n += 1
+        want = (wave_state(WaveFamily.ONE, left, sl.p), wave_state(WaveFamily.THREE, right, sl.p))
+        assert repr((sl, sr, u_star)) == repr((*want, 0.5 * (want[0].u + want[1].u)))
+    assert n > 1900 and calls == []
+
+
 SHOCK, RAREFACTION = WaveKind.SHOCK, WaveKind.RAREFACTION
 # Data whose x/t = 0 lies in each region of the left wave, with a test of the
 # fan that places it there. The tail case is (1, 0, 1) | (1, 2, 0.5) shifted
@@ -242,6 +264,71 @@ class TestOriginState:
         self.assert_is_sampled_fan(left, right)
         out = approximate_solve(left, right, SourceCoefficients(0.1, 0.1, 0.1))
         assert repr(out.minus) == repr(out.plus) == repr(origin_state(left, right))
+
+    @staticmethod
+    def outcome(solve, left, right) -> str:
+        try:
+            return repr(solve(left, right))
+        except DeltawaveError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def test_no_source_draws_in_both_orientations(self, monkeypatch):
+        # The seed-0 draws whose flow does not pass the origin, and their mirror
+        # images; the receding-shock test must decide part of them.
+        solved = []
+        real = classical._star_states
+        monkeypatch.setattr(classical, "_star_states",
+                            lambda *a, **k: solved.append(real(*a, **k)) or solved[-1])
+        k, rp, u = riemann_batch_arrays(N_COUNTED)
+        n = 0
+        for i in range(N_COUNTED):
+            left, right = GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3])
+            if u[i, 0] * u[i, 1] > 0.0:
+                continue
+            for a, b in ((left, right), (right.mirrored(), left.mirrored())):
+                n += 1
+                want = self.outcome(lambda l, r: sample_classical(solve_classical(l, r), 0.0), a, b)
+                assert self.outcome(origin_state, a, b) == want
+        assert n == 2 * 1005
+        # 100 left and 93 right data of the draws, in each orientation.
+        assert sum(u_star is None for *_, u_star in solved) == 2 * 193
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["left shock", "right shock"])
+    def test_shocks_near_rest(self, mirrored):
+        # A supersonic left datum against a right state that puts the star
+        # pressure where the left shock's speed is sigma: the shock at rest
+        # lies within roundoff of these cases, on either side.
+        g = 1.4
+        left = GasState(1.0, 2.5, 1.0)
+        a = left.sound_speed
+        for sigma in (-1e-6, -1e-9, -1e-10, -1e-11, -1e-13, 0.0, 1e-13, 1e-11, 1e-10,
+                      1e-9, 1e-6):
+            # The pressure of the left shock of speed sigma, and its state.
+            p = left.p * (((left.u - sigma) / a) ** 2 - (g - 1.0) / (2.0 * g)) * 2.0 * g / (g + 1.0)
+            _, u_star, _ = wave_curve(-1.0, left, p)
+            for p_r in (0.2 * p, 0.9 * p):
+                # The right state whose family-3 shock reaches (p, u_star).
+                rho_r = 0.5
+                u_r = u_star - math.sqrt(2.0) * (p - p_r) / math.sqrt(
+                    rho_r * ((g + 1.0) * p + (g - 1.0) * p_r))
+                right = GasState(rho_r, u_r, p_r)
+                fan = solve_classical(left, right)
+                assert abs(fan.left_speeds[0] - sigma) <= 1e-9
+                self.assert_is_sampled_fan(*((right.mirrored(), left.mirrored()) if mirrored
+                                             else (left, right)))
+
+    @pytest.mark.parametrize("right", [GasState(1.0, 30.0, 1.0), GasState(1.0, 16.8, 1.0)],
+                             ids=["opens vacuum", "fails to bracket"])
+    def test_vacuum_with_a_supersonic_datum(self, right):
+        # The left datum flows at Mach 4.2, and its shock at rest lies where the
+        # defect is negative; but the data opens a vacuum, or (the second) lies
+        # so near one that the guard at the pressure floor fires.
+        left = GasState(1.0, 5.0, 1.0)
+        for l, r in ((left, right), (right.mirrored(), left.mirrored())):
+            with pytest.raises(VacuumError) as info:
+                solve_classical(l, r)
+            with pytest.raises(VacuumError, match=f"^{re.escape(str(info.value))}$"):
+                origin_state(l, r)
 
     def test_near_vacuum_fails_to_bracket(self):
         # Two rarefactions whose star pressure lies below the floor: the one

@@ -1,10 +1,15 @@
+import math
+import re
+import warnings
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from deltawave.cases import _TABLE, all_cases, get_case
 from deltawave.cli import main as cli_main
-from deltawave.dg import field_from_states, make_grid
+from deltawave.dg import DgField, field_from_states, make_grid
 from deltawave.errors import ConfigError, SchemeError
 from deltawave.fluxes import Scheme, llf_flux, origin_flux, solver_flux
 from deltawave.gas import GasState
@@ -325,3 +330,57 @@ class TestRunTestValidation:
 
         res = jump_residual(StationaryPair(left, right, case.coeffs, Branch.SUBSONIC))
         assert float(np.max(np.abs(res))) < 1e-14
+
+
+_PLACE = re.compile(r"(interfaces|quadrature cells|cells) \[([\d ]+)\]")
+# One corruption of a small field: a coefficient set to NaN or +-inf at any
+# cell, mode and variable, or a mean whose density or pressure is <= 0.
+_CORRUPTIONS = st.one_of(
+    st.tuples(st.just("value"), st.integers(0, 2), st.integers(0, 2),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    st.tuples(st.just("rho"), st.sampled_from([0.0, -0.0, -1e-300, -0.5])),
+    st.tuples(st.just("p"), st.sampled_from([0.0, -1e-12, -0.5])))
+
+
+class TestCorruptedFields:
+    """Every corrupted field fails typed, once, at the corrupted cell."""
+
+    @staticmethod
+    def field(seed: int, n: int, slopes: bool) -> DgField:
+        """An admissible field of ``n`` cells on [-1, 1]: random means, and slopes
+        of at most 1% of them, or none (so that steps run on windows)."""
+        rng = np.random.default_rng(seed)
+        rho, u, p = rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+        c = np.zeros((n, 3, 3))
+        c[:, 0] = np.column_stack([rho, rho * u, p / 0.4 + 0.5 * rho * u * u])
+        if slopes:
+            c[:, 1:] = 0.01 * rng.uniform(-1.0, 1.0, (n, 2, 3)) * np.abs(c[:, :1])
+        return DgField(make_grid(-1.0, 1.0, 2.0 / n), 1.4, c)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([8, 10, 16]), st.booleans(),
+           st.integers(0, 15), _CORRUPTIONS)
+    def test_advance_raises_scheme_error_at_the_cell(self, seed, n, slopes, cell, corruption):
+        field = self.field(seed, n, slopes)
+        cell %= n
+        c = field.coeffs.copy()
+        if corruption[0] == "value":
+            _, mode, var, value = corruption
+            c[cell, mode, var] = value
+        elif corruption[0] == "rho":
+            c[cell, 0, 0] = corruption[1]
+        else:  # p = (gamma - 1) (E - 0.5 mom vel), as the scheme computes it
+            rho, mom = c[cell, 0, :2]
+            c[cell, 0, 2] = 0.5 * mom * (mom / rho) + corruption[1] / 0.4
+        for scheme in Scheme:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SchemeError) as info:
+                    advance(field.with_coeffs(c), get_case(8).coeffs, scheme, 0.1, 0.5)
+            message = str(info.value)
+            assert message.count("(t=") == 1, message
+            named = {(kind, int(j)) for kind, cells in _PLACE.findall(message)
+                     for j in cells.split()}
+            # Interface j lies between cells j - 1 and j.
+            assert {("cells", cell), ("quadrature cells", cell), ("interfaces", cell),
+                    ("interfaces", cell + 1)} & named, message

@@ -64,12 +64,16 @@ def test_abtime_prints_every_ratio():
 
 CENSUS_200 = """\
 structure          mismatch           fan                 draws
-no-source                                                   116
+no-source                             star                   65
 Type5              ++                 NotSolvableError       35
+no-source                             fan                    26
 Type3              ++                 on-side                24
 Type2              ++                 on-side                14
+no-source                             right-datum            13
+no-source                             left-datum              9
 Type1              -+                 on-side                 7
 Type5              ++                 on-side                 4
+no-source                             VacuumError             3
 total                                                       200
 """
 

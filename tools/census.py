@@ -17,10 +17,14 @@ takes the first N (default 20,000) seed-0 draws of the benchmark's
   right sub-fan left, beyond 1e-12 of the largest signal speed of the
   data), or the class of the error it raises.
 
-Draws whose velocities have mixed signs carry no source; they are counted
-in one ``no-source`` row. Rows are printed by count, largest first. The
-tool imports ``deltawave`` from the ``src`` beside it and reads its public
-names only.
+Draws whose flow does not pass the origin (velocities of mixed signs, or
+a zero one) carry no source. They are counted in ``no-source`` rows, whose
+``fan`` column gives the state at x/t = 0 of the classical fan that
+``sample_classical(solve_classical(left, right), 0.0)`` reads: the
+``left-datum`` or the ``right-datum``, a ``star`` state, a point inside a
+rarefaction ``fan``, or the class of the error it raises. Rows are printed
+by count, largest first. The tool imports ``deltawave`` from the ``src``
+beside it and reads its public names only.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from deltawave import (  # noqa: E402
     SourceCoefficients,
     compose_reference_fan,
     predict_structure,
+    sample_classical,
+    solve_classical,
     subsonic_passage_bracket,
     velocity_mismatch,
 )
@@ -79,13 +85,23 @@ def _verdict(left: GasState, right: GasState, coeffs: SourceCoefficients) -> str
     return "wrong-side" if off else "on-side"
 
 
+def _origin(left: GasState, right: GasState) -> str:
+    fan = solve_classical(left, right)
+    state = sample_classical(fan, 0.0)
+    if state == left:
+        return "left-datum"
+    if state == right:
+        return "right-datum"
+    return "star" if state.p == fan.p_star else "fan"
+
+
 def census(n: int) -> Counter:
     """Counts of the first ``n`` draws by (structure, mismatch, fan)."""
     counts = Counter()
     for left, right, coeffs in draws(n):
         frame = rightward_frame(left, right)
         if frame is None:
-            counts["no-source", "", ""] += 1
+            counts["no-source", "", _attempt(_origin, left, right)] += 1
             continue
         rl, rr, _ = frame  # the pair in its rightward frame
         structure = _attempt(lambda: predict_structure(rl, rr, coeffs).structure.value)
