@@ -19,13 +19,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, RootBracketError, VacuumError
-from .gas import GasState
+from .gas import GasState, value_class
 from .waves import WaveFamily, newton, shock_speed, wave_curve, wave_state
+
+
+# Relative root tolerance of the star pressure here and of the origin
+# solver's upstream pressure in ``structure``.
+_ROOT_TOL = 1e-13
 
 
 class WaveKind(enum.Enum):
@@ -33,7 +37,7 @@ class WaveKind(enum.Enum):
     RAREFACTION = "rarefaction"
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class ClassicalFan:
     """Solved Riemann fan: two acoustic waves around a contact."""
 
@@ -48,16 +52,6 @@ class ClassicalFan:
     left_speeds: tuple[float, float]   # (head, tail); equal for a shock
     right_speeds: tuple[float, float]
     gamma: float
-
-    def __init__(self, left: GasState, right: GasState, p_star: float, u_star: float,
-                 rho_star_left: float, rho_star_right: float, left_kind: WaveKind,
-                 right_kind: WaveKind, left_speeds: tuple[float, float],
-                 right_speeds: tuple[float, float], gamma: float):
-        # One dict update, as in GasState.
-        self.__dict__.update(left=left, right=right, p_star=p_star, u_star=u_star,
-                             rho_star_left=rho_star_left, rho_star_right=rho_star_right,
-                             left_kind=left_kind, right_kind=right_kind,
-                             left_speeds=left_speeds, right_speeds=right_speeds, gamma=gamma)
 
     @property
     def star_left(self) -> GasState:
@@ -101,9 +95,9 @@ def _pressure_floor(left: GasState, right: GasState) -> float:
     return 1e-12 * min(left.p, right.p)
 
 
-def solve_classical(left: GasState, right: GasState, tol: float = 1e-12) -> ClassicalFan:
+def solve_classical(left: GasState, right: GasState) -> ClassicalFan:
     """Exact solution of the Riemann problem between two states of equal gamma."""
-    sl, sr, u_star = _star_states(left, right, tol)
+    sl, sr, u_star = _star_states(left, right)
     lk, lsp = _acoustic_wave(WaveFamily.ONE, left, sl, u_star)
     rk, rsp = _acoustic_wave(WaveFamily.THREE, right, sr, u_star)
     return ClassicalFan(left, right, sl.p, u_star, sl.rho, sr.rho, lk, rk, lsp, rsp, left.gamma)
@@ -117,7 +111,7 @@ def origin_state(left: GasState, right: GasState) -> GasState:
     Otherwise only the wave on the side of the contact that holds the origin
     is built, and the decisions of ``sample_classical`` read it.
     """
-    sl, sr, u_star = _star_states(left, right, 1e-12, origin=True)
+    sl, sr, u_star = _star_states(left, right, origin=True)
     if u_star is None:
         return sl
     if _left_of_contact(u_star, sl.rho, sr.rho, 0.0):
@@ -128,7 +122,7 @@ def origin_state(left: GasState, right: GasState) -> GasState:
     return _sample_wave(family.value, anchor, kind, speeds, (star.rho, u_star, star.p), 0.0)
 
 
-def _star_states(left: GasState, right: GasState, tol: float,
+def _star_states(left: GasState, right: GasState,
                  origin: bool = False) -> tuple[GasState, GasState, float]:
     """The states of the family-1 curve through ``left`` and the family-3 curve
     through ``right`` at the star pressure, and the star velocity, their mean.
@@ -196,7 +190,7 @@ def _star_states(left: GasState, right: GasState, tol: float,
         # zero exceeds tiny: if one is positive, so is the defect at lo.
         if not (f_left > 0.0 or f_right > 0.0) and defect(lo)[0] < 0.0:
             raise VacuumError("failed to bracket the star pressure")
-        p_star = _solve_pressure(defect, left, right, a_l, a_r, lo, hi, tol, tiny)
+        p_star = _solve_pressure(defect, left, right, a_l, a_r, lo, hi, tiny)
 
     seen = last[0]
     if seen is not None and seen[0] == p_star:
@@ -220,7 +214,7 @@ def _acoustic_wave(family: WaveFamily, anchor: GasState, star: GasState,
 
 
 def _solve_pressure(defect, left: GasState, right: GasState, a_l: float, a_r: float,
-                    lo: float, hi: float, tol: float, tiny: float) -> float:
+                    lo: float, hi: float, tiny: float) -> float:
     """Star pressure in [lo, hi], where ``defect(lo) >= 0 >= defect(hi)``.
 
     ``defect`` is the map of ``_defect_curve``, ``a_l`` and ``a_r`` the
@@ -230,7 +224,7 @@ def _solve_pressure(defect, left: GasState, right: GasState, a_l: float, a_r: fl
     clipped into the bracket. It converges on the velocity residual itself
     (``abs(defect) <= tiny``), so the returned root is accurate even where
     the pressure function is steep, or else on a step of at most
-    ``0.01 * tol`` relative.
+    ``0.01 * _ROOT_TOL`` relative.
     """
     g = left.gamma
     z = (g - 1.0) / (2.0 * g)
@@ -238,7 +232,7 @@ def _solve_pressure(defect, left: GasState, right: GasState, a_l: float, a_r: fl
         / (a_l / left.p ** z + a_r / right.p ** z)
     # Compared in the power z, as a guess above hi may overflow.
     guess = base ** (1.0 / z) if base < hi ** z else hi
-    return newton(defect, lo, hi, min(max(guess, lo), hi), tiny, 0.01 * tol)
+    return newton(defect, lo, hi, min(max(guess, lo), hi), tiny, 0.01 * _ROOT_TOL)
 
 
 def _fan_interior(anchor: GasState, xi, s: float):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, SchemeError
 from .fluxes import Scheme, lax_friedrichs, origin_flux
 from .gas import (GasState, SourceCoefficients, euler_flux, evaluate_source, from_conserved,
-                  primitives, rightward_frame, signal_speed, to_conserved)
+                  primitives, rightward_frame, signal_speed, to_conserved, value_class)
 
 # Gauss-Legendre nodes/weights on [-1/2, 1/2] (3 points, degree-5 exact).
 _QNODES = np.array([-0.5 * math.sqrt(3.0 / 5.0), 0.0, 0.5 * math.sqrt(3.0 / 5.0)])
@@ -74,7 +74,7 @@ def make_grid(a: float, b: float, h: float) -> Grid:
     return Grid(a, b, n, h, j0)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@value_class(eq=False)
 class DgField:
     """Per-cell modal coefficients of the conserved variables.
 
@@ -87,11 +87,6 @@ class DgField:
     gamma: float
     coeffs: np.ndarray
     time: float = 0.0
-
-    def __init__(self, grid: Grid, gamma: float, coeffs: np.ndarray, time: float = 0.0):
-        # Every stage wraps its coefficients in a field three times: one dict
-        # update in place of the generated init's four object.__setattr__ calls.
-        self.__dict__.update(grid=grid, gamma=gamma, coeffs=coeffs, time=time)
 
     @property
     def means(self) -> np.ndarray:

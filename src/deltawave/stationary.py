@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NotSolvableError
-from .gas import _EPS, GasState, SourceCoefficients, physical_flux, rightward_frame
+from .gas import _EPS, GasState, SourceCoefficients, physical_flux, rightward_frame, value_class
 
 # Relative slack allowed on admissible-interval endpoints inside the curve
 # evaluators (pure-roundoff overshoot must not reject a boundary state).
@@ -37,7 +37,7 @@ class Side(enum.Enum):
     RIGHT = "right"  # downstream
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class CriticalMachNumbers:
     """Endpoints of the admissible Mach intervals on each side of the jump.
 
@@ -55,17 +55,6 @@ class CriticalMachNumbers:
     downstream_subsonic_max: float
     downstream_supersonic_min: float
     downstream_supersonic_sup: float
-
-    def __init__(self, upstream_subsonic_max: float, upstream_supersonic_min: float,
-                 upstream_supersonic_sup: float, downstream_subsonic_max: float,
-                 downstream_supersonic_min: float, downstream_supersonic_sup: float):
-        # One dict update, as in GasState: every solve of one-sign flow builds a table.
-        self.__dict__.update(upstream_subsonic_max=upstream_subsonic_max,
-                             upstream_supersonic_min=upstream_supersonic_min,
-                             upstream_supersonic_sup=upstream_supersonic_sup,
-                             downstream_subsonic_max=downstream_subsonic_max,
-                             downstream_supersonic_min=downstream_supersonic_min,
-                             downstream_supersonic_sup=downstream_supersonic_sup)
 
     def interval(self, side: Side, branch: Branch) -> tuple[float, float]:
         """Endpoints of the admissible Mach set on ``side`` and ``branch``."""
@@ -218,21 +207,14 @@ def _crossing_mach(state: GasState, coeffs: SourceCoefficients, side: Side, bran
 
 
 def downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
-                     corrections: bool = False) -> GasState:
+                     corrections: bool = False,
+                     critical: CriticalMachNumbers | None = None) -> GasState:
     """Downstream side of the stationary jump whose upstream side is ``state``.
 
     Requires rightward flow. The zero-coefficient source carries no jump, so
     that case returns the input unchanged (both branches coincide there).
-    """
-    return _downstream_state(state, coeffs, branch, corrections, None)
-
-
-def _downstream_state(state: GasState, coeffs: SourceCoefficients, branch: Branch,
-                      corrections: bool, critical: CriticalMachNumbers | None) -> GasState:
-    """``downstream_state``, checked against ``critical`` unless it is None.
-
-    ``critical`` holds the critical Mach numbers of ``coeffs``; a solve that
-    has built them once hands them in here.
+    ``critical`` holds the critical Mach numbers of ``coeffs``: a solve that
+    has built them once hands them in, else they are built here when needed.
     """
     m = _crossing_mach(state, coeffs, Side.LEFT, branch, corrections, critical)
     if m is None:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (
+    _ROOT_TOL,
     ClassicalFan,
     _defect_curve,
     _opens_vacuum,
@@ -27,14 +28,14 @@ from .classical import (
     solve_classical,
 )
 from .errors import ConfigError, NotSolvableError
-from .gas import GasState, SourceCoefficients, rightward_frame
+from .gas import GasState, SourceCoefficients, rightward_frame, value_class
 from .stationary import (
     Branch,
     CriticalMachNumbers,
     Side,
-    _downstream_state,
     choked_downstream,
     critical_mach_numbers,
+    downstream_state,
     stationary_ratios,
 )
 from .waves import (
@@ -60,24 +61,17 @@ class SolutionStructure(enum.Enum):
     CLASSICAL = "Classical"
 
 
-# Root tolerances of the origin solver and of the exactly composed fans.
-_SOLVE_TOL = 1e-12
-_FAN_TOL = 1e-13
 # Relative strength below which a classical wave counts as absent.
 _STRENGTH_TOL = 1e-8
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class SolverOutput:
     """Approximate one-sided states at the origin, with the predicted structure."""
 
     minus: GasState
     plus: GasState
     structure: SolutionStructure
-
-    def __init__(self, minus: GasState, plus: GasState, structure: SolutionStructure):
-        # One dict update, as in GasState.
-        self.__dict__.update(minus=minus, plus=plus, structure=structure)
 
     def mirrored(self) -> "SolverOutput":
         """The same solution seen in the x -> -x reflected frame."""
@@ -156,7 +150,7 @@ def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     return defect((2.0 * g * m * m - g + 1.0) * down.p / (g + 1.0))[0] <= 0.0
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class Prediction:
     """A predicted structure and what predicting it computed.
 
@@ -172,13 +166,6 @@ class Prediction:
     crit: tuple[float, float] | None = None
     rest: tuple[float, float] | None = None
 
-    def __init__(self, structure: SolutionStructure, critical: CriticalMachNumbers,
-                 plus: GasState | None = None, crit: tuple[float, float] | None = None,
-                 rest: tuple[float, float] | None = None):
-        # One dict update, as in GasState.
-        self.__dict__.update(structure=structure, critical=critical, plus=plus, crit=crit,
-                             rest=rest)
-
 
 def predict_structure(left: GasState, right: GasState,
                       coeffs: SourceCoefficients) -> Prediction:
@@ -190,7 +177,7 @@ def predict_structure(left: GasState, right: GasState,
         raise ConfigError("states must share gamma")
     critical = critical_mach_numbers(coeffs, left.gamma)
     if critical.admits(left.mach, Side.LEFT, Branch.SUPERSONIC):
-        down = _downstream_state(left, coeffs, Branch.SUPERSONIC, False, critical)
+        down = downstream_state(left, coeffs, Branch.SUPERSONIC, False, critical)
         if _type2_wave_clears_origin(down, right):
             return Prediction(SolutionStructure.TYPE2, critical, plus=down)
     p_rest, p_crit = _passage_bracket(left, critical)
@@ -208,8 +195,7 @@ def predict_structure(left: GasState, right: GasState,
 
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                             crit: tuple[float, float], rest: tuple[float, float],
-                             tol: float) -> float:
+                             crit: tuple[float, float], rest: tuple[float, float]) -> float:
     """Root of the velocity mismatch inside the bracket, by ``waves.illinois``.
 
     ``crit`` and ``rest`` are the bracket ends as (pressure, mismatch), of
@@ -233,7 +219,7 @@ def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoef
             a, fa = left.p, t_l
         elif t_l * fa <= 0.0:
             b, fb = left.p, t_l
-    return illinois(t, a, b, fa, fb, tol, tiny)
+    return illinois(t, a, b, fa, fb, _ROOT_TOL, tiny)
 
 
 def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients,
@@ -261,22 +247,22 @@ def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients,
     return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
 
 
-def _solve_positive_flow(left: GasState, right: GasState, coeffs: SourceCoefficients,
-                         tol: float) -> SolverOutput:
+def _solve_positive_flow(left: GasState, right: GasState,
+                         coeffs: SourceCoefficients) -> SolverOutput:
     pred = predict_structure(left, right, coeffs)
     if pred.structure is SolutionStructure.TYPE2:
         minus, plus = left, pred.plus
     elif pred.structure is SolutionStructure.TYPE1:
-        p = _solve_upstream_pressure(left, right, coeffs, pred.crit, pred.rest, tol)
+        p = _solve_upstream_pressure(left, right, coeffs, pred.crit, pred.rest)
         minus = wave_state(WaveFamily.ONE, left, p)
-        plus = _downstream_state(minus, coeffs, Branch.SUBSONIC, False, pred.critical)
+        plus = downstream_state(minus, coeffs, Branch.SUBSONIC, False, pred.critical)
     elif pred.structure is SolutionStructure.TYPE3:
         minus = wave_state(WaveFamily.ONE, left, pred.crit[0])
         plus = choked_downstream(minus, coeffs)
     else:  # TYPE5 or TYPE7: sonic expansion up to the origin
         minus = _sonic_expansion_state(left, coeffs, pred.critical)
         if pred.structure is SolutionStructure.TYPE5:
-            plus = _downstream_state(minus, coeffs, Branch.SUPERSONIC, False, pred.critical)
+            plus = downstream_state(minus, coeffs, Branch.SUPERSONIC, False, pred.critical)
         else:
             plus = choked_downstream(minus, coeffs)
     return SolverOutput(minus, plus, pred.structure)
@@ -295,7 +281,7 @@ def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficient
         state = origin_state(left, right)
         return SolverOutput(state, state, SolutionStructure.CLASSICAL)
     left, right, mirrored = frame
-    out = _solve_positive_flow(left, right, coeffs, _SOLVE_TOL)
+    out = _solve_positive_flow(left, right, coeffs)
     return out.mirrored() if mirrored else out
 
 
@@ -369,13 +355,13 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
     """
     frame = rightward_frame(left, right)
     if frame is None:
-        fan = solve_classical(left, right, tol=_FAN_TOL)
+        fan = solve_classical(left, right)
         state = sample_classical(fan, 0.0)
         return SourceFan(SolutionStructure.CLASSICAL, state, state, fan, fan)
     left, right, mirrored = frame
-    out = _solve_positive_flow(left, right, coeffs, _FAN_TOL)
-    left_fan = solve_classical(left, out.minus, tol=_FAN_TOL)
-    right_fan = solve_classical(out.plus, right, tol=_FAN_TOL)
+    out = _solve_positive_flow(left, right, coeffs)
+    left_fan = solve_classical(left, out.minus)
+    right_fan = solve_classical(out.plus, right)
     seen = out.mirrored() if mirrored else out
     return SourceFan(out.structure, seen.minus, seen.plus, left_fan, right_fan, mirrored)
 

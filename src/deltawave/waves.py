@@ -105,8 +105,10 @@ def newton(f, lo: float, hi: float, x: float, tiny: float, xtol: float) -> float
     or that a zero or NaN derivative leaves undefined, is replaced by its
     midpoint, and a step that rounds to nothing keeps its point. Returns a point with
     ``abs(value) <= tiny``, or the next iterate once a step is at most
-    ``xtol * max(1, iterate)``. Raises ``RootBracketError`` after 100
-    evaluations without either.
+    ``xtol`` times that iterate. The test is relative, so it reads the same
+    in any unit of the argument, which must be positive: the callers' roots
+    are pressures. Raises ``RootBracketError`` after 100 evaluations without
+    either.
     """
     for _ in range(100):
         fx, dfx = f(x)
@@ -119,7 +121,7 @@ def newton(f, lo: float, hi: float, x: float, tiny: float, xtol: float) -> float
         x_new = x - fx / dfx if dfx != 0.0 else math.nan
         if not lo <= x_new <= hi:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= xtol * max(1.0, x_new):
+        if abs(x_new - x) <= xtol * x_new:
             return x_new
         x = x_new
     raise RootBracketError(f"safeguarded Newton did not converge in [{lo!r}, {hi!r}]")
@@ -137,8 +139,10 @@ def illinois(f, a: float, b: float, fa: float, fb: float, tol: float, tiny: floa
     evaluations. An end with ``abs(f) <= tiny`` (``tiny >= 0``) is returned
     exactly, then ends of equal sign raise ``RootBracketError``. Returns an
     evaluated point with ``abs(f) <= tiny``, or the midpoint of the bracket
-    once its width is at most ``tol * max(1, x)`` for the last point x.
-    Raises ``RootBracketError`` after 200 evaluations without either.
+    once its width is at most ``tol * x`` for the last point x. The test is
+    relative, so it reads the same in any unit of the argument, which must
+    be positive: the callers' roots are pressures. Raises
+    ``RootBracketError`` after 200 evaluations without either.
     """
     if abs(fa) <= tiny:
         return a
@@ -163,7 +167,7 @@ def illinois(f, a: float, b: float, fa: float, fb: float, tol: float, tiny: floa
             m = 1.0 - fx / fb
             fa *= m if m > 0.0 else 0.5
         b, fb = x, fx
-        if abs(b - a) <= tol * max(1.0, x):
+        if abs(b - a) <= tol * x:
             return 0.5 * (a + b)
     raise RootBracketError(f"bracket [{a!r}, {b!r}] did not narrow to tol = {tol!r}")
 

@@ -5,7 +5,7 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on seven pieces of work:
+on eight pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
   benchmark's ``riemann_batch`` workload (draws that fail count too); the
@@ -33,7 +33,13 @@ on seven pieces of work:
   far more cells per stage;
 - ``limit``: one ``tvd_limit`` alone, on the cells of ``step_window`` of the
   t = 1.5 field of ``advance`` (511 of the 1,600 cells); the fastest of
-  five, as one call takes a fraction of a millisecond.
+  five, as one call takes a fraction of a millisecond;
+- ``solve_min``: ``approximate_solve`` over the draws of ``solve``, each
+  draw timed alone: the sum over the draws of each draw's fastest time in
+  ten passes per package, the two packages' passes interleaved. A whole pass
+  takes in every interrupt and slow phase of a shared host, so ``solve``
+  spreads by a few per cent between rounds; the per-draw minimum drops them
+  and resolves changes of 1-2% of a solve.
 
 It prints, per piece of work, each side's median time, the median and
 quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster,
@@ -69,6 +75,7 @@ SWEEP_TEST, SWEEP_H = 5, 0.05
 SWEEP_FROM, SWEEP_TO = 2.0, 2.35
 SWEEP_REPEATS = 3
 LIMIT_REPEATS = 5
+MIN_PASSES = 10  # per package and round
 
 
 def load(tree: Path, name: str):
@@ -144,6 +151,18 @@ class Work:
             except self.error:
                 pass
 
+    def solve_latencies(self) -> np.ndarray:
+        """Each draw's ``approximate_solve`` time in one pass, in seconds."""
+        out = np.empty(len(self.draws))
+        for i, (left, right, coeffs) in enumerate(self.draws):
+            t0 = perf_counter()
+            try:
+                self.solve_fn(left, right, coeffs)
+            except self.error:
+                pass
+            out[i] = perf_counter() - t0
+        return out
+
     def solve(self) -> float:
         return fastest(self._solve_pass, SOLVE_REPEATS)
 
@@ -178,6 +197,16 @@ def fastest(fn, repeats: int) -> float:
     return best
 
 
+def solve_min(sides: list[Work], order: tuple[int, int]) -> list[float]:
+    """Per package, the sum over the draws of each draw's fastest time in ``MIN_PASSES``
+    passes; the passes of the two packages alternate in ``order``."""
+    best = [np.full(N_DRAWS, np.inf) for _ in sides]
+    for _ in range(MIN_PASSES):
+        for s in order:
+            np.minimum(best[s], sides[s].solve_latencies(), out=best[s])
+    return [float(b.sum()) for b in best]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
@@ -189,20 +218,23 @@ def main(argv: list[str] | None = None) -> int:
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
     names = ("solve", "origin", "step", "advance", "reference", "sweep", "limit")
-    for side in sides:  # warm-up, untimed
+    for side in sides:  # warm-up, untimed; ``solve`` warms ``solve_min``'s code
         for name in names:
             getattr(side, name)()
-    times = {(name, s): [] for name in names for s in range(2)}
+    times = {(name, s): [] for name in names + ("solve_min",) for s in range(2)}
     for r in range(args.rounds):
         order = (0, 1) if r % 2 == 0 else (1, 0)
         for name in names:
             for s in order:
                 gc.collect()
                 times[name, s].append(getattr(sides[s], name)())
+        gc.collect()
+        for s, t in enumerate(solve_min(sides, order)):
+            times["solve_min", s].append(t)
     print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
     print(f"{'work':9s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s} "
           f"{'B wins':>7s}  B/A quartiles")
-    for name in names:
+    for name in names + ("solve_min",):
         a, b = times[name, 0], times[name, 1]
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
