@@ -53,14 +53,6 @@ class ClassicalFan:
     right_speeds: tuple[float, float]
     gamma: float
 
-    @property
-    def star_left(self) -> GasState:
-        return GasState(self.rho_star_left, self.u_star, self.p_star, self.gamma)
-
-    @property
-    def star_right(self) -> GasState:
-        return GasState(self.rho_star_right, self.u_star, self.p_star, self.gamma)
-
     def wave_strength(self, family: WaveFamily) -> float:
         anchor = self.left if family is WaveFamily.ONE else self.right
         return abs(self.p_star - anchor.p) / max(self.p_star, anchor.p)
@@ -82,11 +74,13 @@ def _defect_curve(left: GasState, right: GasState, last: list | None = None):
     return defect
 
 
-def _opens_vacuum(left: GasState, right: GasState) -> bool:
-    """Whether two rarefactions cannot close the velocity gap of the data, so a vacuum opens."""
+def _opens_vacuum(left: GasState, right: GasState, a_l: float, a_r: float) -> bool:
+    """Whether two rarefactions cannot close the velocity gap of the data, so a vacuum opens.
+
+    ``a_l`` and ``a_r`` are the sound speeds of ``left`` and ``right``.
+    """
     g = left.gamma
-    gap = 2.0 * left.sound_speed / (g - 1.0) + 2.0 * right.sound_speed / (g - 1.0) \
-        - (right.u - left.u)
+    gap = 2.0 * a_l / (g - 1.0) + 2.0 * a_r / (g - 1.0) - (right.u - left.u)
     return gap <= 0.0
 
 
@@ -135,11 +129,11 @@ def _star_states(left: GasState, right: GasState,
     if left.gamma != right.gamma:
         raise ConfigError("states must share gamma")
     g = left.gamma
-    if _opens_vacuum(left, right):
+    a_l, a_r = left.sound_speed, right.sound_speed
+    if _opens_vacuum(left, right, a_l, a_r):
         raise VacuumError(
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
-    a_l, a_r = left.sound_speed, right.sound_speed
     tiny = 1e-13 * (abs(left.u) + a_l + abs(right.u) + a_r)
     # The velocity defect at each anchor pressure. There the anchor's own
     # curve takes its shock branch with dp = 0 and returns the anchor
@@ -267,6 +261,19 @@ def _left_of_contact(u_star: float, rho_star_left: float, rho_star_right: float,
     return (xi < u_star) | ((xi == 0.0) & denser_left)
 
 
+def _side(fan: ClassicalFan, s: float) -> tuple[GasState, WaveKind, tuple[float, float],
+                                                 tuple[float, float, float]]:
+    """Anchor, wave kind, edge speeds and star (rho, u, p) of one side of the contact.
+
+    s = -1 gives the family-1 wave left of the contact, +1 the family-3 wave
+    right of it: the arguments of ``_sample_wave`` after ``s``.
+    """
+    if s < 0.0:
+        return fan.left, fan.left_kind, fan.left_speeds, (fan.rho_star_left, fan.u_star, fan.p_star)
+    return (fan.right, fan.right_kind, fan.right_speeds,
+            (fan.rho_star_right, fan.u_star, fan.p_star))
+
+
 def _sample_wave(s: float, anchor: GasState, kind: WaveKind, speeds: tuple[float, float],
                  star: tuple[float, float, float], xi: float) -> GasState:
     """State at xi on one side of the contact: ``anchor``, the star state, or inside the fan.
@@ -294,11 +301,8 @@ def sample_classical(fan: ClassicalFan, xi: float) -> GasState:
     """
     if math.isnan(xi):
         raise ConfigError("similarity coordinate is NaN")
-    if _left_of_contact(fan.u_star, fan.rho_star_left, fan.rho_star_right, xi):
-        return _sample_wave(-1.0, fan.left, fan.left_kind, fan.left_speeds,
-                            (fan.rho_star_left, fan.u_star, fan.p_star), xi)
-    return _sample_wave(1.0, fan.right, fan.right_kind, fan.right_speeds,
-                        (fan.rho_star_right, fan.u_star, fan.p_star), xi)
+    s = -1.0 if _left_of_contact(fan.u_star, fan.rho_star_left, fan.rho_star_right, xi) else 1.0
+    return _sample_wave(s, *_side(fan, s), xi)
 
 
 def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray:
@@ -324,21 +328,15 @@ def sample_classical_primitives(fan: ClassicalFan, xi: np.ndarray) -> np.ndarray
     on_left = _left_of_contact(fan.u_star, fan.rho_star_left, fan.rho_star_right, xi)
     region = np.where(on_left, 1, 2)
     interiors = []
-    if fan.left_kind is WaveKind.SHOCK:
-        region[on_left & (xi < fan.left_speeds[0])] = 0
-    else:
-        head, tail = fan.left_speeds
-        outside = xi < head
-        region[on_left & outside] = 0
-        interiors.append((fan.left, -1.0, on_left & ~outside & ~(xi > tail)))
-    on_right = ~on_left
-    if fan.right_kind is WaveKind.SHOCK:
-        region[on_right & (xi >= fan.right_speeds[0])] = 3
-    else:
-        tail, head = fan.right_speeds
-        outside = xi >= head
-        region[on_right & outside] = 3
-        interiors.append((fan.right, 1.0, on_right & ~outside & ~(xi < tail)))
+    # Each side's decisions as in ``_sample_wave``: outside the wave it takes
+    # the anchor's region, and a rarefaction's rows not past its inner edge
+    # are interior.
+    for s, side, outer in ((-1.0, on_left, 0), (1.0, ~on_left, 3)):
+        anchor, kind, (lo, hi), _ = _side(fan, s)
+        outside = (xi < lo) if s < 0.0 else (xi >= hi)
+        region[side & outside] = outer
+        if kind is WaveKind.RAREFACTION:
+            interiors.append((anchor, s, side & ~outside & ~((xi > hi) if s < 0.0 else (xi < lo))))
     out = table[region]
     for anchor, s, inside in interiors:
         if inside.any():

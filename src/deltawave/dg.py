@@ -135,6 +135,22 @@ def _component_major(coeffs: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coeffs.transpose(1, 2, 0))
 
 
+def _traces(c: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Each cell's traces: (c0 - c1/2) + c2/6 into ``left``, (c0 + c1/2) + c2/6 into ``right``.
+
+    ``c`` holds (mode, variable, cell) coefficients and the outputs are
+    (variable, cell) views. The stage stack and the limiter's positivity
+    guard both build their traces here, so a field the guard passes gives
+    the next stage the traces it tested, bit for bit.
+    """
+    half = np.multiply(c[1], 0.5, out=right)
+    sixth = np.divide(c[2], 6.0, out=left)
+    lo = np.subtract(c[0], half)
+    half += c[0]
+    half += sixth
+    sixth += lo
+
+
 def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
     """Euler fluxes of every state of a stage, LLF fluxes of every interface, and the origin traces.
 
@@ -159,17 +175,12 @@ def _stage_fluxes(field: DgField) -> tuple[np.ndarray, np.ndarray, list]:
     stack[5, :, :n] = means
 
     # States left and right of every interface, with transmissive
-    # (zero-order extrapolated) ghosts: the traces (c0 -+ c1/2) + c2/6 are
-    # built in place over their half and sixth. The right ghost and the pad
-    # are one copy of the last mean.
+    # (zero-order extrapolated) ghosts: cell j's traces are the right side of
+    # interface j and the left side of interface j + 1. The right ghost and
+    # the pad are one copy of the last mean.
     stack[0, :, 0] = means[:, 0]
     stack[1:, :, n] = means[:, -1]
-    hi = np.multiply(c[1], 0.5, out=stack[0, :, 1:])
-    lo = np.divide(c[2], 6.0, out=stack[1, :, :-1])
-    lo_half = np.subtract(means, hi)
-    hi += means
-    hi += lo
-    lo += lo_half
+    _traces(c, stack[1, :, :-1], stack[0, :, 1:])
     # The states at the three quadrature nodes, (node, variable, cell). The
     # middle node is at 0, so only the outer two take the slope: an infinite
     # slope times 0 would be NaN, with a RuntimeWarning, before the test below.
@@ -341,13 +352,10 @@ def tvd_limit(field: DgField) -> DgField:
     np.copyto(c[1], slope, where=troubled)
     np.copyto(c[2], 0.0, where=troubled)
 
-    # Positivity guard: any cell whose traces (c0 -+ c1/2) + c2/6 leave the
-    # admissible set is flattened to its mean.
+    # Positivity guard: any cell whose traces leave the admissible set is
+    # flattened to its mean.
     tr = np.empty((2, 3, n))
-    half = np.multiply(c[1], 0.5, out=tr[1])
-    np.subtract(means, half, out=tr[0])
-    half += means
-    tr += np.divide(c[2], 6.0, out=sixth)
+    _traces(c, tr[0], tr[1])
     rho, _, p = primitives(tr.swapaxes(-2, -1), g)
     bad = ((rho <= 0.0) | (p <= 0.0)).any(axis=0)
     np.copyto(c[1:], 0.0, where=bad)

@@ -73,24 +73,20 @@ def llf_flux(left: GasState, right: GasState) -> np.ndarray:
     return np.array([lax_friedrichs(*row, speed) for row in zip(ul, ur, fl, fr)])
 
 
-def _regime(state: GasState) -> Branch:
-    return Branch.SUPERSONIC if abs(state.mach) > 1.0 else Branch.SUBSONIC
-
-
 def _connect(state: GasState, coeffs: SourceCoefficients, corrections: bool,
              rightward: bool) -> GasState:
     """State across a stationary jump from ``state``: its right side if ``rightward``, else left.
 
     Walking with the flow goes downstream along the curve, against it
-    upstream; leftward flow walks in the mirrored frame. Stagnant traces
-    carry no source and map to themselves.
+    upstream. Leftward flow is the mirror of a rightward walk to the other
+    side. Stagnant traces carry no source and map to themselves.
     """
     if state.u > 0.0:
         walk = downstream_state if rightward else upstream_state
-        return walk(state, coeffs, _regime(state), corrections)
+        regime = Branch.SUPERSONIC if state.mach > 1.0 else Branch.SUBSONIC
+        return walk(state, coeffs, regime, corrections)
     if state.u < 0.0:
-        walk = upstream_state if rightward else downstream_state
-        return walk(state.mirrored(), coeffs, _regime(state), corrections).mirrored()
+        return _connect(state.mirrored(), coeffs, corrections, not rightward).mirrored()
     return state
 
 

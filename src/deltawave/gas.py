@@ -174,8 +174,11 @@ def to_conserved(state: GasState) -> np.ndarray:
 
 
 def from_conserved(rho: float, mom: float, energy: float, gamma: float = 1.4) -> GasState:
-    """State of the conserved vector (rho, rho*u, E)."""
-    u = mom / rho
+    """State of the conserved vector (rho, rho*u, E); a zero density raises ``ConfigError``."""
+    try:
+        u = mom / rho
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"non-physical state: rho={rho}") from exc
     # The 0.5*rho*u*u form of the origin traces; the array form of
     # ``primitives`` rounds differently and would move the origin bits.
     p = (gamma - 1.0) * (energy - 0.5 * rho * u * u)

@@ -141,7 +141,8 @@ def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     ``solve_classical``, does not pass.
     """
     defect = _defect_curve(down, right)
-    if _opens_vacuum(down, right) or defect(_pressure_floor(down, right))[0] < 0.0:
+    if _opens_vacuum(down, right, down.sound_speed, right.sound_speed) \
+            or defect(_pressure_floor(down, right))[0] < 0.0:
         return False
     # At down.p the family-1 curve through ``down`` returns down.u exactly.
     if down.u - wave_curve(1.0, right, down.p)[1] < 0.0:
@@ -335,8 +336,8 @@ def _wave_spans(fan: ClassicalFan) -> list[tuple[float, float]]:
     spans = []
     if fan.wave_strength(WaveFamily.ONE) > _STRENGTH_TOL:
         spans.append((fan.left_speeds[0], fan.left_speeds[1]))
-    sl, sr = fan.star_left, fan.star_right
-    if abs(sl.rho - sr.rho) > _STRENGTH_TOL * max(sl.rho, sr.rho):
+    rl, rr = fan.rho_star_left, fan.rho_star_right
+    if abs(rl - rr) > _STRENGTH_TOL * max(rl, rr):
         spans.append((fan.u_star, fan.u_star))
     if fan.wave_strength(WaveFamily.THREE) > _STRENGTH_TOL:
         spans.append((fan.right_speeds[0], fan.right_speeds[1]))

@@ -116,6 +116,13 @@ class TestConversions:
             assert abs(back.p - s.p) <= 1e-14 * p_scale
             assert abs(back.energy - s.energy) <= 1e-14 * s.energy
 
+    @pytest.mark.parametrize("rho, mom", [(0.0, 1.0), (-0.0, 0.0)])
+    def test_zero_density_raises_config_error(self, rho, mom):
+        # The velocity divides the momentum by the density: a typed error
+        # that names the density, not a ZeroDivisionError.
+        with pytest.raises(ConfigError, match=f"rho={rho}$"):
+            from_conserved(rho, mom, 1.0)
+
 
 class TestFlux:
     def test_stagnant(self):

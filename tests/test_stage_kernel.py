@@ -13,9 +13,10 @@ raises.
 import numpy as np
 import pytest
 
-from deltawave import (GasState, SourceCoefficients, dg, evaluate_source, kt_flux, llf_flux,
-                       physical_flux, solver_flux)
-from deltawave.dg import dg_rhs, make_grid
+from deltawave import (GasState, SchemeError, SourceCoefficients, dg, evaluate_source, kt_flux,
+                       llf_flux, physical_flux, solver_flux)
+from deltawave.dg import dg_rhs, make_grid, tvd_limit
+from deltawave.gas import primitives
 from deltawave.fluxes import FluxPair, Scheme
 
 import conftest as ref
@@ -126,6 +127,51 @@ def test_last_mean_is_named_only_as_interface():
     want = outcome(ref.dg_rhs, field, SourceCoefficients(0.1, 0.1, 0.1), Scheme.SOLVER)
     assert want[1].startswith("inadmissible state at interfaces [7 8], quadrature cells [7]")
     assert outcome(dg_rhs, field, SourceCoefficients(0.1, 0.1, 0.1), Scheme.SOLVER) == want
+
+
+def test_guard_traces_are_the_next_stage_traces(monkeypatch):
+    # The limiter's positivity guard tests each cell's traces; the next
+    # stage builds its interface rows from the limited field. Where the
+    # guard keeps a cell, the rows are the traces it tested, bit for bit;
+    # where it flattens one, both are the cell's mean. Both are read where
+    # ``dg`` hands them to ``primitives``: the limiter's second call gets
+    # the (2, cell, variable) traces, the stage's call its whole stack.
+    seen = []
+
+    def record(u, gamma):
+        seen.append(u.copy())
+        return primitives(u, gamma)
+
+    monkeypatch.setattr(dg, "primitives", record)
+    rng = np.random.default_rng(11)
+    kept = flattened = 0
+    for kind in ("admissible", "leftward", "nodes", "low_pressure"):
+        for _ in range(N_FIELDS):
+            field, _ = random_field(rng, "admissible" if kind == "low_pressure" else kind)
+            if kind == "low_pressure":
+                # Pressures of 0.001-0.05 under slopes of up to half the
+                # means: the limiter keeps traces of p <= 0 in many fields.
+                c, n = field.coeffs, field.grid.n_cells
+                rho, u = rng.uniform(0.2, 3.0, n), rng.uniform(-2.0, 2.0, n)
+                p = rng.uniform(0.001, 0.05, n)
+                c[:, 0] = np.column_stack([rho, rho * u, p / 0.4 + 0.5 * rho * u * u])
+                c[:, 1:] = rng.uniform(-0.5, 0.5, (n, 2, 3)) * np.abs(c[:, :1])
+            seen.clear()
+            limited = tvd_limit(field)
+            try:
+                dg._stage_fluxes(limited)
+            except SchemeError:
+                pass  # a quadrature node left the admissible set, after the rows were built
+            _, guard, stack = seen
+            rho, _, p = primitives(guard, field.gamma)
+            bad = ((rho <= 0.0) | (p <= 0.0)).any(axis=0)
+            assert not limited.coeffs[bad, 1:].any()
+            for tested, row in zip(guard, (stack[1, :-1], stack[0, 1:])):
+                assert row[~bad].tobytes() == tested[~bad].tobytes()
+                assert np.array_equal(row[bad], limited.means[bad])
+            kept += int((~bad).sum())
+            flattened += int(bad.sum())
+    assert kept > 0 and flattened > 0
 
 
 def _draws():

@@ -276,7 +276,7 @@ class TestType2Oracle:
         # floor of the classical solve: the defect there is negative.
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(1.0, down.u + 0.99 * 4.0 * down.sound_speed / (GAMMA - 1.0), 1.0)
-        assert not _opens_vacuum(down, right)
+        assert not _opens_vacuum(down, right, down.sound_speed, right.sound_speed)
         assert _defect_curve(down, right)(_pressure_floor(down, right))[0] < 0.0
         with pytest.raises(VacuumError, match="failed to bracket"):
             solve_classical(down, right)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 _spec = importlib.util.spec_from_file_location("code_lines", _PATH)
 code_lines = importlib.util.module_from_spec(_spec)
@@ -84,3 +86,12 @@ def test_census_table_of_200_draws():
     out = subprocess.run([sys.executable, str(root / "tools" / "census.py"), "--draws", "200"],
                          capture_output=True, text=True, check=True).stdout
     assert out == CENSUS_200
+
+
+@pytest.mark.parametrize("draws", ["0", "-1"])
+def test_census_rejects_fewer_than_one_draw(draws):
+    root = _PATH.parents[1]
+    out = subprocess.run([sys.executable, str(root / "tools" / "census.py"), "--draws", draws],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines()[-1].endswith("error: --draws must be at least 1")

@@ -113,7 +113,10 @@ def census(n: int) -> Counter:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=20_000)
-    counts = census(parser.parse_args(argv).draws)
+    args = parser.parse_args(argv)
+    if args.draws < 1:
+        parser.error("--draws must be at least 1")
+    counts = census(args.draws)
     rows = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     print(f"{'structure':<18} {'mismatch':<18} {'fan':<18} {'draws':>6}")
     for (structure, signs, fan), count in rows:
