@@ -10,8 +10,8 @@ anchor's curve returns the anchor velocity exactly. Data that opens a vacuum
 raises ``VacuumError``; colliding data whose star pressure overflows raises
 ``RootBracketError``. ``origin_state`` gives the state at x/t = 0 that
 ``sample_classical`` reads from the solved fan, from the one wave on the
-origin's side of the contact; where a supersonic datum's shock moves away
-from the origin, it returns that datum without solving for the star
+origin's side of the contact; where a supersonic datum's own wave moves
+away from the origin, it returns that datum without solving for the star
 pressure.
 """
 
@@ -100,10 +100,12 @@ def solve_classical(left: GasState, right: GasState) -> ClassicalFan:
 def origin_state(left: GasState, right: GasState) -> GasState:
     """``sample_classical(solve_classical(left, right), 0.0)``, bit for bit.
 
-    Builds no fan. A datum whose shock moves away from the origin is
-    returned before the star pressure is solved for (see ``_star_states``).
-    Otherwise only the wave on the side of the contact that holds the origin
-    is built, and the decisions of ``sample_classical`` read it.
+    Builds no fan. Where the fan holds a datum at x/t = 0, it returns the
+    datum object itself, as ``sample_classical`` does; a supersonic datum
+    whose own wave moves away from the origin comes back before the star
+    pressure is solved for (see ``_star_states``). Otherwise only the wave on
+    the side of the contact that holds the origin is built, and the
+    decisions of ``sample_classical`` read it.
     """
     sl, sr, u_star = _star_states(left, right, origin=True)
     if u_star is None:
@@ -123,8 +125,9 @@ def _star_states(left: GasState, right: GasState,
 
     Where the root finder stops on a pressure it has evaluated, the states
     are that evaluation's curve values. With ``origin``, a datum that the
-    fan holds at x/t = 0 because its shock moves away from the origin comes
-    back as (datum, None, None), before the star pressure is solved for.
+    fan holds at x/t = 0 because its own wave moves away from the origin
+    comes back as (datum, None, None), before the star pressure is solved
+    for, but after the vacuum tests.
     """
     if left.gamma != right.gamma:
         raise ConfigError("states must share gamma")
@@ -149,21 +152,29 @@ def _star_states(left: GasState, right: GasState,
         p_star = right.p
     else:
         defect = _defect_curve(left, right, last)
+        lo = _pressure_floor(left, right)
+        # The defect falls strictly in p, and an anchor defect that is not
+        # zero exceeds tiny: if one is positive, so is the defect at lo. So
+        # this guard and the bracket's overflow below never both fire. It runs
+        # before the origin shortcut, which does not see a datum's rarefaction
+        # reach the pressure floor.
+        if not (f_left > 0.0 or f_right > 0.0) and defect(lo)[0] < 0.0:
+            raise VacuumError("failed to bracket the star pressure")
         if origin:
             # A datum that flows supersonically toward the other one (Mach
-            # m > 1 toward it) meets a shock of its family that stands still
-            # at p0 = p (2 g m^2 - g + 1) / (g + 1). The defect falls
-            # strictly in p: above the margin at the datum's pressure and
-            # below minus it at p0, it puts the star pressure between them,
-            # so the wave is a shock slower than the one at rest, which
-            # leaves the datum at x/t = 0 (Toro, Riemann Solvers and Numerical
-            # Methods for Fluid Dynamics, 4.3). A positive anchor defect also
-            # rules out the vacuum guard below, and a margin of 1e4 tiny keeps
+            # m > 1 toward it) stays at x/t = 0 where its own wave moves away
+            # (Toro, Riemann Solvers and Numerical Methods for Fluid Dynamics,
+            # 4.3). Below minus the margin at the datum's pressure, the defect
+            # puts the star pressure below it: the wave is a rarefaction, and
+            # m > 1 moves its head away. Above the margin there and below
+            # minus it at p0 = p (2 g m^2 - g + 1) / (g + 1), where the datum's
+            # shock stands still, it puts the star pressure between them: a
+            # shock slower than the one at rest. A margin of 1e4 tiny keeps
             # roundoff in the star pressure from flipping the decision.
             margin = 1e4 * tiny
             for m, datum, own in ((left.u / a_l, left, f_left), (-right.u / a_r, right, f_right)):
-                if m > 1.0 and own > margin \
-                        and defect((2.0 * g * m * m - g + 1.0) * datum.p / (g + 1.0))[0] < -margin:
+                if m > 1.0 and (own < -margin or own > margin and defect(
+                        (2.0 * g * m * m - g + 1.0) * datum.p / (g + 1.0))[0] < -margin):
                     return datum, None, None
         # Above 2 max(p_L, p_R) both waves are shocks and the defect is at most
         # (u_L - u_R) - sqrt(p / ((g + 1) max(rho_L, rho_R))), so the root lies
@@ -179,11 +190,6 @@ def _star_states(left: GasState, right: GasState,
                 raise RootBracketError(f"compression: the pressure equation has no root "
                                        f"below {hi / 4.0:.6g}")
             f_hi = defect(hi)[0]
-        lo = _pressure_floor(left, right)
-        # The defect falls strictly in p, and an anchor defect that is not
-        # zero exceeds tiny: if one is positive, so is the defect at lo.
-        if not (f_left > 0.0 or f_right > 0.0) and defect(lo)[0] < 0.0:
-            raise VacuumError("failed to bracket the star pressure")
         p_star = _solve_pressure(defect, left, right, a_l, a_r, lo, hi, tiny)
 
     seen = last[0]

@@ -19,15 +19,12 @@ import numpy as np
 from .classical import (
     _ROOT_TOL,
     ClassicalFan,
-    _defect_curve,
-    _opens_vacuum,
-    _pressure_floor,
     origin_state,
     sample_classical,
     sample_classical_primitives,
     solve_classical,
 )
-from .errors import ConfigError, NotSolvableError
+from .errors import ConfigError, NotSolvableError, VacuumError
 from .gas import GasState, SourceCoefficients, rightward_frame, value_class
 from .stationary import (
     Branch,
@@ -126,31 +123,6 @@ def _passage_bracket(left: GasState, critical: CriticalMachNumbers) -> tuple[flo
     return rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
 
 
-def _type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
-    """Does the first wave right of a supersonic passage, from its downstream state
-    ``down``, move rightward?
-
-    That wave is the family-1 wave of the classical fan from ``down`` to
-    ``right``. It moves rightward when it is a rarefaction (star pressure
-    below ``down.p``), or a shock no stronger than the one at rest, whose
-    pressure is (2 gamma M^2 - gamma + 1) p / (gamma + 1) for the Mach M and
-    pressure p of ``down``. The classical velocity defect falls strictly in
-    p, so its sign at those two pressures places the star pressure without
-    solving for it (Toro, Riemann Solvers and Numerical Methods for Fluid
-    Dynamics, 4.3). Data that opens a vacuum, by the tests of
-    ``solve_classical``, does not pass.
-    """
-    defect = _defect_curve(down, right)
-    if _opens_vacuum(down, right, down.sound_speed, right.sound_speed) \
-            or defect(_pressure_floor(down, right))[0] < 0.0:
-        return False
-    # At down.p the family-1 curve through ``down`` returns down.u exactly.
-    if down.u - wave_curve(1.0, right, down.p)[1] < 0.0:
-        return True
-    g, m = down.gamma, down.mach
-    return defect((2.0 * g * m * m - g + 1.0) * down.p / (g + 1.0))[0] <= 0.0
-
-
 @value_class
 class Prediction:
     """A predicted structure and what predicting it computed.
@@ -179,8 +151,14 @@ def predict_structure(left: GasState, right: GasState,
     critical = critical_mach_numbers(coeffs, left.gamma)
     if critical.admits(left.mach, Side.LEFT, Branch.SUPERSONIC):
         down = downstream_state(left, coeffs, Branch.SUPERSONIC, False, critical)
-        if _type2_wave_clears_origin(down, right):
-            return Prediction(SolutionStructure.TYPE2, critical, plus=down)
+        # Type2 when the first wave right of the origin, the family-1 wave of
+        # the classical fan from ``down`` to ``right``, moves rightward: the
+        # fan then holds ``down`` at x/t = 0.
+        try:
+            if origin_state(down, right) is down:
+                return Prediction(SolutionStructure.TYPE2, critical, plus=down)
+        except VacuumError:  # data that opens a vacuum does not pass
+            pass
     p_rest, p_crit = _passage_bracket(left, critical)
     rest = (p_rest, velocity_mismatch(p_rest, left, right, coeffs))
     crit = (p_crit, velocity_mismatch(p_crit, left, right, coeffs))

@@ -128,9 +128,12 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     ``down``, move rightward? Decided by a full classical solve.
 
     The wave is a rarefaction when the star pressure lies below ``down.p``, and
-    otherwise a 1-shock, which moves rightward unless it is stronger than the
-    shock at rest. Data that opens a vacuum does not pass. The reference for
-    ``structure._type2_wave_clears_origin``, which decides from defect signs.
+    otherwise a 1-shock, which moves rightward when it is weaker than the
+    shock at rest. The shock at rest itself does not pass: the sampler reads
+    x/t = 0 on it as the state behind it. Data that opens a vacuum does not
+    pass. The reference for the Type2 test of ``predict_structure``, which
+    asks whether ``classical.origin_state(down, right)`` returns ``down``
+    itself and decides most candidates from defect signs.
     """
     g = down.gamma
     try:
@@ -140,7 +143,7 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     if p_star < down.p:
         return True
     m2 = down.mach ** 2
-    return (g + 1.0) * p_star <= (2.0 * g * m2 - g + 1.0) * down.p
+    return (g + 1.0) * p_star < (2.0 * g * m2 - g + 1.0) * down.p
 
 
 def euler_flux(u: np.ndarray, vel, p) -> np.ndarray:

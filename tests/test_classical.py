@@ -287,7 +287,7 @@ class TestOriginState:
 
     def test_no_source_draws_in_both_orientations(self, monkeypatch):
         # The seed-0 draws whose flow does not pass the origin, and their mirror
-        # images; the receding-shock test must decide part of them.
+        # images; the test of a supersonic datum's own wave must decide part of them.
         solved = []
         real = classical._star_states
         monkeypatch.setattr(classical, "_star_states",
@@ -303,8 +303,9 @@ class TestOriginState:
                 want = self.outcome(lambda l, r: sample_classical(solve_classical(l, r), 0.0), a, b)
                 assert self.outcome(origin_state, a, b) == want
         assert n == 2 * 1005
-        # 100 left and 93 right data of the draws, in each orientation.
-        assert sum(u_star is None for *_, u_star in solved) == 2 * 193
+        # 101 left and 93 right data of the draws, in each orientation: the one
+        # left datum ahead of a rarefaction among them.
+        assert sum(u_star is None for *_, u_star in solved) == 2 * 194
 
     @pytest.mark.parametrize("mirrored", [False, True], ids=["left shock", "right shock"])
     def test_shocks_near_rest(self, mirrored):
@@ -329,6 +330,26 @@ class TestOriginState:
                 assert abs(fan.left_speeds[0] - sigma) <= 1e-9
                 self.assert_is_sampled_fan(*((right.mirrored(), left.mirrored()) if mirrored
                                              else (left, right)))
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["left datum", "right datum"])
+    def test_datum_ahead_of_its_rarefaction(self, monkeypatch, mirrored):
+        # A datum at Mach 2.5 toward the other one whose own wave is a
+        # rarefaction: its head moves away from the origin, so the fan holds
+        # the datum at x/t = 0, and the datum itself comes back with no star
+        # pressure solved for.
+        left, right = GasState(1.0, 3.0, 1.0), GasState(1.0, 4.0, 0.5)
+        if mirrored:
+            left, right = right.mirrored(), left.mirrored()
+        datum = right if mirrored else left
+        fan = solve_classical(left, right)
+        assert (fan.right_kind if mirrored else fan.left_kind) is RAREFACTION
+        calls = []
+        real = classical._solve_pressure
+        monkeypatch.setattr(classical, "_solve_pressure",
+                            lambda *a: calls.append(a) or real(*a))
+        assert origin_state(left, right) is datum
+        assert calls == []
+        assert repr(datum) == repr(sample_classical(fan, 0.0))
 
     @pytest.mark.parametrize("right", [GasState(1.0, 30.0, 1.0), GasState(1.0, 16.8, 1.0)],
                              ids=["opens vacuum", "fails to bracket"])

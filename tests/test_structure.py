@@ -26,6 +26,7 @@ from deltawave.classical import (
     _defect_curve,
     _opens_vacuum,
     _pressure_floor,
+    origin_state,
     sample_classical,
     solve_classical,
 )
@@ -33,12 +34,7 @@ from deltawave.dg import DgField, field_from_states, make_grid
 from deltawave.errors import RootBracketError, VacuumError
 from deltawave.gas import rightward_frame
 from deltawave.stationary import Branch, CriticalMachNumbers, Side, critical_mach_numbers
-from deltawave.structure import (
-    Prediction,
-    SolutionStructure,
-    SolverOutput,
-    _type2_wave_clears_origin,
-)
+from deltawave.structure import Prediction, SolutionStructure, SolverOutput
 from deltawave.waves import WaveFamily, shock_speed, wave_state
 
 from conftest import (
@@ -226,7 +222,8 @@ def _normal_shock_pressure(down: GasState) -> float:
 
 
 class TestType2Oracle:
-    """``_type2_wave_clears_origin`` against the full classical solve of conftest."""
+    """The Type2 test of ``predict_structure``, ``origin_state(down, right) is down``,
+    against the full classical solve of conftest."""
 
     def test_agrees_on_every_fuzz_candidate(self):
         k, rp, u = riemann_batch_arrays(20_000)
@@ -242,8 +239,11 @@ class TestType2Oracle:
                                                                 Branch.SUPERSONIC):
                 continue
             down = downstream_state(left, coeffs, Branch.SUPERSONIC)
-            verdict = _type2_wave_clears_origin(down, right)
+            pred = predict_structure(left, right, coeffs)
+            verdict = pred.structure is SolutionStructure.TYPE2
             assert verdict is type2_wave_clears_origin(down, right), i
+            if verdict:
+                assert repr(pred.plus) == repr(down), i
             verdicts.append(verdict)
         # Every supersonic-admissible candidate; the 1,464 that pass are the Type2 solves.
         assert (len(verdicts), sum(verdicts)) == (1499, 1464)
@@ -253,22 +253,29 @@ class TestType2Oracle:
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(0.5, 2.0, 1.0)
         assert _defect_curve(down, right)(down.p)[0] == 0.0
-        assert _type2_wave_clears_origin(down, right)
+        assert origin_state(down, right) is down
         assert type2_wave_clears_origin(down, right)
 
     def test_shock_at_zero_speed(self):
         # The right datum is the state behind the shock at rest, so the root
-        # is exactly the pressure of that shock, which counts as clearing.
+        # is exactly the pressure of that shock. The sampler reads x/t = 0 on
+        # a discontinuity at rest as the state behind it, so this is no Type2.
         down = GasState(1.0, 2.0, 1.0)
         p_normal = _normal_shock_pressure(down)
         right = wave_state(WaveFamily.ONE, down, p_normal)
         assert _defect_curve(down, right)(p_normal)[0] == 0.0
         assert abs(shock_speed(WaveFamily.ONE, down, p_normal)) <= 1e-14
-        assert _type2_wave_clears_origin(down, right)
+        assert repr(origin_state(down, right)) == repr(right)
+        assert not type2_wave_clears_origin(down, right)
+        # A shock weaker by 1e-9 relative moves right and leaves ``down`` at the origin.
+        weaker = wave_state(WaveFamily.ONE, down, p_normal * (1.0 - 1e-9))
+        assert shock_speed(WaveFamily.ONE, down, weaker.p) > 0.0
+        assert origin_state(down, weaker) is down
+        assert type2_wave_clears_origin(down, weaker)
         # A shock stronger by 1e-9 relative moves left.
         stronger = wave_state(WaveFamily.ONE, down, p_normal * (1.0 + 1e-9))
         assert shock_speed(WaveFamily.ONE, down, stronger.p) < 0.0
-        assert not _type2_wave_clears_origin(down, stronger)
+        assert origin_state(down, stronger) is not down
         assert not type2_wave_clears_origin(down, stronger)
 
     def test_near_vacuum_does_not_pass(self):
@@ -278,20 +285,22 @@ class TestType2Oracle:
         right = GasState(1.0, down.u + 0.99 * 4.0 * down.sound_speed / (GAMMA - 1.0), 1.0)
         assert not _opens_vacuum(down, right, down.sound_speed, right.sound_speed)
         assert _defect_curve(down, right)(_pressure_floor(down, right))[0] < 0.0
-        with pytest.raises(VacuumError, match="failed to bracket"):
-            solve_classical(down, right)
-        assert not _type2_wave_clears_origin(down, right)
+        for solve in (solve_classical, origin_state):
+            with pytest.raises(VacuumError, match="failed to bracket"):
+                solve(down, right)
         assert not type2_wave_clears_origin(down, right)
 
-    def test_extreme_compression_decides(self):
+    def test_extreme_compression_raises(self):
         # The star pressure overflows, so the classical solve cannot bracket
-        # it; the defect at the shock-at-rest pressure is still positive.
+        # it; the defect at the shock-at-rest pressure is still positive, so
+        # no shortcut applies and ``origin_state`` raises as ``solve_classical``
+        # does. A right datum that flows leftward never reaches ``predict_structure``.
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(1.0, -1e155, 1.0)
-        with pytest.raises(RootBracketError):
-            type2_wave_clears_origin(down, right)
         assert _defect_curve(down, right)(_normal_shock_pressure(down))[0] > 0.0
-        assert not _type2_wave_clears_origin(down, right)
+        for solve in (solve_classical, origin_state, type2_wave_clears_origin):
+            with pytest.raises(RootBracketError):
+                solve(down, right)
 
 
 def _value_objects():

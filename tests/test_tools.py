@@ -1,7 +1,8 @@
-"""The code-line counter of ``tools/code_lines.py``, the A/B timer of ``tools/abtime.py`` and
-the census of ``tools/census.py``."""
+"""The code-line counter of ``tools/code_lines.py``, the A/B timer of ``tools/abtime.py``, the
+census of ``tools/census.py`` and the digests of ``tools/bitcheck.py``."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,36 @@ def test_abtime_prints_every_ratio():
         assert row[4] in ("0/1", "1/1")
         if float(row[3]) != 1.0:
             assert (row[4] == "1/1") == (float(row[3]) < 1.0)
+
+
+def _run_tool(name: str, *args: str, env=None) -> subprocess.CompletedProcess:
+    root = _PATH.parents[1]
+    return subprocess.run([sys.executable, str(root / "tools" / name), *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_code_lines_rejects_a_missing_path(tmp_path):
+    out = _run_tool("code_lines.py", str(tmp_path / "missing"))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines()[-1].endswith(
+        f"error: no such file or directory: {tmp_path / 'missing'}")
+
+
+def test_abtime_rejects_a_missing_tree(tmp_path):
+    out = _run_tool("abtime.py", str(tmp_path / "missing"), str(_PATH.parents[1]))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines()[-1].endswith(
+        f"error: no package src/deltawave in {tmp_path / 'missing'}")
+
+
+def test_bitcheck_digests_only_its_own_tree(tmp_path):
+    # Another tree's package on PYTHONPATH must not be digested in place of
+    # the missing one.
+    env = {**os.environ, "PYTHONPATH": str(_PATH.parents[1] / "src")}
+    out = _run_tool("bitcheck.py", str(tmp_path), env=env)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.splitlines()[-1] == (
+        f"bitcheck.py: error: no package {tmp_path.resolve() / 'src' / 'deltawave'} to import")
 
 
 CENSUS_200 = """\

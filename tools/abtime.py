@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    for tree in (args.tree_a, args.tree_b):
+        if not (tree / "src" / "deltawave" / "__init__.py").is_file():
+            parser.error(f"no package src/deltawave in {tree}")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
     names = ("solve", "origin", "step", "advance", "reference", "sweep", "limit")

@@ -4,7 +4,9 @@
 
 imports ``deltawave`` from ``TREE/src`` and prints one JSON object: a
 sha256 per group of outputs, plus the error classes counted. Two trees
-compare with ``diff``. The groups:
+compare with ``diff``. It exits with status 2, printing no JSON, where the
+imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
+``PYTHONPATH`` names another tree). The groups:
 
 - ``solve.*``: over 20,000 draws of the solver's fuzz domain (seed 0, in the
   order of the benchmark's ``riemann_batch`` workload), the repr of each
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -293,10 +296,16 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(argv[0]).resolve() / "src"))
+    package = Path(argv[0]).resolve() / "src" / "deltawave"
+    sys.path.insert(0, str(package.parent))
+    # Without TREE/src/deltawave, the import would find another tree's package on the path.
+    spec = importlib.util.find_spec("deltawave")
+    if spec is None or spec.origin is None or Path(spec.origin).resolve() != package / "__init__.py":
+        print(f"bitcheck.py: error: no package {package} to import", file=sys.stderr)
+        return 2
     import deltawave as dw
 
-    print(f"digests of {Path(dw.__file__).parent}", file=sys.stderr)
+    print(f"digests of {package}", file=sys.stderr)
     draws = _draws(dw)
     result = {**_solves(dw, draws), **_curves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(),
               **_stages(), **_cli()}

@@ -6,11 +6,13 @@ root:
 
     python tools/code_lines.py [PATH ...]    # default: src/deltawave
 
-It prints one line per module and the total.
+It prints one line per module and the total. A path that does not exist
+is a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -45,7 +47,12 @@ def count_code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or [Path("src/deltawave")]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("paths", nargs="*", type=Path, default=[Path("src/deltawave")])
+    paths = parser.parse_args(argv).paths
+    for p in paths:
+        if not p.exists():
+            parser.error(f"no such file or directory: {p}")
     files = sorted(f for p in paths for f in ([p] if p.is_file() else p.rglob("*.py")))
     total = 0
     for f in files:
