@@ -58,35 +58,19 @@ class ClassicalFan:
         return abs(self.p_star - anchor.p) / max(self.p_star, anchor.p)
 
 
-def _defect_curve(left: GasState, right: GasState, last: list | None = None):
+def _defect_curve(left: GasState, right: GasState, last: list):
     """p -> (ul - ur, its derivative), the velocities of the family-1 ``wave_curve``
     through ``left`` and the family-3 one through ``right``.
 
     Its root is the star pressure. Each evaluation stores its curve values
-    (p, rho_l, ul, rho_r, ur) as the first item of ``last``, when given.
+    (p, rho_l, ul, rho_r, ur) as the first item of ``last``.
     """
     def defect(p: float) -> tuple[float, float]:
         rl, ul, dul = wave_curve(-1.0, left, p)
         rr, ur, dur = wave_curve(1.0, right, p)
-        if last is not None:
-            last[0] = (p, rl, ul, rr, ur)
+        last[0] = (p, rl, ul, rr, ur)
         return ul - ur, dul - dur
     return defect
-
-
-def _opens_vacuum(left: GasState, right: GasState, a_l: float, a_r: float) -> bool:
-    """Whether two rarefactions cannot close the velocity gap of the data, so a vacuum opens.
-
-    ``a_l`` and ``a_r`` are the sound speeds of ``left`` and ``right``.
-    """
-    g = left.gamma
-    gap = 2.0 * a_l / (g - 1.0) + 2.0 * a_r / (g - 1.0) - (right.u - left.u)
-    return gap <= 0.0
-
-
-def _pressure_floor(left: GasState, right: GasState) -> float:
-    """Lowest star pressure searched; a negative defect there means a vacuum opens."""
-    return 1e-12 * min(left.p, right.p)
 
 
 def solve_classical(left: GasState, right: GasState) -> ClassicalFan:
@@ -133,7 +117,8 @@ def _star_states(left: GasState, right: GasState,
         raise ConfigError("states must share gamma")
     g = left.gamma
     a_l, a_r = left.sound_speed, right.sound_speed
-    if _opens_vacuum(left, right, a_l, a_r):
+    # Two rarefactions cannot close the velocity gap of the data.
+    if 2.0 * a_l / (g - 1.0) + 2.0 * a_r / (g - 1.0) - (right.u - left.u) <= 0.0:
         raise VacuumError(
             f"initial velocity divergence {right.u - left.u:.6g} opens vacuum"
         )
@@ -152,7 +137,7 @@ def _star_states(left: GasState, right: GasState,
         p_star = right.p
     else:
         defect = _defect_curve(left, right, last)
-        lo = _pressure_floor(left, right)
+        lo = 1e-12 * min(left.p, right.p)  # the lowest star pressure searched
         # The defect falls strictly in p, and an anchor defect that is not
         # zero exceeds tiny: if one is positive, so is the defect at lo. So
         # this guard and the bracket's overflow below never both fire. It runs

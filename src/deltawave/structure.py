@@ -24,7 +24,7 @@ from .classical import (
     sample_classical_primitives,
     solve_classical,
 )
-from .errors import ConfigError, NotSolvableError, VacuumError
+from .errors import ConfigError, NotSolvableError
 from .gas import GasState, SourceCoefficients, rightward_frame, value_class
 from .stationary import (
     Branch,
@@ -115,11 +115,7 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     Mach for amplifying sources, sonic otherwise). The admissible upstream
     pressure lies in [p_crit, p_rest).
     """
-    return _passage_bracket(left, critical_mach_numbers(coeffs, left.gamma))
-
-
-def _passage_bracket(left: GasState, critical: CriticalMachNumbers) -> tuple[float, float]:
-    """``subsonic_passage_bracket`` from the critical Mach numbers of its coefficients."""
+    critical = critical_mach_numbers(coeffs, left.gamma)
     return rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
 
 
@@ -153,13 +149,11 @@ def predict_structure(left: GasState, right: GasState,
         down = downstream_state(left, coeffs, Branch.SUPERSONIC, False, critical)
         # Type2 when the first wave right of the origin, the family-1 wave of
         # the classical fan from ``down`` to ``right``, moves rightward: the
-        # fan then holds ``down`` at x/t = 0.
-        try:
-            if origin_state(down, right) is down:
-                return Prediction(SolutionStructure.TYPE2, critical, plus=down)
-        except VacuumError:  # data that opens a vacuum does not pass
-            pass
-    p_rest, p_crit = _passage_bracket(left, critical)
+        # fan then holds ``down`` at x/t = 0. Data that opens a vacuum there
+        # raises ``VacuumError``.
+        if origin_state(down, right) is down:
+            return Prediction(SolutionStructure.TYPE2, critical, plus=down)
+    p_rest, p_crit = rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
     rest = (p_rest, velocity_mismatch(p_rest, left, right, coeffs))
     crit = (p_crit, velocity_mismatch(p_crit, left, right, coeffs))
     if rest[1] * crit[1] < 0.0:

@@ -130,10 +130,11 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     The wave is a rarefaction when the star pressure lies below ``down.p``, and
     otherwise a 1-shock, which moves rightward when it is weaker than the
     shock at rest. The shock at rest itself does not pass: the sampler reads
-    x/t = 0 on it as the state behind it. Data that opens a vacuum does not
-    pass. The reference for the Type2 test of ``predict_structure``, which
-    asks whether ``classical.origin_state(down, right)`` returns ``down``
-    itself and decides most candidates from defect signs.
+    x/t = 0 on it as the state behind it. Data that opens a vacuum reads
+    False here, where ``predict_structure`` raises ``VacuumError``; no fuzz
+    candidate does. The reference for the Type2 test of ``predict_structure``,
+    which asks whether ``classical.origin_state(down, right)`` returns
+    ``down`` itself and decides most candidates from defect signs.
     """
     g = down.gamma
     try:

@@ -229,6 +229,7 @@ class TestCli:
         ("0.5,nan", "cell width must be finite and positive"),
         ("0.5,1.0", "cell widths must strictly decrease"),
         ("0.5,0.5", "cell widths must strictly decrease"),
+        ("0.5,x", "bad --h-list '0.5,x'"),
     ])
     def test_converge_bad_width_list_exits_2(self, tmp_path, h_list, message):
         r = CliRunner().invoke(cli_main, [

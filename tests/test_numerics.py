@@ -133,6 +133,9 @@ class TestGrid:
             make_grid(-10.0, 10.0, 0.3)
         with pytest.raises(ConfigError):
             make_grid(1.0, 2.0, 0.1)
+        # The width tiles [-0.25, 0.75], but its interfaces lie at -0.25, 0.25 and 0.75.
+        with pytest.raises(ConfigError, match="does not place the origin on an interface"):
+            make_grid(-0.25, 0.75, 0.5)
 
     def test_asymmetric_domain(self):
         g = make_grid(-1.0, 3.0, 0.25)

@@ -118,6 +118,23 @@ class TestDownstream:
         with pytest.raises(NotSolvableError, match="Mach 0 outside admissible"):
             curve(state, TEST1_COEFFS, Branch.SUBSONIC)
 
+    def test_just_past_the_choking_boundary_has_no_subsonic_jump(self):
+        # 2e-10 relative past the choking Mach, beyond the snap and the slack
+        # of the discriminant, but inside the admissible range's slack.
+        c = SourceCoefficients(0.1, 0.1, 0.2)
+        s = state_at_mach(critical_mach_numbers(c, GAMMA).upstream_subsonic_max * (1.0 + 2e-10))
+        with pytest.raises(NotSolvableError, match=r"discriminant -\S+ < 0$"):
+            downstream_state(s, c, Branch.SUBSONIC)
+
+    def test_supersonic_existence_limit_is_excluded(self):
+        # A state of sound speed 1 carries the critical Mach number exactly.
+        c = SourceCoefficients(0.1, 0.2, -0.2)
+        sup = critical_mach_numbers(c, GAMMA).upstream_supersonic_sup
+        s = GasState(GAMMA, sup, 1.0, GAMMA)
+        assert s.mach == sup
+        with pytest.raises(NotSolvableError, match="at or beyond the supersonic existence limit"):
+            downstream_state(s, c, Branch.SUPERSONIC)
+
     def test_attenuating_sonic_is_double_valued(self):
         c = coeffs_with_k(-0.2)
         s = state_at_mach(1.0)

@@ -24,8 +24,6 @@ from deltawave.cases import get_case
 from deltawave.classical import (
     ClassicalFan,
     _defect_curve,
-    _opens_vacuum,
-    _pressure_floor,
     origin_state,
     sample_classical,
     solve_classical,
@@ -252,7 +250,7 @@ class TestType2Oracle:
         # Only a contact separates the states: the defect at down.p is 0.0 exactly.
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(0.5, 2.0, 1.0)
-        assert _defect_curve(down, right)(down.p)[0] == 0.0
+        assert _defect_curve(down, right, [None])(down.p)[0] == 0.0
         assert origin_state(down, right) is down
         assert type2_wave_clears_origin(down, right)
 
@@ -263,7 +261,7 @@ class TestType2Oracle:
         down = GasState(1.0, 2.0, 1.0)
         p_normal = _normal_shock_pressure(down)
         right = wave_state(WaveFamily.ONE, down, p_normal)
-        assert _defect_curve(down, right)(p_normal)[0] == 0.0
+        assert _defect_curve(down, right, [None])(p_normal)[0] == 0.0
         assert abs(shock_speed(WaveFamily.ONE, down, p_normal)) <= 1e-14
         assert repr(origin_state(down, right)) == repr(right)
         assert not type2_wave_clears_origin(down, right)
@@ -283,10 +281,9 @@ class TestType2Oracle:
         # floor of the classical solve: the defect there is negative.
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(1.0, down.u + 0.99 * 4.0 * down.sound_speed / (GAMMA - 1.0), 1.0)
-        assert not _opens_vacuum(down, right, down.sound_speed, right.sound_speed)
-        assert _defect_curve(down, right)(_pressure_floor(down, right))[0] < 0.0
+        assert _defect_curve(down, right, [None])(1e-12 * min(down.p, right.p))[0] < 0.0
         for solve in (solve_classical, origin_state):
-            with pytest.raises(VacuumError, match="failed to bracket"):
+            with pytest.raises(VacuumError, match="^failed to bracket the star pressure$"):
                 solve(down, right)
         assert not type2_wave_clears_origin(down, right)
 
@@ -297,10 +294,29 @@ class TestType2Oracle:
         # does. A right datum that flows leftward never reaches ``predict_structure``.
         down = GasState(1.0, 2.0, 1.0)
         right = GasState(1.0, -1e155, 1.0)
-        assert _defect_curve(down, right)(_normal_shock_pressure(down))[0] > 0.0
+        assert _defect_curve(down, right, [None])(_normal_shock_pressure(down))[0] > 0.0
         for solve in (solve_classical, origin_state, type2_wave_clears_origin):
             with pytest.raises(RootBracketError):
                 solve(down, right)
+
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["rightward", "leftward"])
+    def test_vacuum_in_the_type2_test_raises(self, mirrored):
+        # The left datum passes supersonically, and the first wave right of
+        # the origin, from the downstream state to the right datum, opens a
+        # vacuum. No other structure gives a usable pair for such data, so the
+        # solve raises where the Type2 test does.
+        left, right = GasState(1.0, 2.0, 1.0), GasState(1.0, 15.0, 1.0)
+        coeffs = SourceCoefficients(0.1, 0.1, 0.2)
+        assert critical_mach_numbers(coeffs, GAMMA).admits(left.mach, Side.LEFT,
+                                                           Branch.SUPERSONIC)
+        if mirrored:
+            left, right = right.mirrored(), left.mirrored()
+        else:
+            with pytest.raises(VacuumError, match="opens vacuum$"):
+                predict_structure(left, right, coeffs)
+        for solve in (approximate_solve, compose_reference_fan):
+            with pytest.raises(VacuumError, match="opens vacuum$"):
+                solve(left, right, coeffs)
 
 
 def _value_objects():

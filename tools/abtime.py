@@ -46,6 +46,13 @@ quartiles of the per-round ratio B / A, so a ratio below 1 means B is faster,
 and the rounds that B won, as k/N.
 Both sides of a round run back to back, so the speed phases of a shared host
 that separate benchmark processes cancel in the ratio.
+
+The two positions are not quite equal: trees whose code is byte-identical
+have read ``solve_min`` up to about 0.8% apart (a tree against a fresh copy
+of itself, 40 rounds on a 2-core Xeon VM: B / A 0.9923, B won 34 of 40), and
+the lean is not a fixed bonus for either position. So a ``solve_min``
+reading under about 1% needs both orders, A then B and B then A, before it
+says which tree is faster.
 """
 
 from __future__ import annotations
