@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 
 from .cases import TestCase, get_case
+from .classical import gather
 from .dg import DgField, Grid, cfl_dt, field_from_states, make_grid, ssp_rk3_step, step_window
 from .errors import ConfigError, DeltawaveError, SchemeError
 from .fluxes import Scheme
 from .gas import GasState, primitives, total_energy
 from .stationary import Branch, downstream_state
-from .structure import SourceFan, compose_reference_fan, sample_source_primitives
+from .structure import SourceFan, compose_reference_fan, locate_source, sample_source_primitives
 
 # 5-point Gauss rule on [-1/2, 1/2] for exact-solution cell averages.
 _REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(5)
@@ -118,20 +119,30 @@ def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField
 def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:
     """Exact-solution conserved cell means by 5-point Gauss quadrature.
 
-    All nodes of all cells are sampled in one ``sample_source_primitives``
-    call, on (node, cell) coordinates; the weighted sum then runs node by
-    node, so each mean rounds as a loop over the nodes would. Cells
+    All nodes of all cells are located in the fan's piece table in one
+    ``locate_source`` call, on (node, cell) coordinates. A node in a
+    constant piece gathers that piece's conserved row, and only the nodes
+    inside a rarefaction compute (rho, rho u, E) from their own (rho, u, p),
+    with the expressions the per-node form uses. The weighted sum then runs
+    node by node, so each mean rounds as a loop over the nodes would. Cells
     containing a discontinuity pick up an O(h) quadrature defect, which is
     reported rather than hidden.
     """
     t = _positive_time(t)
     xi = (grid.centers + _REF_NODES[:, None] * grid.h) / t
-    rho, u, p = np.moveaxis(sample_source_primitives(fan, xi), -1, 0)
-    conserved = np.stack([rho, rho * u, total_energy(rho, u, p, fan.minus.gamma)], axis=-1)
+    piece, rows, found = locate_source(fan, xi.reshape(-1))
+    g = fan.minus.gamma
+    nodes = gather(_conserved(rows, g), piece, [(at, _conserved(r, g)) for at, r in found])
     out = np.zeros((grid.n_cells, 3))
-    for w, node_means in zip(_REF_WEIGHTS, conserved):
+    for w, node_means in zip(_REF_WEIGHTS, nodes.reshape(xi.shape + (3,))):
         out += w * node_means
     return out
+
+
+def _conserved(rows: np.ndarray, gamma: float) -> np.ndarray:
+    """(rho, rho u, E) of (rho, u, p) rows."""
+    rho, u, p = rows.T
+    return np.column_stack([rho, rho * u, total_energy(rho, u, p, gamma)])
 
 
 def _primitive_table(means: np.ndarray, gamma: float) -> dict[str, np.ndarray]:

@@ -5,7 +5,8 @@ classical sub-fan on each side of the stationary jump at the origin. The
 solver first predicts which of the admissible structures the data produces,
 then solves only the algebra that structure requires. Exact reference fans
 are composed the same way, storing a full classical sub-fan per side so that
-sampling reduces to two classical samplers.
+sampling reduces to the classical samplers: one per point, or the sub-fans'
+piece tables joined at the origin for arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +20,11 @@ import numpy as np
 from .classical import (
     _ROOT_TOL,
     ClassicalFan,
+    gather,
+    locate,
     origin_state,
+    piece_table,
     sample_classical,
-    sample_classical_primitives,
     solve_classical,
 )
 from .errors import ConfigError, NotSolvableError
@@ -36,6 +39,7 @@ from .stationary import (
     stationary_ratios,
 )
 from .waves import (
+    _BRANCH_SLACK,
     WaveFamily,
     _check_pressure,
     illinois,
@@ -207,14 +211,16 @@ def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients,
     Mach one. For k <= -1/gamma^2 the supersonic branch downstream of a sonic
     state is empty. Both regimes lie outside the structures implemented.
     """
-    try:
-        gd, _, gp = rarefaction_ratios(left.mach, 1.0, left.gamma)
-    except ConfigError as exc:
+    # The test on which ``rarefaction_ratios(left.mach, 1.0, gamma)`` refuses:
+    # the origin solve has already refused a datum whose Mach number is not
+    # positive (``pressure_for_mach``).
+    if left.mach * (1.0 - _BRANCH_SLACK) > 1.0:
         raise NotSolvableError(f"supersonic left datum (Mach {left.mach:.6g}) has no sonic "
-                               f"expansion to the origin") from exc
+                               f"expansion to the origin")
     if math.isinf(critical.downstream_supersonic_min):
         raise NotSolvableError(f"k = {coeffs.k:.6g} <= -1/gamma^2: no supersonic branch "
                                f"downstream of the sonic expansion")
+    gd, _, gp = rarefaction_ratios(left.mach, 1.0, left.gamma)
     rho, p = left.rho * gd, left.p * gp
     # Pin the Mach number to one exactly; the ratios leave an ulp of slack.
     return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
@@ -353,18 +359,35 @@ def sample_source_primitives(fan: SourceFan, xi: np.ndarray) -> np.ndarray:
     """(rho, u, p) rows at the similarity coordinates ``xi``, shape ``xi.shape + (3,)``.
 
     The array form of ``sample_source_fan`` for ``xi`` of any shape, equal to
-    it row for row; a NaN coordinate raises ``ConfigError`` in
-    ``sample_classical_primitives``.
+    it row for row: one searchsorted, one gather and one ``_fan_interior``
+    call per rarefaction with points inside (see ``locate_source``). A NaN
+    coordinate raises ``ConfigError``.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = -xi if fan.mirrored else xi
+    shape = np.shape(xi)
+    piece, rows, found = locate_source(fan, np.asarray(xi, dtype=float).reshape(-1))
+    return gather(rows, piece, found).reshape(shape + (3,))
+
+
+def locate_source(fan: SourceFan, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """``classical.locate`` of the 1-D coordinates ``xi`` in the fan's one piece table,
+    with its (rho, u, p) rows: (piece of each point, rows, interior rows).
+
+    A composed fan joins its sub-fans' tables at eta = 0, the left one's
+    bounds clipped to at most 0 and the right one's to at least 0, so eta < 0
+    reads the left sub-fan and eta >= 0 the right one, as in
+    ``sample_source_fan``. A mirrored fan is located at eta = -xi, and its
+    rows come back with u negated.
+    """
     if fan.structure is SolutionStructure.CLASSICAL:  # one fan on both sides
-        out = sample_classical_primitives(fan.left_fan, eta)
+        bounds, rows, interiors = piece_table(fan.left_fan)
     else:
-        on_left = eta < 0.0
-        out = np.empty(eta.shape + (3,))
-        out[on_left] = sample_classical_primitives(fan.left_fan, eta[on_left])
-        out[~on_left] = sample_classical_primitives(fan.right_fan, eta[~on_left])
+        lb, lrows, lin = piece_table(fan.left_fan)
+        rb, rrows, rin = piece_table(fan.right_fan)
+        bounds = [min(b, 0.0) for b in lb] + [0.0] + [max(b, 0.0) for b in rb]
+        rows = np.vstack((lrows, rrows))
+        interiors = lin + [(k + len(lrows), anchor, s) for k, anchor, s in rin]
+    piece, found = locate(bounds, interiors, -xi if fan.mirrored else xi)
     if fan.mirrored:
-        out[..., 1] = -out[..., 1]
-    return out
+        for r in [rows] + [r for _, r in found]:
+            r[:, 1] = -r[:, 1]
+    return piece, rows, found

@@ -10,6 +10,8 @@ coordinates of any shape, and the interior of every rarefaction is checked
 point by point, including where it leaves the admissible states.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +23,7 @@ from deltawave import (
     GasState,
     SolutionStructure,
     SourceCoefficients,
+    SourceFan,
     compose_reference_fan,
     sample_source_fan,
     sample_source_primitives,
@@ -32,8 +35,9 @@ from deltawave.classical import (
     WaveKind,
     sample_classical,
     sample_classical_primitives,
+    solve_classical,
 )
-from deltawave.dg import make_grid
+from deltawave.dg import Grid, make_grid
 from deltawave.runner import (
     _REF_NODES,
     _REF_WEIGHTS,
@@ -262,3 +266,122 @@ def test_inadmissible_interior_raises_as_scalar(family):
     assert type(array.value) is type(scalar.value)
     assert str(array.value) == str(scalar.value)
     assert "rho must be a real number" in str(scalar.value)
+
+
+def _node_coordinates(grid, t):
+    """The similarity coordinates of ``reference_cell_averages``'s quadrature nodes."""
+    return ((grid.centers + _REF_NODES[:, None] * grid.h) / t).reshape(-1)
+
+
+def _source_fans(fan):
+    """``fan`` as a one-fan source fan, and as both sub-fans of a composed one, mirrored or not."""
+    left = sample_classical(fan, -1e9)
+    yield SourceFan(SolutionStructure.CLASSICAL, left, left, fan, fan)
+    for mirrored in (False, True):
+        yield SourceFan(SolutionStructure.TYPE1, left, left, fan, fan, mirrored)
+
+
+def _assert_reference_matches_loop(fan, grid, t):
+    assert reference_cell_averages(fan, grid, t).tobytes() == _reference_loop(fan, grid, t).tobytes()
+
+
+REF_GRID, REF_T = make_grid(-1.0, 1.0, 0.05), 0.5
+_NODES = _node_coordinates(REF_GRID, REF_T)
+
+
+def _on_node(target, offset=0):
+    """The node coordinate nearest ``target``, moved by ``offset`` floats."""
+    x = float(_NODES[np.argmin(np.abs(_NODES - target))])
+    for _ in range(abs(offset)):
+        x = math.nextafter(x, math.copysign(math.inf, offset))
+    return x
+
+
+def _fan_on_nodes(kinds, offsets):
+    """A hand-built fan whose wave edges, shock speed and contact lie on node
+    coordinates of ``REF_GRID`` at ``REF_T``, each moved by its offset in floats.
+
+    ``kinds`` is ``(rarefaction, shock)`` or ``(shock, rarefaction)``; the
+    rarefaction is anchored on (1, 0, 1), whose head is near -1.18 or +1.18.
+    """
+    rest = GasState(1.0, 0.0, 1.0)
+    o = iter(offsets)
+    if kinds == (WaveKind.RAREFACTION, WaveKind.SHOCK):
+        shock = _on_node(1.3, next(o))
+        return ClassicalFan(rest, GasState(0.5, 0.2, 0.3), 0.5, _on_node(0.3, next(o)), 0.6, 0.9,
+                            *kinds, (_on_node(-1.18, next(o)), _on_node(-0.4, next(o))),
+                            (shock, shock), 1.4)
+    shock = _on_node(-1.3, next(o))
+    return ClassicalFan(GasState(0.5, -0.2, 0.3), rest, 0.5, _on_node(-0.3, next(o)), 0.9, 0.6,
+                        *kinds, (shock, shock), (_on_node(0.4, next(o)), _on_node(1.18, next(o))),
+                        1.4)
+
+
+@pytest.mark.parametrize("kinds", [(WaveKind.RAREFACTION, WaveKind.SHOCK),
+                                   (WaveKind.SHOCK, WaveKind.RAREFACTION)],
+                         ids=["left fan", "right fan"])
+def test_waves_on_node_coordinates(kinds):
+    # Every wave edge, the shock speed and the contact on a node coordinate or
+    # one float to either side of it, in every combination; read as a one-fan
+    # source fan and as both sub-fans of a composed one, mirrored or not.
+    fan = _fan_on_nodes(kinds, (0,) * 4)
+    assert all(s in _NODES for s in (*fan.left_speeds, fan.u_star, *fan.right_speeds))
+    for offsets in itertools.product((-1, 0, 1), repeat=4):
+        fan = _fan_on_nodes(kinds, offsets)
+        for source in _source_fans(fan):
+            _assert_reference_matches_loop(source, REF_GRID, REF_T)
+
+
+def test_rarefaction_edges_out_of_order():
+    # Edges that rounding could swap: a family-1 tail three floats below its
+    # head, and a family-3 tail three floats above its head, each head on a
+    # node coordinate.
+    left = _fan_on_nodes((WaveKind.RAREFACTION, WaveKind.SHOCK), (0,) * 4)
+    left = dataclasses.replace(left, left_speeds=(_on_node(-1.18), _on_node(-1.18, -3)))
+    right = _fan_on_nodes((WaveKind.SHOCK, WaveKind.RAREFACTION), (0,) * 4)
+    right = dataclasses.replace(right, right_speeds=(_on_node(1.18, 3), _on_node(1.18)))
+    for fan in (left, right):
+        xi = _NODES.tolist() + _special_points(SourceFan(SolutionStructure.CLASSICAL, fan.left,
+                                                         fan.left, fan, fan))
+        assert sample_classical_primitives(fan, np.array(xi)).tobytes() == \
+            _classical_rows(fan, xi).tobytes()
+        for source in _source_fans(fan):
+            _assert_reference_matches_loop(source, REF_GRID, REF_T)
+
+
+@pytest.mark.parametrize("densities", [(2.0, 1.0), (1.0, 2.0)], ids=["denser left", "denser right"])
+def test_contact_at_rest_on_a_node(densities):
+    # A cell centred on the origin (j0 is a half integer), so its middle node
+    # samples x/t = 0 exactly: the denser star state there, as the scalar sampler.
+    fan = solve_classical(GasState(densities[0], 0.0, 1.0), GasState(densities[1], 0.0, 1.0))
+    assert fan.u_star == 0.0
+    grid = Grid(-1.025, 0.975, 40, 0.05, 20.5)
+    assert 0.0 in _node_coordinates(grid, REF_T)
+    for source in _source_fans(fan):
+        _assert_reference_matches_loop(source, grid, REF_T)
+
+
+def test_fuzz_fans_of_every_structure():
+    # Up to 5 seeded fuzz fans of each (structure, mirrored) kind, on a coarse
+    # grid at a late time and a fine one at an early time.
+    k, rp, u = riemann_batch_arrays(600)
+    picked = {}
+    for i in range(len(k)):
+        try:
+            fan = compose_reference_fan(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
+                                        GasState(rp[i, 2], u[i, 1], rp[i, 3]),
+                                        SourceCoefficients(*k[i]))
+        except Exception:  # the solver's domain is not total yet; sampling needs a fan
+            continue
+        kind = picked.setdefault((fan.structure, fan.mirrored), [])
+        if len(kind) < 5:
+            kind.append(fan)
+    assert {s for s, _ in picked} == {SolutionStructure.CLASSICAL, SolutionStructure.TYPE1,
+                                      SolutionStructure.TYPE2, SolutionStructure.TYPE3,
+                                      SolutionStructure.TYPE5}
+    assert {m for _, m in picked} == {False, True}
+    fans = [fan for kind in picked.values() for fan in kind]
+    assert 35 <= len(fans) <= 45
+    for grid, t in ((make_grid(-1.0, 1.0, 0.1), 0.5), (make_grid(-1.0, 1.0, 0.025), 0.1)):
+        for fan in fans:
+            _assert_reference_matches_loop(fan, grid, t)

@@ -28,7 +28,10 @@ imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
   ``profile_rows_from_fan`` on [-1, 1] (h = 0.01, t = 0.1),
   ``feature_intervals`` and the wave speeds of each fan that
   ``compose_reference_fan`` composes, the indices that fail, and their
-  errors;
+  errors; and ``sample_source_primitives`` of each fan on the 1,000
+  quadrature coordinates of ``reference_cell_averages``, shuffled (seed 0)
+  and reshaped to (25, 40), so that a sampler whose rows depend on the
+  order or the shape of its coordinates cannot keep the digests;
 - ``run.*``: sha256 of the final coefficients and repr of the density L1
   error of ``run_test`` for tests 1-8 x {splitting, kt, kt-nocorr, solver}
   at h = 0.05 and test 8 with the solver at h = 0.0125 (the error class and
@@ -179,10 +182,13 @@ def _fluxes(dw, draws) -> dict:
 
 def _fans(dw, draws) -> dict:
     from deltawave.dg import make_grid
-    from deltawave.runner import profile_rows_from_fan, reference_cell_averages
+    from deltawave.runner import _REF_NODES, profile_rows_from_fan, reference_cell_averages
 
     grid = make_grid(-1.0, 1.0, 0.01)
+    nodes = ((grid.centers + _REF_NODES[:, None] * grid.h) / 0.1).reshape(-1)
+    shuffled = np.random.default_rng(0).permutation(nodes).reshape(25, 40)
     averages, rows, intervals, speeds, failed, errors = [], [], [], [], [], []
+    samples = []
     for i, (left, right, coeffs) in enumerate(draws[:N_FANS]):
         try:
             fan = dw.compose_reference_fan(left, right, coeffs)
@@ -192,10 +198,12 @@ def _fans(dw, draws) -> dict:
             continue
         averages.append(_attempt(reference_cell_averages, fan, grid, 0.1))
         rows.append(_attempt(profile_rows_from_fan, fan, grid.centers, 0.1))
+        samples.append(_attempt(dw.sample_source_primitives, fan, shuffled))
         intervals.append(_attempt(fan.feature_intervals))
         speeds.append(_attempt(lambda: (fan.left_wave_speeds(), fan.right_wave_speeds())))
     return {"fan.reference_cell_averages": _digest(averages),
             "fan.profile_rows": _digest(rows),
+            "fan.shuffled_samples": _digest(samples),
             "fan.feature_intervals": _digest(intervals),
             "fan.wave_speeds": _digest(speeds),
             "fan.failed_indices": _digest(failed),
