@@ -1,8 +1,13 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+import deltawave
 from deltawave import GasState, SourceCoefficients, dg, fluxes
 from deltawave.classical import solve_classical
 from deltawave.dg import _check_admissible
@@ -34,14 +39,34 @@ def state_rel_err(s1: GasState, s2: GasState) -> float:
     )
 
 
-def riemann_batch_arrays(n: int):
-    """(k, rho and p, u) arrays of the first ``n`` seed-0 draws of the benchmark's
-    ``riemann_batch`` workload: shapes (n, 3), (n, 4) and (n, 2)."""
-    rng = np.random.default_rng(0)
-    k = rng.uniform(-0.6, 1.5, (n, 3))
-    rp = rng.uniform(0.1, 5.0, (n, 4))
-    u = rng.uniform(-4.0, 4.0, (n, 2))
-    return k, rp, u
+def load_module(name: str, path: Path):
+    """The module of the source file ``path``, imported as ``name``. It goes into
+    ``sys.modules`` first, where the dataclasses of a module under
+    ``from __future__ import annotations`` look their module up."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# The solver's fuzz domain, defined once in tools/fuzz_domain.py for the tools and the tests.
+fuzz_domain = load_module("fuzz_domain", ROOT / "tools" / "fuzz_domain.py")
+riemann_batch_arrays = fuzz_domain.arrays
+off_side = fuzz_domain.off_side
+
+
+def riemann_batch_draws(n: int) -> list:
+    """(left, right, coeffs) of each draw of the ``n``-draw set, built from numpy scalars.
+    The set depends on ``n``; the 2,000-draw set is the benchmark's seed-0 ``riemann_batch``."""
+    return fuzz_domain.draws(n, deltawave)
+
+
+# The same domain for hypothesis: open intervals for rho, p and each k_i, closed for u.
+_positive = st.floats(*fuzz_domain.RHO_P_BOUNDS, exclude_min=True, exclude_max=True)
+_k = st.floats(*fuzz_domain.K_BOUNDS, exclude_min=True, exclude_max=True)
+states = st.builds(GasState, _positive, st.floats(*fuzz_domain.U_BOUNDS), _positive)
+coefficients = st.builds(SourceCoefficients, _k, _k, _k)
 
 
 def coeffs_with_k(k_target: float) -> SourceCoefficients:

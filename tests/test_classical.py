@@ -34,7 +34,7 @@ from deltawave.classical import (
 )
 from deltawave.waves import WaveFamily, wave_curve, wave_state
 
-from conftest import GAMMA, random_state, riemann_batch_arrays
+from conftest import GAMMA, random_state, riemann_batch_draws, states
 
 
 def oracle_star(left, right, gamma=GAMMA):
@@ -197,11 +197,9 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
         return lambda p: calls.append(p) or f(p)
 
     monkeypatch.setattr(classical, "_defect_curve", defect_curve)
-    k, rp, u = riemann_batch_arrays(N_COUNTED)
-    for i in range(N_COUNTED):
+    for left, right, _ in riemann_batch_draws(N_COUNTED):
         try:
-            solve_classical(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                            GasState(rp[i, 2], u[i, 1], rp[i, 3]))
+            solve_classical(left, right)
         except VacuumError:
             pass
     assert len(counts) > 1900  # no defect for data that open vacuum or hold the root at an anchor
@@ -214,10 +212,8 @@ def test_star_states_from_the_last_evaluation(monkeypatch):
     # bit, which the solve then does not call.
     calls = []
     monkeypatch.setattr(classical, "wave_state", lambda *a: calls.append(a) or wave_state(*a))
-    k, rp, u = riemann_batch_arrays(N_COUNTED)
     n = 0
-    for i in range(N_COUNTED):
-        left, right = GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3])
+    for left, right, _ in riemann_batch_draws(N_COUNTED):
         try:
             sl, sr, u_star, _, _ = classical._star_states(left, right)
         except VacuumError:
@@ -292,11 +288,9 @@ class TestOriginState:
         real = classical._star_states
         monkeypatch.setattr(classical, "_star_states",
                             lambda *a, **k: solved.append(real(*a, **k)) or solved[-1])
-        k, rp, u = riemann_batch_arrays(N_COUNTED)
         n = 0
-        for i in range(N_COUNTED):
-            left, right = GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3])
-            if u[i, 0] * u[i, 1] > 0.0:
+        for left, right, _ in riemann_batch_draws(N_COUNTED):
+            if left.u * right.u > 0.0:
                 continue
             for a, b in ((left, right), (right.mirrored(), left.mirrored())):
                 n += 1
@@ -470,7 +464,6 @@ def pointwise_curve_velocity(anchor, p, sign):
     return u, du
 
 
-_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
 EPS = sys.float_info.epsilon
 
 
@@ -483,8 +476,7 @@ class TestWaveCurveAgainstToroForm:
     """
 
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-    @given(st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive),
-           st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 50.0)))
+    @given(states, st.one_of(st.floats(1e-12, 1.0), st.floats(1.0, 50.0)))
     def test_velocity_and_derivative_agree_to_a_few_ulp(self, anchor, ratio):
         p = anchor.p * ratio
         for sign in (-1.0, 1.0):

@@ -24,18 +24,12 @@ from deltawave import (
 )
 from deltawave.gas import total_energy
 
-from conftest import riemann_batch_arrays
+from conftest import riemann_batch_draws
 
 N_DRAWS = 2000  # the seed-0 problems of the benchmark's riemann_batch workload
 TOL = 1e-10  # relative to the largest boundary flux component
 T = 1.0
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(40)
-
-
-def _draws():
-    k, rp, u = riemann_batch_arrays(N_DRAWS)
-    return [(GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-             SourceCoefficients(*k[i])) for i in range(N_DRAWS)]
 
 
 def _conserved_at(fan, x: np.ndarray) -> np.ndarray:
@@ -72,7 +66,7 @@ def conservation_defect(fan, left: GasState, right: GasState, coeffs: SourceCoef
 def defects():
     """draw index -> (structure, defect) for every draw whose fan composes."""
     out = {}
-    for i, (left, right, coeffs) in enumerate(_draws()):
+    for i, (left, right, coeffs) in enumerate(riemann_batch_draws(N_DRAWS)):
         try:
             fan = compose_reference_fan(left, right, coeffs)
         except DeltawaveError:  # typed refusals are checked by the mirror tests

@@ -1,6 +1,5 @@
-"""Checks over the solver's whole fuzz domain: the 20,000 seed-0 draws of the
-benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
-|u| <= 4).
+"""Checks over the solver's whole fuzz domain: the 20,000-draw set of
+``tools/fuzz_domain.py`` (k_i in (-0.6, 1.5), rho, p in (0.1, 5), |u| <= 4).
 
 - Every draw either solves or fails with a typed regime error; no root finder
   reaches its iteration cap (that would raise ``RootBracketError``).
@@ -9,8 +8,9 @@ benchmark's ``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
 - Wave sides (ROADMAP item 7(a)): a composed fan is a weak solution only if
   every wave of its left sub-fan has speed <= 0 and every wave of its right
   sub-fan speed >= 0, within 1e-12 of the largest signal speed |u| + c of the
-  data. The check needs no quadrature, so it covers every draw. The known
-  failures are strict xfails, one per structure.
+  data (``fuzz_domain.off_side``). The check needs no quadrature, so it
+  covers every draw. The known failures are strict xfails, one per
+  structure.
 - Origin states of the draws whose flow does not pass the origin: the
   solver builds one wave of the classical fan, and returns the full fan's
   sample at x/t = 0 bit for bit, or raises its error.
@@ -45,7 +45,7 @@ from deltawave.classical import sample_classical, solve_classical
 from deltawave.gas import rightward_frame
 from deltawave.stationary import Branch
 
-from conftest import riemann_batch_arrays
+from conftest import off_side, riemann_batch_draws
 
 N_DRAWS = 20_000
 EPS = float(np.finfo(float).eps)
@@ -67,12 +67,8 @@ N_SCALED = 500
 @pytest.fixture(scope="module")
 def fuzz():
     """(left, right, coeffs, outcome) per draw: the solver output, or the error class name."""
-    k, rp, u = riemann_batch_arrays(N_DRAWS)
     out = []
-    for i in range(N_DRAWS):
-        left = GasState(rp[i, 0], u[i, 0], rp[i, 1])
-        right = GasState(rp[i, 2], u[i, 1], rp[i, 3])
-        coeffs = SourceCoefficients(*k[i])
+    for left, right, coeffs in riemann_batch_draws(N_DRAWS):
         try:
             outcome = approximate_solve(left, right, coeffs)
         except DeltawaveError as exc:
@@ -147,13 +143,6 @@ def test_choked_jump_residuals(fuzz):
     assert worst <= TYPE3_MAX_ULPS
 
 
-def _off_side(left, right, coeffs) -> bool:
-    fan = compose_reference_fan(left, right, coeffs)
-    tol = 1e-12 * max(abs(left.u) + left.sound_speed, abs(right.u) + right.sound_speed)
-    return any(s > tol for s in fan.left_wave_speeds()) \
-        or any(s < -tol for s in fan.right_wave_speeds())
-
-
 def _strict_xfail(structure, reason):
     return pytest.param(structure, marks=pytest.mark.xfail(strict=True, reason=reason))
 
@@ -169,7 +158,8 @@ def _strict_xfail(structure, reason):
 ], ids=lambda s: s.value)
 def test_sub_fans_stay_on_their_side(fuzz, structure):
     off = [i for i, (left, right, coeffs, o) in enumerate(fuzz)
-           if _name(o) == structure.value and _off_side(left, right, coeffs)]
+           if _name(o) == structure.value
+           and off_side(compose_reference_fan(left, right, coeffs), left, right)]
     assert off == []
 
 

@@ -24,13 +24,10 @@ from deltawave import (
     solve_classical,
 )
 
+from conftest import coefficients, states
+
 FLUX_MIRROR = np.array([-1.0, 1.0, -1.0])
 SOURCE_MIRROR = np.array([1.0, -1.0, 1.0])
-
-_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
-_k = st.floats(-0.6, 1.5, exclude_min=True, exclude_max=True)
-states = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive)
-coefficients = st.builds(SourceCoefficients, _k, _k, _k)
 fast = settings(max_examples=600, derandomize=True, database=None, deadline=None)
 
 

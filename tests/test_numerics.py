@@ -33,7 +33,7 @@ from deltawave.fluxes import Scheme
 from deltawave.gas import primitives
 from deltawave.stationary import Branch
 
-from conftest import GAMMA, coeffs_with_k, eig_matrices, matvec, random_state
+from conftest import GAMMA, eig_matrices, matvec, random_state
 
 SOLVER = Scheme.SOLVER
 KT = Scheme.KT

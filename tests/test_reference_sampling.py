@@ -46,12 +46,8 @@ from deltawave.runner import (
     reference_cell_averages,
 )
 
-from conftest import riemann_batch_arrays
+from conftest import coefficients, riemann_batch_draws, states
 
-_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
-_k = st.floats(-0.6, 1.5, exclude_min=True, exclude_max=True)
-states = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive)
-coefficients = st.builds(SourceCoefficients, _k, _k, _k)
 points = st.lists(st.floats(-12.0, 12.0), max_size=40)
 
 
@@ -215,14 +211,11 @@ def _interior_points(fan):
 def test_rarefaction_interiors_match_scalar_sampler():
     # Fuzz fans: every rarefaction of both sub-fans, read through the classical
     # samplers and through the source-fan samplers, mirrored fans included.
-    k, rp, u = riemann_batch_arrays(400)
     fans = rarefactions = 0
     mirrored = set()
-    for i in range(len(k)):
+    for draw in riemann_batch_draws(400):
         try:
-            fan = compose_reference_fan(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                                        GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-                                        SourceCoefficients(*k[i]))
+            fan = compose_reference_fan(*draw)
         except Exception:  # the solver's domain is not total yet; sampling needs a fan
             continue
         fans += 1
@@ -364,13 +357,10 @@ def test_contact_at_rest_on_a_node(densities):
 def test_fuzz_fans_of_every_structure():
     # Up to 5 seeded fuzz fans of each (structure, mirrored) kind, on a coarse
     # grid at a late time and a fine one at an early time.
-    k, rp, u = riemann_batch_arrays(600)
     picked = {}
-    for i in range(len(k)):
+    for draw in riemann_batch_draws(600):
         try:
-            fan = compose_reference_fan(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                                        GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-                                        SourceCoefficients(*k[i]))
+            fan = compose_reference_fan(*draw)
         except Exception:  # the solver's domain is not total yet; sampling needs a fan
             continue
         kind = picked.setdefault((fan.structure, fan.mirrored), [])

@@ -20,7 +20,7 @@ from deltawave.gas import primitives
 from deltawave.fluxes import FluxPair, Scheme
 
 import conftest as ref
-from conftest import riemann_batch_arrays
+from conftest import riemann_batch_draws
 
 SCHEMES = tuple(Scheme)
 # How the random fields of ``random_field`` are spoiled, if at all.
@@ -174,13 +174,6 @@ def test_guard_traces_are_the_next_stage_traces(monkeypatch):
     assert kept > 0 and flattened > 0
 
 
-def _draws():
-    k, rp, u = riemann_batch_arrays(N_DRAWS)
-    for i in range(N_DRAWS):
-        yield (GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-               SourceCoefficients(*k[i]))
-
-
 def _at_rest(state: GasState) -> GasState:
     return GasState(state.rho, 0.0, state.p, state.gamma)
 
@@ -194,7 +187,7 @@ def _pairs(left: GasState, right: GasState):
 def test_origin_fluxes_match_two_call_forms():
     failed = {"kt": 0, "kt-nocorr": 0, "solver": 0}
     n_pairs = 0
-    for draw_left, draw_right, k in _draws():
+    for draw_left, draw_right, k in riemann_batch_draws(N_DRAWS):
         for left, right in _pairs(draw_left, draw_right):
             n_pairs += 1
             for state in (left, right):

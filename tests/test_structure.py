@@ -40,6 +40,7 @@ from conftest import (
     coeffs_with_k,
     random_admissible_upstream,
     riemann_batch_arrays,
+    riemann_batch_draws,
     state_rel_err,
     type2_wave_clears_origin,
 )
@@ -224,15 +225,12 @@ class TestType2Oracle:
     against the full classical solve of conftest."""
 
     def test_agrees_on_every_fuzz_candidate(self):
-        k, rp, u = riemann_batch_arrays(20_000)
         verdicts = []
-        for i in range(len(k)):
-            frame = rightward_frame(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                                    GasState(rp[i, 2], u[i, 1], rp[i, 3]))
+        for i, (left, right, coeffs) in enumerate(riemann_batch_draws(20_000)):
+            frame = rightward_frame(left, right)
             if frame is None:
                 continue
             left, right, _ = frame
-            coeffs = SourceCoefficients(*k[i])
             if not critical_mach_numbers(coeffs, GAMMA).admits(left.mach, Side.LEFT,
                                                                 Branch.SUPERSONIC):
                 continue
@@ -403,8 +401,8 @@ class TestApproximateSolve:
         assert state_rel_err(out.plus, left.mirrored()) < 1e-13
 
     def test_numpy_draws_solve_as_their_floats(self):
-        # The first 500 seed-0 draws of the benchmark's riemann_batch workload,
-        # built from numpy scalars as there, and from the same values as floats.
+        # The 500-draw set of the fuzz domain, built from numpy scalars as the
+        # benchmark builds its problems, and from the same values as floats.
         n = 500
         k, rp, u = riemann_batch_arrays(n)
         kf, rpf, uf = k.tolist(), rp.tolist(), u.tolist()

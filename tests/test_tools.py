@@ -1,18 +1,16 @@
 """The code-line counter of ``tools/code_lines.py``, the A/B timer of ``tools/abtime.py``, the
-census of ``tools/census.py`` and the digests of ``tools/bitcheck.py``."""
+census of ``tools/census.py``, the digests of ``tools/bitcheck.py`` and the draw set of
+``tools/fuzz_domain.py``."""
 
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+from conftest import ROOT, load_module, riemann_batch_draws
+
+code_lines = load_module("code_lines", ROOT / "tools" / "code_lines.py")
 
 SNIPPET = '''"""Module docstring,
 over two lines."""
@@ -50,8 +48,7 @@ def test_empty_source_has_no_code():
 
 def test_abtime_prints_every_ratio():
     # One round of a tree against itself.
-    root = _PATH.parents[1]
-    out = subprocess.run([sys.executable, str(root / "tools" / "abtime.py"), str(root), str(root),
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "abtime.py"), str(ROOT), str(ROOT),
                           "--rounds", "1"], capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[1].split()[-3:-1] == ["wins", "B/A"]
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
@@ -67,8 +64,7 @@ def test_abtime_prints_every_ratio():
 
 
 def _run_tool(name: str, *args: str, env=None) -> subprocess.CompletedProcess:
-    root = _PATH.parents[1]
-    return subprocess.run([sys.executable, str(root / "tools" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "tools" / name), *args],
                           capture_output=True, text=True, env=env)
 
 
@@ -80,7 +76,7 @@ def test_code_lines_rejects_a_missing_path(tmp_path):
 
 
 def test_abtime_rejects_a_missing_tree(tmp_path):
-    out = _run_tool("abtime.py", str(tmp_path / "missing"), str(_PATH.parents[1]))
+    out = _run_tool("abtime.py", str(tmp_path / "missing"), str(ROOT))
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.splitlines()[-1].endswith(
         f"error: no package src/deltawave in {tmp_path / 'missing'}")
@@ -89,7 +85,7 @@ def test_abtime_rejects_a_missing_tree(tmp_path):
 def test_bitcheck_digests_only_its_own_tree(tmp_path):
     # Another tree's package on PYTHONPATH must not be digested in place of
     # the missing one.
-    env = {**os.environ, "PYTHONPATH": str(_PATH.parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = _run_tool("bitcheck.py", str(tmp_path), env=env)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.splitlines()[-1] == (
@@ -113,16 +109,21 @@ total                                                       200
 
 
 def test_census_table_of_200_draws():
-    root = _PATH.parents[1]
-    out = subprocess.run([sys.executable, str(root / "tools" / "census.py"), "--draws", "200"],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == CENSUS_200
+    out = _run_tool("census.py", "--draws", "200")
+    assert out.returncode == 0 and out.stdout == CENSUS_200
 
 
 @pytest.mark.parametrize("draws", ["0", "-1"])
 def test_census_rejects_fewer_than_one_draw(draws):
-    root = _PATH.parents[1]
-    out = subprocess.run([sys.executable, str(root / "tools" / "census.py"), "--draws", draws],
-                         capture_output=True, text=True)
+    out = _run_tool("census.py", "--draws", draws)
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr.splitlines()[-1].endswith("error: --draws must be at least 1")
+
+
+def test_fuzz_domain_is_the_benchmark_set():
+    # The benchmark keeps its own copy of the recipe; the 2,000-draw set must
+    # stay its seed-0 problems, state for state.
+    workloads = load_module("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    batch = workloads.RiemannBatch(0)
+    batch.build()
+    assert [repr(d) for d in riemann_batch_draws(2000)] == [repr(p) for p in batch.problems]

@@ -36,7 +36,7 @@ from deltawave.waves import (
     wave_state,
 )
 
-from conftest import GAMMA, random_state, riemann_batch_arrays
+from conftest import GAMMA, random_state, riemann_batch_draws, states
 
 
 class TestShock:
@@ -293,8 +293,6 @@ def test_public_entry_points_raise_config_error(call):
         call()
 
 
-_positive = st.floats(0.1, 5.0, exclude_min=True, exclude_max=True)
-anchors = st.builds(GasState, _positive, st.floats(-4.0, 4.0), _positive)
 # Pressure over anchor pressure: the rarefaction branch below 1, the shock branch above.
 ratios = st.one_of(st.floats(0.01, 1.0), st.floats(1.0, 50.0))
 exact = settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -305,7 +303,7 @@ class TestFloatKernels:
     path and the per-point expressions."""
 
     @exact
-    @given(anchors, ratios)
+    @given(states, ratios)
     def test_wave_curve_equals_wave_state(self, anchor, ratio):
         p = anchor.p * ratio
         for family in WaveFamily:
@@ -313,7 +311,7 @@ class TestFloatKernels:
             assert wave_curve(family.value, anchor, p)[:2] == (state.rho, state.u)
 
     @exact
-    @given(anchors, ratios)
+    @given(states, ratios)
     def test_wave_curve_equals_pointwise_form(self, anchor, ratio):
         # The expressions as written per state before the kernels existed, and
         # the derivative of the velocity in p.
@@ -333,7 +331,7 @@ class TestFloatKernels:
             assert wave_curve(sign, anchor, p) == (rho, u0 + sign * du, sign * slope)
 
     @exact
-    @given(anchors, st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 50.0)))
+    @given(states, st.one_of(st.floats(0.01, 0.99), st.floats(1.01, 50.0)))
     def test_wave_curve_derivative_matches_central_difference(self, anchor, ratio):
         # Both families, on the rarefaction branch (ratio < 1) and the shock branch.
         p = anchor.p * ratio
@@ -346,13 +344,13 @@ class TestFloatKernels:
             assert math.isclose(du, slope, rel_tol=1e-6, abs_tol=1e-9 * (1.0 + abs(u)) / p)
 
     @exact
-    @given(anchors, st.floats(1.0, 50.0))
+    @given(states, st.floats(1.0, 50.0))
     def test_shock_mach_map_equals_mach_along_1wave(self, anchor, ratio):
         p = anchor.p * ratio
         assert _shock_mach_map(anchor, 0.0)(p)[0] == wave_state(WaveFamily.ONE, anchor, p).mach
 
     @exact
-    @given(anchors, st.floats(1.01, 50.0))
+    @given(states, st.floats(1.01, 50.0))
     def test_shock_mach_map_derivative_matches_central_difference(self, anchor, ratio):
         p = anchor.p * ratio
         mach_map = _shock_mach_map(anchor, 0.0)
@@ -469,13 +467,11 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
                         lambda *a: inversions.append(a) or real_invert(*a))
     monkeypatch.setattr(structure, "predict_structure", predict)
     monkeypatch.setattr(waves, "_shock_mach_map", mach_map)
-    k, rp, u = riemann_batch_arrays(N_COUNTED)
-    for i in range(N_COUNTED):
+    for i, draw in enumerate(riemann_batch_draws(N_COUNTED)):
         for seen in (pressures, inversions, predicted):
             seen.clear()
         try:
-            approximate_solve(GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                              GasState(rp[i, 2], u[i, 1], rp[i, 3]), SourceCoefficients(*k[i]))
+            approximate_solve(*draw)
         except DeltawaveError:
             pass
         if predicted in ([SolutionStructure.TYPE1], [SolutionStructure.TYPE3]):

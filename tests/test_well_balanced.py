@@ -24,6 +24,8 @@ from deltawave.gas import from_conserved, to_conserved
 from deltawave.runner import CFL
 from deltawave.stationary import Branch, downstream_state
 
+from conftest import fuzz_domain
+
 N_DRAWS = 300  # 106 of them admit a stationary jump on their branch
 STEPS = 3
 SCHEMES = (Scheme.SOLVER, Scheme.KT)
@@ -41,8 +43,8 @@ def stationary_pairs():
     state admits a stationary jump: k_i in (-0.6, 1.5), rho and p in (0.1, 5), Mach in
     (0.05, 4)."""
     rng = np.random.default_rng(0)
-    k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
-    rp = rng.uniform(0.1, 5.0, (N_DRAWS, 2))
+    k = rng.uniform(*fuzz_domain.K_BOUNDS, (N_DRAWS, 3))
+    rp = rng.uniform(*fuzz_domain.RHO_P_BOUNDS, (N_DRAWS, 2))
     mach = rng.uniform(0.05, 4.0, N_DRAWS)
     for i in range(N_DRAWS):
         coeffs = SourceCoefficients(*k[i])

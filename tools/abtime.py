@@ -7,9 +7,10 @@ imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 rounds (default 40). Each round times both packages, in alternating order,
 on eight pieces of work:
 
-- ``solve``: ``approximate_solve`` over the 2,000 seed-0 draws of the
-  benchmark's ``riemann_batch`` workload (draws that fail count too); the
-  fastest of three passes, as one pass on a shared host spreads widely;
+- ``solve``: ``approximate_solve`` over the 2,000-draw set of
+  ``tools/fuzz_domain.py``, the seed-0 problems of the benchmark's
+  ``riemann_batch`` workload (draws that fail count too); the fastest of
+  three passes, as one pass on a shared host spreads widely;
 - ``origin``: ``fluxes.origin_flux`` under the kt and the solver schemes
   over the same 2,000 draws (refusals count too); the fastest of three
   passes. It times the origin flux pairs alone, which every stage of an
@@ -68,6 +69,8 @@ from time import perf_counter
 
 import numpy as np
 
+from fuzz_domain import draws
+
 N_DRAWS = 2000
 STEP_H = 0.0125
 SOLVE_REPEATS = 3
@@ -102,13 +105,7 @@ class Work:
     def __init__(self, dw, name: str):
         structure, dg, runner, fluxes = (importlib.import_module(f"{name}.{m}")
                                          for m in ("structure", "dg", "runner", "fluxes"))
-        rng = np.random.default_rng(0)  # the draws of riemann_batch, seed 0
-        k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
-        rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
-        u = rng.uniform(-4.0, 4.0, (N_DRAWS, 2))
-        self.draws = [(dw.GasState(rp[i, 0], u[i, 0], rp[i, 1]),
-                       dw.GasState(rp[i, 2], u[i, 1], rp[i, 3]), dw.SourceCoefficients(*k[i]))
-                      for i in range(N_DRAWS)]
+        self.draws = draws(N_DRAWS, dw)  # the seed-0 problems of riemann_batch
         self.solve_fn, self.error = structure.approximate_solve, dw.DeltawaveError
         self.origin_fn = fluxes.origin_flux
         self.origin_schemes = (fluxes.Scheme.KT, fluxes.Scheme.SOLVER)

@@ -8,13 +8,14 @@ compare with ``diff``. It exits with status 2, printing no JSON, where the
 imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
 ``PYTHONPATH`` names another tree). The groups:
 
-- ``solve.*``: over 20,000 draws of the solver's fuzz domain (seed 0, in the
-  order of the benchmark's ``riemann_batch`` workload), the repr of each
-  ``approximate_solve`` output, the indices that fail, and each failure's
-  error class and message;
-- ``curve.*``: for the first 2,000 draws, the repr (or error class and
-  message) of ``solve_classical`` on the draw; and for those whose flow
-  passes the origin, seen in the rightward frame, of
+- ``solve.*``: over the 20,000-draw set of the solver's fuzz domain in
+  ``tools/fuzz_domain.py``, the repr of each ``approximate_solve`` output,
+  the indices that fail, and each failure's error class and message. The
+  set depends on its size, so its head is not the benchmark's 2,000-draw
+  ``riemann_batch`` set;
+- ``curve.*``: for the first 2,000 of the 20,000 draws, the repr (or error
+  class and message) of ``solve_classical`` on the draw; and for those whose
+  flow passes the origin, seen in the rightward frame, of
   ``subsonic_passage_bracket``, of ``velocity_mismatch`` at both ends of
   that bracket and of ``pressure_for_mach`` at the critical Mach number that
   bounds it.
@@ -22,11 +23,12 @@ imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
 - ``flux.*``: ``kt_flux`` with and without corrections, ``solver_flux``,
   ``evaluate_source`` and ``llf_flux`` of every draw, and ``jump_residual``
   of every solver pair that carries a source; and ``solver_flux`` of the
-  first 2,000 draws put at rest with the left pressure on both sides, in
-  both orientations, so each is a contact at rest on x/t = 0;
-- ``fan.*``: for the first 300 draws, ``reference_cell_averages`` and
-  ``profile_rows_from_fan`` on [-1, 1] (h = 0.01, t = 0.1),
-  ``feature_intervals`` and the wave speeds of each fan that
+  first 2,000 of the 20,000 draws put at rest with the left pressure on
+  both sides, in both orientations, so each is a contact at rest on
+  x/t = 0;
+- ``fan.*``: for the first 300 of the 20,000 draws,
+  ``reference_cell_averages`` and ``profile_rows_from_fan`` on [-1, 1]
+  (h = 0.01, t = 0.1), ``feature_intervals`` and the wave speeds of each fan that
   ``compose_reference_fan`` composes, the indices that fail, and their
   errors; and ``sample_source_primitives`` of each fan on the 1,000
   quadrature coordinates of ``reference_cell_averages``, shuffled (seed 0)
@@ -67,6 +69,8 @@ from pathlib import Path
 
 import numpy as np
 
+import fuzz_domain
+
 N_DRAWS = 20_000
 N_FANS = 300
 N_CURVES = 2_000
@@ -90,16 +94,6 @@ def _attempt(fn, *args) -> str:
     if isinstance(out, np.ndarray):
         return out.tobytes().hex()
     return repr(out)
-
-
-def _draws(dw):
-    """The benchmark's ``riemann_batch`` problems, ``N_DRAWS`` of them."""
-    rng = np.random.default_rng(0)
-    k = rng.uniform(-0.6, 1.5, (N_DRAWS, 3))
-    rp = rng.uniform(0.1, 5.0, (N_DRAWS, 4))
-    u = rng.uniform(-4.0, 4.0, (N_DRAWS, 2))
-    return [(dw.GasState(rp[i, 0], u[i, 0], rp[i, 1]), dw.GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-             dw.SourceCoefficients(*k[i])) for i in range(N_DRAWS)]
 
 
 def _solves(dw, draws) -> dict:
@@ -314,7 +308,7 @@ def main(argv: list[str]) -> int:
     import deltawave as dw
 
     print(f"digests of {package}", file=sys.stderr)
-    draws = _draws(dw)
+    draws = fuzz_domain.draws(N_DRAWS, dw)
     result = {**_solves(dw, draws), **_curves(dw, draws), **_fluxes(dw, draws), **_fans(dw, draws), **_runs(),
               **_stages(), **_cli()}
     json.dump(result, sys.stdout, indent=1, sort_keys=True)

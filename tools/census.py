@@ -2,16 +2,19 @@
 
     python tools/census.py [--draws N]
 
-takes the first N (default 20,000) seed-0 draws of the benchmark's
-``riemann_batch`` workload (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
-|u| <= 4), in its order, and counts them by three keys:
+takes the N-draw set (default 20,000) of the solver's fuzz domain in
+``tools/fuzz_domain.py`` (k_i in (-0.6, 1.5), rho, p in (0.1, 5),
+|u| <= 4). The set depends on N: the 200 draws of ``--draws 200`` are not
+the first 200 of the 20,000, and only ``--draws 2000`` gives the seed-0
+``problems`` of the benchmark's ``riemann_batch`` workload. It counts the
+draws by three keys:
 
 - ``structure``: what ``predict_structure`` predicts in the rightward frame,
   or the class of the error it raises;
 - ``mismatch``: the signs of ``velocity_mismatch`` at p_crit and at p_rest,
   the ends of ``subsonic_passage_bracket`` (``+``, ``-`` or ``0``, in that
   order), or the class of the error either raises;
-- ``fan``: the verdict of the wave-side check of ``tests/test_fuzz.py`` on
+- ``fan``: the verdict of the wave-side check ``fuzz_domain.off_side`` on
   the fan that ``compose_reference_fan`` composes (``on-side``, or
   ``wrong-side`` when a wave of the left sub-fan moves right or one of the
   right sub-fan left, beyond 1e-12 of the largest signal speed of the
@@ -34,10 +37,9 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import deltawave  # noqa: E402
 from deltawave import (  # noqa: E402
     DeltawaveError,
     GasState,
@@ -50,17 +52,7 @@ from deltawave import (  # noqa: E402
     velocity_mismatch,
 )
 from deltawave.gas import rightward_frame  # noqa: E402
-
-
-def draws(n: int):
-    """(left, right, coeffs) of the first ``n`` seed-0 ``riemann_batch`` draws."""
-    rng = np.random.default_rng(0)
-    k = rng.uniform(-0.6, 1.5, (n, 3))
-    rp = rng.uniform(0.1, 5.0, (n, 4))
-    u = rng.uniform(-4.0, 4.0, (n, 2))
-    for i in range(n):
-        yield (GasState(rp[i, 0], u[i, 0], rp[i, 1]), GasState(rp[i, 2], u[i, 1], rp[i, 3]),
-               SourceCoefficients(*k[i]))
+from fuzz_domain import draws, off_side  # noqa: E402
 
 
 def _attempt(fn, *args) -> str:
@@ -78,10 +70,7 @@ def _signs(left: GasState, right: GasState, coeffs: SourceCoefficients) -> str:
 
 
 def _verdict(left: GasState, right: GasState, coeffs: SourceCoefficients) -> str:
-    fan = compose_reference_fan(left, right, coeffs)
-    tol = 1e-12 * max(abs(left.u) + left.sound_speed, abs(right.u) + right.sound_speed)
-    off = any(s > tol for s in fan.left_wave_speeds()) \
-        or any(s < -tol for s in fan.right_wave_speeds())
+    off = off_side(compose_reference_fan(left, right, coeffs), left, right)
     return "wrong-side" if off else "on-side"
 
 
@@ -96,9 +85,9 @@ def _origin(left: GasState, right: GasState) -> str:
 
 
 def census(n: int) -> Counter:
-    """Counts of the first ``n`` draws by (structure, mismatch, fan)."""
+    """Counts of the ``n``-draw set by (structure, mismatch, fan)."""
     counts = Counter()
-    for left, right, coeffs in draws(n):
+    for left, right, coeffs in draws(n, deltawave):
         frame = rightward_frame(left, right)
         if frame is None:
             counts["no-source", "", _attempt(_origin, left, right)] += 1
