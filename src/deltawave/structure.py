@@ -123,26 +123,15 @@ def subsonic_passage_bracket(left: GasState, coeffs: SourceCoefficients) -> tupl
     return rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
 
 
-@value_class
-class Prediction:
-    """A predicted structure and what predicting it computed.
-
-    ``critical`` holds the critical Mach numbers of the solve's coefficients.
-    ``plus`` is the supersonic downstream state of a Type2 prediction. Every
-    other prediction holds the ends of the subsonic-passage bracket as
-    (pressure, velocity mismatch): ``crit`` at p_crit and ``rest`` at p_rest.
-    """
-
-    structure: SolutionStructure
-    critical: CriticalMachNumbers
-    plus: GasState | None = None
-    crit: tuple[float, float] | None = None
-    rest: tuple[float, float] | None = None
-
-
 def predict_structure(left: GasState, right: GasState,
-                      coeffs: SourceCoefficients) -> Prediction:
-    """Predict the structure of the Riemann solution for rightward flow on both sides."""
+                      coeffs: SourceCoefficients) -> SolverOutput:
+    """Predict the structure of the Riemann solution for rightward flow on both sides,
+    and give that structure's origin pair.
+
+    Type2 passes the origin supersonically; Type1 solves for the upstream
+    pressure of a subsonic passage; Type3 chokes at p_crit; Type7 and Type5
+    expand sonically to the origin, then choke or pass supersonically.
+    """
     frame = rightward_frame(left, right)
     if frame is None or frame[2]:
         raise ConfigError("prediction requires rightward flow on both sides")
@@ -156,19 +145,23 @@ def predict_structure(left: GasState, right: GasState,
         # fan then holds ``down`` at x/t = 0. Data that opens a vacuum there
         # raises ``VacuumError``.
         if origin_state(down, right) is down:
-            return Prediction(SolutionStructure.TYPE2, critical, plus=down)
+            return SolverOutput(left, down, SolutionStructure.TYPE2)
     p_rest, p_crit = rest_pressure(left), pressure_for_mach(left, critical.upstream_subsonic_max)
     rest = (p_rest, velocity_mismatch(p_rest, left, right, coeffs))
     crit = (p_crit, velocity_mismatch(p_crit, left, right, coeffs))
     if rest[1] * crit[1] < 0.0:
-        structure = SolutionStructure.TYPE1
-    elif coeffs.k > 0.0:
-        structure = SolutionStructure.TYPE3
-    elif coeffs.k == 0.0:
-        structure = SolutionStructure.TYPE7
-    else:
-        structure = SolutionStructure.TYPE5
-    return Prediction(structure, critical, crit=crit, rest=rest)
+        p = _solve_upstream_pressure(left, right, coeffs, crit, rest)
+        minus = wave_state(WaveFamily.ONE, left, p)
+        plus = downstream_state(minus, coeffs, Branch.SUBSONIC, False, critical)
+        return SolverOutput(minus, plus, SolutionStructure.TYPE1)
+    if coeffs.k > 0.0:
+        minus = wave_state(WaveFamily.ONE, left, p_crit)
+        return SolverOutput(minus, choked_downstream(minus, coeffs), SolutionStructure.TYPE3)
+    minus = _sonic_expansion_state(left, coeffs, critical)
+    if coeffs.k == 0.0:
+        return SolverOutput(minus, choked_downstream(minus, coeffs), SolutionStructure.TYPE7)
+    plus = downstream_state(minus, coeffs, Branch.SUPERSONIC, False, critical)
+    return SolverOutput(minus, plus, SolutionStructure.TYPE5)
 
 
 def _solve_upstream_pressure(left: GasState, right: GasState, coeffs: SourceCoefficients,
@@ -226,27 +219,6 @@ def _sonic_expansion_state(left: GasState, coeffs: SourceCoefficients,
     return GasState(rho, math.sqrt(left.gamma * p / rho), p, left.gamma)
 
 
-def _solve_positive_flow(left: GasState, right: GasState,
-                         coeffs: SourceCoefficients) -> SolverOutput:
-    pred = predict_structure(left, right, coeffs)
-    if pred.structure is SolutionStructure.TYPE2:
-        minus, plus = left, pred.plus
-    elif pred.structure is SolutionStructure.TYPE1:
-        p = _solve_upstream_pressure(left, right, coeffs, pred.crit, pred.rest)
-        minus = wave_state(WaveFamily.ONE, left, p)
-        plus = downstream_state(minus, coeffs, Branch.SUBSONIC, False, pred.critical)
-    elif pred.structure is SolutionStructure.TYPE3:
-        minus = wave_state(WaveFamily.ONE, left, pred.crit[0])
-        plus = choked_downstream(minus, coeffs)
-    else:  # TYPE5 or TYPE7: sonic expansion up to the origin
-        minus = _sonic_expansion_state(left, coeffs, pred.critical)
-        if pred.structure is SolutionStructure.TYPE5:
-            plus = downstream_state(minus, coeffs, Branch.SUPERSONIC, False, pred.critical)
-        else:
-            plus = choked_downstream(minus, coeffs)
-    return SolverOutput(minus, plus, pred.structure)
-
-
 def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficients) -> SolverOutput:
     """One-sided origin states of the approximate Riemann solver.
 
@@ -260,7 +232,7 @@ def approximate_solve(left: GasState, right: GasState, coeffs: SourceCoefficient
         state = origin_state(left, right)
         return SolverOutput(state, state, SolutionStructure.CLASSICAL)
     left, right, mirrored = frame
-    out = _solve_positive_flow(left, right, coeffs)
+    out = predict_structure(left, right, coeffs)
     return out.mirrored() if mirrored else out
 
 
@@ -338,7 +310,7 @@ def compose_reference_fan(left: GasState, right: GasState, coeffs: SourceCoeffic
         state = sample_classical(fan, 0.0)
         return SourceFan(SolutionStructure.CLASSICAL, state, state, fan, fan)
     left, right, mirrored = frame
-    out = _solve_positive_flow(left, right, coeffs)
+    out = predict_structure(left, right, coeffs)
     left_fan = solve_classical(left, out.minus)
     right_fan = solve_classical(out.plus, right)
     seen = out.mirrored() if mirrored else out

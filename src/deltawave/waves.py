@@ -235,13 +235,13 @@ def _shock_mach_map(anchor: GasState, target: float):
     return defect
 
 
-def shock_speed(family: WaveFamily, anchor: GasState, p: float, a: float | None = None) -> float:
+def shock_speed(family: WaveFamily, anchor: GasState, p: float, a: float) -> float:
     """Propagation speed of a shock of the given family at pressure ``p >= p_anchor``.
 
-    ``a`` is the anchor's sound speed, where the caller has it. A pressure
-    that is not finite and positive raises ``ConfigError``.
+    ``a`` is the anchor's sound speed. A pressure that is not finite and
+    positive raises ``ConfigError``.
     """
     _check_pressure(p)
     g = anchor.gamma
     root = math.sqrt((g + 1.0) / (2.0 * g) * p / anchor.p + (g - 1.0) / (2.0 * g))
-    return anchor.u + family.value * (anchor.sound_speed if a is None else a) * root
+    return anchor.u + family.value * a * root

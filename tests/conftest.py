@@ -27,10 +27,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def rel_err(a, b, floor=1.0):
-    return abs(a - b) / max(abs(b), floor)
-
-
 def state_rel_err(s1: GasState, s2: GasState) -> float:
     return max(
         abs(s1.rho - s2.rho) / abs(s2.rho),
@@ -157,9 +153,10 @@ def type2_wave_clears_origin(down: GasState, right: GasState) -> bool:
     shock at rest. The shock at rest itself does not pass: the sampler reads
     x/t = 0 on it as the state behind it. Data that opens a vacuum reads
     False here, where ``predict_structure`` raises ``VacuumError``; no fuzz
-    candidate does. The reference for the Type2 test of ``predict_structure``,
-    which asks whether ``classical.origin_state(down, right)`` returns
-    ``down`` itself and decides most candidates from defect signs.
+    candidate does. The reference for the Type2 branch of ``predict_structure``,
+    which returns the pair (left, ``down``) when
+    ``classical.origin_state(down, right)`` returns ``down`` itself, and
+    decides most candidates from defect signs.
     """
     g = down.gamma
     try:

@@ -8,6 +8,7 @@ import pytest
 
 from deltawave import (
     ConfigError,
+    DeltawaveError,
     GasState,
     SourceCoefficients,
     StationaryPair,
@@ -29,10 +30,10 @@ from deltawave.classical import (
     solve_classical,
 )
 from deltawave.dg import DgField, field_from_states, make_grid
-from deltawave.errors import RootBracketError, VacuumError
+from deltawave.errors import NotSolvableError, RootBracketError, VacuumError
 from deltawave.gas import rightward_frame
 from deltawave.stationary import Branch, CriticalMachNumbers, Side, critical_mach_numbers
-from deltawave.structure import Prediction, SolutionStructure, SolverOutput
+from deltawave.structure import SolutionStructure, SolverOutput
 from deltawave.waves import WaveFamily, shock_speed, wave_state
 
 from conftest import (
@@ -140,19 +141,6 @@ class TestPrediction:
             c = get_case(tid)
             assert predict_structure(c.left, c.right, c.coeffs).structure in allowed
 
-    @pytest.mark.parametrize("tid", [2, 3, 4, 6, 8])
-    def test_prediction_holds_what_it_computed(self, tid):
-        c = get_case(tid)
-        pred = predict_structure(c.left, c.right, c.coeffs)
-        if pred.structure is SolutionStructure.TYPE2:
-            assert pred.plus == downstream_state(c.left, c.coeffs, Branch.SUPERSONIC)
-            assert pred.crit is None and pred.rest is None
-            return
-        assert pred.plus is None
-        p_rest, p_crit = subsonic_passage_bracket(c.left, c.coeffs)
-        assert pred.rest == (p_rest, velocity_mismatch(p_rest, c.left, c.right, c.coeffs))
-        assert pred.crit == (p_crit, velocity_mismatch(p_crit, c.left, c.right, c.coeffs))
-
     @pytest.mark.parametrize("tid, mirrored, kind", [
         (2, False, SolutionStructure.TYPE1), (3, False, SolutionStructure.TYPE2),
         (4, False, SolutionStructure.TYPE3), (6, False, SolutionStructure.TYPE5),
@@ -201,6 +189,7 @@ class TestPrediction:
             approximate_solve(c.left, right, c.coeffs)
 
     def test_legal_tags_per_sign(self, rng):
+        # For k <= 0 the sonic expansion of a supersonic left datum is refused.
         legal = {
             1: {SolutionStructure.TYPE1, SolutionStructure.TYPE2, SolutionStructure.TYPE3},
             0: {SolutionStructure.TYPE1, SolutionStructure.TYPE2, SolutionStructure.TYPE7},
@@ -211,7 +200,32 @@ class TestPrediction:
             for _ in range(60):
                 left = GasState(rng.uniform(0.2, 3), rng.uniform(0.05, 3), rng.uniform(0.2, 3))
                 right = GasState(rng.uniform(0.2, 3), rng.uniform(0.05, 3), rng.uniform(0.2, 3))
-                assert predict_structure(left, right, c).structure in allowed
+                try:
+                    structure = predict_structure(left, right, c).structure
+                except NotSolvableError:
+                    assert k <= 0.0
+                    continue
+                assert structure in allowed
+
+    def test_solves_as_approximate_solve(self):
+        # Every fuzz draw whose flow passes the origin, in its rightward frame:
+        # the prediction is the solve, output or error.
+        def outcome(solve, *args):
+            try:
+                return repr(solve(*args))
+            except DeltawaveError as exc:
+                return type(exc).__name__, str(exc)
+
+        solved = 0
+        for i, (left, right, coeffs) in enumerate(riemann_batch_draws(2000)):
+            frame = rightward_frame(left, right)
+            if frame is None:
+                continue
+            left, right, _ = frame
+            assert outcome(predict_structure, left, right, coeffs) == \
+                outcome(approximate_solve, left, right, coeffs), i
+            solved += 1
+        assert solved == 995
 
 
 def _normal_shock_pressure(down: GasState) -> float:
@@ -225,7 +239,7 @@ class TestType2Oracle:
     against the full classical solve of conftest."""
 
     def test_agrees_on_every_fuzz_candidate(self):
-        verdicts = []
+        verdicts, refused = [], 0
         for i, (left, right, coeffs) in enumerate(riemann_batch_draws(20_000)):
             frame = rightward_frame(left, right)
             if frame is None:
@@ -235,14 +249,18 @@ class TestType2Oracle:
                                                                 Branch.SUPERSONIC):
                 continue
             down = downstream_state(left, coeffs, Branch.SUPERSONIC)
-            pred = predict_structure(left, right, coeffs)
-            verdict = pred.structure is SolutionStructure.TYPE2
+            try:
+                out = predict_structure(left, right, coeffs)
+            except NotSolvableError:  # a refused sonic expansion: not Type2
+                out = None
+                refused += 1
+            verdict = out is not None and out.structure is SolutionStructure.TYPE2
             assert verdict is type2_wave_clears_origin(down, right), i
             if verdict:
-                assert repr(pred.plus) == repr(down), i
+                assert repr(out.plus) == repr(down), i
             verdicts.append(verdict)
         # Every supersonic-admissible candidate; the 1,464 that pass are the Type2 solves.
-        assert (len(verdicts), sum(verdicts)) == (1499, 1464)
+        assert (len(verdicts), sum(verdicts), refused) == (1499, 1464, 2)
 
     def test_root_at_the_downstream_pressure(self):
         # Only a contact separates the states: the defect at down.p is 0.0 exactly.
@@ -260,17 +278,17 @@ class TestType2Oracle:
         p_normal = _normal_shock_pressure(down)
         right = wave_state(WaveFamily.ONE, down, p_normal)
         assert _defect_curve(down, right, [None])(p_normal)[0] == 0.0
-        assert abs(shock_speed(WaveFamily.ONE, down, p_normal)) <= 1e-14
+        assert abs(shock_speed(WaveFamily.ONE, down, p_normal, down.sound_speed)) <= 1e-14
         assert repr(origin_state(down, right)) == repr(right)
         assert not type2_wave_clears_origin(down, right)
         # A shock weaker by 1e-9 relative moves right and leaves ``down`` at the origin.
         weaker = wave_state(WaveFamily.ONE, down, p_normal * (1.0 - 1e-9))
-        assert shock_speed(WaveFamily.ONE, down, weaker.p) > 0.0
+        assert shock_speed(WaveFamily.ONE, down, weaker.p, down.sound_speed) > 0.0
         assert origin_state(down, weaker) is down
         assert type2_wave_clears_origin(down, weaker)
         # A shock stronger by 1e-9 relative moves left.
         stronger = wave_state(WaveFamily.ONE, down, p_normal * (1.0 + 1e-9))
-        assert shock_speed(WaveFamily.ONE, down, stronger.p) < 0.0
+        assert shock_speed(WaveFamily.ONE, down, stronger.p, down.sound_speed) < 0.0
         assert origin_state(down, stronger) is not down
         assert not type2_wave_clears_origin(down, stronger)
 
@@ -320,10 +338,7 @@ class TestType2Oracle:
 def _value_objects():
     c = get_case(2)
     fan = solve_classical(c.left, c.right)
-    type2 = get_case(3)
     return [fan, approximate_solve(c.left, c.right, c.coeffs),
-            predict_structure(c.left, c.right, c.coeffs),
-            predict_structure(type2.left, type2.right, type2.coeffs),
             critical_mach_numbers(c.coeffs, GAMMA),
             field_from_states(make_grid(-1.0, 1.0, 0.5), c.left, c.right)]
 
@@ -331,8 +346,8 @@ def _value_objects():
 class TestValueClasses:
     """The ``__init__`` of each frozen value class keeps the dataclass contract."""
 
-    @pytest.mark.parametrize("cls", [GasState, ClassicalFan, SolverOutput, Prediction,
-                                     CriticalMachNumbers, DgField])
+    @pytest.mark.parametrize("cls", [GasState, ClassicalFan, SolverOutput, CriticalMachNumbers,
+                                     DgField])
     def test_init_takes_the_fields(self, cls):
         params = list(inspect.signature(cls).parameters.values())
         assert [p.name for p in params] == [f.name for f in dataclasses.fields(cls)]
@@ -340,15 +355,8 @@ class TestValueClasses:
             assert p.default == (inspect.Parameter.empty if f.default is dataclasses.MISSING
                                  else f.default)
 
-    def test_prediction_defaults(self):
-        critical = critical_mach_numbers(coeffs_with_k(0.3), GAMMA)
-        pred = Prediction(SolutionStructure.TYPE3, critical)
-        assert (pred.plus, pred.crit, pred.rest) == (None, None, None)
-        assert pred.critical is critical
-
     @pytest.mark.parametrize("obj", _value_objects(),
-                             ids=["ClassicalFan", "SolverOutput", "Prediction", "Prediction2",
-                                  "CriticalMachNumbers", "DgField"])
+                             ids=["ClassicalFan", "SolverOutput", "CriticalMachNumbers", "DgField"])
     def test_frozen_value(self, obj):
         cls = type(obj)
         values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}

@@ -95,7 +95,7 @@ def test_bitcheck_digests_only_its_own_tree(tmp_path):
 CENSUS_200 = """\
 structure          mismatch           fan                 draws
 no-source                             star                   65
-Type5              ++                 NotSolvableError       35
+NotSolvableError   ++                 NotSolvableError       35
 no-source                             fan                    26
 Type3              ++                 on-side                24
 Type2              ++                 on-side                14

@@ -76,7 +76,7 @@ class TestShock:
             p = anchor.p * (1.0 + rng.uniform(0.01, 10.0))
             family = WaveFamily.ONE if rng.uniform() < 0.5 else WaveFamily.THREE
             other = wave_state(family, anchor, p)
-            sigma = shock_speed(family, anchor, p)
+            sigma = shock_speed(family, anchor, p, anchor.sound_speed)
             du = to_conserved(other) - to_conserved(anchor)
             sigma_mass = (physical_flux(other)[0] - physical_flux(anchor)[0]) / du[0]
             assert abs(sigma - sigma_mass) <= 1e-9 * max(1.0, abs(sigma))
@@ -251,6 +251,7 @@ class TestOutOfDomain:
 
 _C = SourceCoefficients(0.1, 0.0, 0.1)
 _LEFTWARD = GasState(1.0, -1.0, 1.0)
+_ANCHOR = GasState(1, 1, 1)
 OFF_DOMAIN = {
     "stationary_ratios": lambda: stationary_ratios(0.0, _C, GAMMA, Branch.SUBSONIC),
     "downstream_state": lambda: downstream_state(_LEFTWARD, _C, Branch.SUBSONIC),
@@ -280,10 +281,12 @@ OFF_DOMAIN = {
                                                                  Branch.SUPERSONIC),
     "critical_mach_numbers_gamma_one": lambda: critical_mach_numbers(_C, 1.0),
     "critical_mach_numbers_gamma_below_one": lambda: critical_mach_numbers(_C, 0.5),
-    "shock_speed_negative_pressure": lambda: shock_speed(WaveFamily.ONE, GasState(1, 1, 1), -1.0),
-    "shock_speed_nan_pressure": lambda: shock_speed(WaveFamily.THREE, GasState(1, 1, 1), math.nan),
-    "shock_speed_infinite_pressure": lambda: shock_speed(WaveFamily.ONE, GasState(1, 1, 1),
-                                                         math.inf),
+    "shock_speed_negative_pressure": lambda: shock_speed(WaveFamily.ONE, _ANCHOR, -1.0,
+                                                         _ANCHOR.sound_speed),
+    "shock_speed_nan_pressure": lambda: shock_speed(WaveFamily.THREE, _ANCHOR, math.nan,
+                                                    _ANCHOR.sound_speed),
+    "shock_speed_infinite_pressure": lambda: shock_speed(WaveFamily.ONE, _ANCHOR, math.inf,
+                                                         _ANCHOR.sound_speed),
 }
 
 
@@ -432,9 +435,9 @@ class TestRootFinders:
 
 N_COUNTED = 2000  # the seed-0 problems of the benchmark's riemann_batch workload
 # Most evaluations per call over those draws. A Type1 solve counts every
-# velocity-mismatch evaluation, the prediction's two at the bracket ends
-# included: 9.04 on average and 12 at most since the solve takes those two
-# from the prediction, where evaluating them again read 10.91 and 14. The
+# velocity-mismatch evaluation, the two at the bracket ends included: 9.04 on
+# average and 12 at most since the root finder starts from those two, where
+# evaluating them again read 10.91 and 14. The
 # shock-side Mach map read 5.6 on average when the superlinear finders
 # replaced bisection, which took 41.1 and 42 at most.
 MAX_TYPE1_EVALS = 12
@@ -451,9 +454,9 @@ def test_evaluation_counts_over_the_fuzz_draws(monkeypatch):
     real_map = waves._shock_mach_map
 
     def predict(*args):
-        pred = real_predict(*args)
-        predicted.append(pred.structure)
-        return pred
+        out = real_predict(*args)
+        predicted.append(out.structure)
+        return out
 
     def mach_map(anchor, target):
         calls = []

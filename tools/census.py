@@ -9,8 +9,9 @@ the first 200 of the 20,000, and only ``--draws 2000`` gives the seed-0
 ``problems`` of the benchmark's ``riemann_batch`` workload. It counts the
 draws by three keys:
 
-- ``structure``: what ``predict_structure`` predicts in the rightward frame,
-  or the class of the error it raises;
+- ``structure``: the structure of the rightward solve, ``predict_structure``
+  in the rightward frame, or the class of the error it raises (a refused
+  sonic expansion reads ``NotSolvableError`` here);
 - ``mismatch``: the signs of ``velocity_mismatch`` at p_crit and at p_rest,
   the ends of ``subsonic_passage_bracket`` (``+``, ``-`` or ``0``, in that
   order), or the class of the error either raises;
