@@ -75,21 +75,37 @@ def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) ->
     An error of a step, from its time step or from a stage, is raised again
     with its class and message, ending in one "(t=..., h=...)": the time the
     step started from and the cell width.
+
+    A step that returns its input coefficients bit for bit is a fixed point:
+    a step reads only the coefficients and dt, so every later step of that
+    dt returns them again. ``advance`` then moves the clock on with the
+    step's own ``t + dt`` while that dt still fits before ``t_end``, and
+    computes only the last, shorter step. The returned coefficients are
+    those of the last step, never the input's array. Coefficients compare
+    by their bytes, so -0.0 differs from 0.0. The two cells beside the
+    origin, which see the origin flux, are compared first: they change in
+    nearly every step that changes anything, so the whole array is
+    compared only when they did not.
     """
     t_end = _positive_time(t_end)
     c, shape = field.coeffs, (field.grid.n_cells, 3, 3)
     if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape):
         raise ConfigError(f"coefficients must be a float64 array of shape {shape}")
-    t = field.time
+    t, near = field.time, slice(field.grid.j0 - 1, field.grid.j0 + 1)
     while t < t_end * (1.0 - 1e-14):
         try:
             dt = min(cfl_dt(field, cfl), t_end - t)
-            field = _windowed_step(field, dt, coeffs, scheme)
+            step = _windowed_step(field, dt, coeffs, scheme)
         except DeltawaveError as exc:
             at = f"t={t:.6g}"
             msg = str(exc).removesuffix(f" ({at})")  # a stage error already ends in it
             raise type(exc)(f"{msg} ({at}, h={field.grid.h})") from exc
-        t = field.time
+        c, new, t = field.coeffs, step.coeffs, step.time
+        if new[near].tobytes() == c[near].tobytes() and new.tobytes() == c.tobytes():
+            while t < t_end * (1.0 - 1e-14) and dt <= t_end - t:  # cfl_dt would give dt again
+                t += dt
+            step = DgField(step.grid, step.gamma, new, t)
+        field = step
     return field
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 import deltawave
-from deltawave import GasState, SourceCoefficients, dg, fluxes
+from deltawave import GasState, SourceCoefficients, dg, fluxes, runner
 from deltawave.classical import solve_classical
 from deltawave.dg import _check_admissible
 from deltawave.errors import NotSolvableError, UnavailableFluxError, VacuumError
@@ -25,6 +25,19 @@ MARGIN_CELLS = 5
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def advance_steps(monkeypatch) -> list:
+    """(start time, dt) of each ``ssp_rk3_step`` that ``runner.advance`` makes in the test."""
+    steps, step = [], dg.ssp_rk3_step
+
+    def counted(field, dt, *args):
+        steps.append((field.time, dt))
+        return step(field, dt, *args)
+
+    monkeypatch.setattr(runner, "ssp_rk3_step", counted)
+    return steps
 
 
 def state_rel_err(s1: GasState, s2: GasState) -> float:

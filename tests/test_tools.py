@@ -53,7 +53,7 @@ def test_abtime_prints_every_ratio():
     assert out.splitlines()[1].split()[-3:-1] == ["wins", "B/A"]
     rows = {line.split()[0]: line.split() for line in out.splitlines()[2:]}
     assert set(rows) == {"solve", "origin", "step", "advance", "reference", "sweep", "limit",
-                         "solve_min"}
+                         "equilibrium", "solve_min"}
     assert all(float(v) > 0.0 for row in rows.values() for v in row[1:4])
     # The rounds B won, of one: 1/1 exactly where B/A is below 1 (a ratio that
     # prints as 1.0000 may go either way).

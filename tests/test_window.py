@@ -1,9 +1,10 @@
-"""The step window of ``runner.advance``: its rule, and bit identity with full-grid steps.
+"""The step window and the fixed-point rule of ``runner.advance``: bit identity with full-grid steps.
 
-``advance`` steps only the cells that ``dg.step_window`` names. The oracle
-here is the loop ``advance`` replaced: ``cfl_dt`` plus a full-grid
-``ssp_rk3_step`` per step. Every comparison is on the bytes of the
-coefficients and on the time, so a sign of zero that differs fails it.
+``advance`` steps only the cells that ``dg.step_window`` names, and stops
+stepping a field that a step returns bit for bit. The oracle here is the
+loop ``advance`` replaced: ``cfl_dt`` plus a full-grid ``ssp_rk3_step`` per
+step. Every comparison is on the bytes of the coefficients and on the
+time, so a sign of zero that differs fails it.
 """
 
 import math
@@ -22,14 +23,19 @@ from deltawave.runner import CFL, advance, initial_states
 from conftest import GAMMA, coeffs_with_k
 
 SCHEMES = (Scheme.SPLITTING, Scheme.KT, Scheme.SOLVER)
+TEST1 = get_case(1)
 TEST8_COEFFS = get_case(8).coeffs
 
 
-def full_grid_advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) -> DgField:
-    """``advance`` as it was before the window: every step on the full grid."""
+def full_grid_advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float,
+                      steps: list | None = None) -> DgField:
+    """``advance`` as it was before the window and the fixed-point rule: every step
+    computed, on the full grid. The (start time, dt) of each step goes into ``steps``."""
     t = field.time
     while t < t_end * (1.0 - 1e-14):
         dt = min(cfl_dt(field, cfl), t_end - t)
+        if steps is not None:
+            steps.append((t, dt))
         field = ssp_rk3_step(field, dt, coeffs, scheme)
         t = field.time
     return field
@@ -175,6 +181,39 @@ class TestBitIdentity:
                     outcomes.append((type(exc), str(exc).split(" (t=")[0]))
             assert outcomes[0] == outcomes[1]
         assert windowed > 100
+
+
+class TestFixedPoint:
+    """A step that returns its input bit for bit is not taken again: the clock runs on
+    while the CFL dt fits, and only the last, shorter step is computed."""
+
+    @staticmethod
+    def check(field: DgField, coeffs, scheme: Scheme, t_end: float, advance_steps: list) -> None:
+        out = advance(field, coeffs, scheme, t_end, CFL)
+        assert_same_bits(out, full_grid_advance(field, coeffs, scheme, t_end, CFL))
+        assert 1 <= len(advance_steps) <= 2
+        assert not np.shares_memory(out.coeffs, field.coeffs)
+
+    @pytest.mark.parametrize("t_end", (TEST1.t_end, 0.37))  # 0.37 is no multiple of dt
+    @pytest.mark.parametrize("scheme", (Scheme.KT, Scheme.KT_NOCORR, Scheme.SOLVER),
+                             ids=lambda s: s.value)
+    def test_equilibrium(self, scheme, t_end, advance_steps):
+        field = field_from_states(make_grid(*TEST1.domain, 0.05), *initial_states(TEST1))
+        self.check(field, TEST1.coeffs, scheme, t_end, advance_steps)
+
+    @pytest.mark.parametrize("scheme", tuple(Scheme), ids=lambda s: s.value)
+    def test_uniform_state_without_source(self, scheme, advance_steps):
+        field = field_from_states(make_grid(-2.0, 2.0, 0.125), *[GasState(1.0, 0.5, 1.0)] * 2)
+        self.check(field, SourceCoefficients(0.0, 0.0, 0.0), scheme, 1.0, advance_steps)
+
+    def test_splitting_computes_every_step(self, advance_steps):
+        # Splitting moves test 1 (criterion 5), so no step is a fixed point.
+        field = field_from_states(make_grid(*TEST1.domain, 0.05), *initial_states(TEST1))
+        steps = []
+        assert_same_bits(advance(field, TEST1.coeffs, Scheme.SPLITTING, TEST1.t_end, CFL),
+                         full_grid_advance(field, TEST1.coeffs, Scheme.SPLITTING, TEST1.t_end,
+                                           CFL, steps))
+        assert advance_steps == steps and len(steps) == 73
 
 
 class TestErrorsNameGlobalCells:

@@ -5,7 +5,7 @@
 imports ``TREE_A/src/deltawave`` as ``deltawave_a`` and
 ``TREE_B/src/deltawave`` as ``deltawave_b`` into one interpreter and runs N
 rounds (default 40). Each round times both packages, in alternating order,
-on eight pieces of work:
+on nine pieces of work:
 
 - ``solve``: ``approximate_solve`` over the 2,000-draw set of
   ``tools/fuzz_domain.py``, the seed-0 problems of the benchmark's
@@ -35,6 +35,11 @@ on eight pieces of work:
 - ``limit``: one ``tvd_limit`` alone, on the cells of ``step_window`` of the
   t = 1.5 field of ``advance`` (511 of the 1,600 cells); the fastest of
   five, as one call takes a fraction of a millisecond;
+- ``equilibrium``: ``run_test`` of test 1 with the solver flux at h = 0.05,
+  the set-up run of the benchmark's ``table_sweep``; the fastest of three.
+  Test 1 is an exact equilibrium, so ``advance`` computes only its first
+  and last steps, and the piece times what a run does around its steps:
+  the initial field, the reference fan and the error norms;
 - ``solve_min``: ``approximate_solve`` over the draws of ``solve``, each
   draw timed alone: the sum over the draws of each draw's fastest time in
   ten passes per package, the two packages' passes interleaved. A whole pass
@@ -85,6 +90,8 @@ SWEEP_TEST, SWEEP_H = 5, 0.05
 SWEEP_FROM, SWEEP_TO = 2.0, 2.35
 SWEEP_REPEATS = 3
 LIMIT_REPEATS = 5
+EQUILIBRIUM_TEST, EQUILIBRIUM_H = 1, 0.05
+EQUILIBRIUM_REPEATS = 3
 MIN_PASSES = 10  # per package and round
 
 
@@ -124,6 +131,7 @@ class Work:
         self.window = dg.DgField(window, self.mid_field.gamma, c[lo:hi].copy(),
                                  self.mid_field.time)
         self.limit_fn = dg.tvd_limit
+        self.run_test_fn, self.solver = runner.run_test, runner.scheme_from_name("solver")
         self.compose_fn = structure.compose_reference_fan
         self.reference_fn = runner.reference_cell_averages
         self.ref_grid = dg.make_grid(-1.0, 1.0, REF_H)
@@ -190,6 +198,10 @@ class Work:
     def limit(self) -> float:
         return fastest(lambda: self.limit_fn(self.window), LIMIT_REPEATS)
 
+    def equilibrium(self) -> float:
+        return fastest(lambda: self.run_test_fn(EQUILIBRIUM_TEST, self.solver, EQUILIBRIUM_H),
+                       EQUILIBRIUM_REPEATS)
+
 
 def fastest(fn, repeats: int) -> float:
     """The shortest wall time, in seconds, of ``repeats`` calls of ``fn()``."""
@@ -224,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"no package src/deltawave in {tree}")
     sides = [Work(load(tree.resolve(), name), name)
              for tree, name in ((args.tree_a, "deltawave_a"), (args.tree_b, "deltawave_b"))]
-    names = ("solve", "origin", "step", "advance", "reference", "sweep", "limit")
+    names = ("solve", "origin", "step", "advance", "reference", "sweep", "limit", "equilibrium")
     for side in sides:  # warm-up, untimed; ``solve`` warms ``solve_min``'s code
         for name in names:
             getattr(side, name)()
@@ -239,14 +251,14 @@ def main(argv: list[str] | None = None) -> int:
         for s, t in enumerate(solve_min(sides, order)):
             times["solve_min", s].append(t)
     print(f"A = {args.tree_a}, B = {args.tree_b}, {args.rounds} interleaved rounds")
-    print(f"{'work':9s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s} "
+    print(f"{'work':11s} {'A median s':>11s} {'B median s':>11s} {'B/A median':>11s} "
           f"{'B wins':>7s}  B/A quartiles")
     for name in names + ("solve_min",):
         a, b = times[name, 0], times[name, 1]
         ratios = [tb / ta for ta, tb in zip(a, b)]
         q1, _, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
         wins = f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}"
-        print(f"{name:9s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
+        print(f"{name:11s} {statistics.median(a):11.5f} {statistics.median(b):11.5f} "
               f"{statistics.median(ratios):11.4f} {wins:>7s}  {q1:.4f}-{q3:.4f}")
     return 0
 

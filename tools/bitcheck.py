@@ -36,8 +36,9 @@ imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
   order or the shape of its coordinates cannot keep the digests;
 - ``run.*``: sha256 of the final coefficients and repr of the density L1
   error of ``run_test`` for tests 1-8 x {splitting, kt, kt-nocorr, solver}
-  at h = 0.05 and test 8 with the solver at h = 0.0125 (the error class and
-  message where a run raises);
+  at h = 0.05, test 8 with the solver at h = 0.0125 and test 1 with kt and
+  with the solver at h = 0.0125, where ``advance`` fast-forwards an exact
+  equilibrium (the error class and message where a run raises);
 - ``stage.*``: for seeds 0-2, 300 seeded random fields each (4-400 cells,
   means scaled by 1 +/- 0.5 of a random factor cubed, so some cells are
   troubled, some flattened and some have p <= 0; some fields flow leftward
@@ -209,7 +210,8 @@ def _runs() -> dict:
 
     out = {}
     runs = [(tid, name, 0.05) for tid in range(1, 9)
-            for name in ("splitting", "kt", "kt-nocorr", "solver")] + [(8, "solver", 0.0125)]
+            for name in ("splitting", "kt", "kt-nocorr", "solver")]
+    runs += [(8, "solver", 0.0125), (1, "kt", 0.0125), (1, "solver", 0.0125)]
     for tid, name, h in runs:
         key = f"run.{tid}.{name}.{h:g}"
         try:
