@@ -81,27 +81,25 @@ def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) ->
     dt returns them again. ``advance`` then moves the clock on with the
     step's own ``t + dt`` while that dt still fits before ``t_end``, and
     computes only the last, shorter step. The returned coefficients are
-    those of the last step, never the input's array. Coefficients compare
-    by their bytes, so -0.0 differs from 0.0. The two cells beside the
-    origin, which see the origin flux, are compared first: they change in
-    nearly every step that changes anything, so the whole array is
-    compared only when they did not.
+    those of the last step, never the input's array. Only the cells of the
+    step's window are compared, by their bytes, so -0.0 differs from 0.0:
+    the cells outside it are copied unchanged.
     """
     t_end = _positive_time(t_end)
     c, shape = field.coeffs, (field.grid.n_cells, 3, 3)
     if not (isinstance(c, np.ndarray) and c.dtype == np.float64 and c.shape == shape):
         raise ConfigError(f"coefficients must be a float64 array of shape {shape}")
-    t, near = field.time, slice(field.grid.j0 - 1, field.grid.j0 + 1)
+    t = field.time
     while t < t_end * (1.0 - 1e-14):
         try:
             dt = min(cfl_dt(field, cfl), t_end - t)
-            step = _windowed_step(field, dt, coeffs, scheme)
+            step, window = _windowed_step(field, dt, coeffs, scheme)
         except DeltawaveError as exc:
             at = f"t={t:.6g}"
             msg = str(exc).removesuffix(f" ({at})")  # a stage error already ends in it
             raise type(exc)(f"{msg} ({at}, h={field.grid.h})") from exc
         c, new, t = field.coeffs, step.coeffs, step.time
-        if new[near].tobytes() == c[near].tobytes() and new.tobytes() == c.tobytes():
+        if new[window].tobytes() == c[window].tobytes():
             while t < t_end * (1.0 - 1e-14) and dt <= t_end - t:  # cfl_dt would give dt again
                 t += dt
             step = DgField(step.grid, step.gamma, new, t)
@@ -109,8 +107,8 @@ def advance(field: DgField, coeffs, scheme: Scheme, t_end: float, cfl: float) ->
     return field
 
 
-def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField:
-    """``ssp_rk3_step`` of ``field``, run on the cells of ``step_window`` only.
+def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> tuple[DgField, slice]:
+    """``ssp_rk3_step`` of ``field``, run on the cells of ``step_window`` only, and those cells.
 
     The window is widened to whole blocks of 8 cells, so that its stage
     temporaries come in a few sizes that the allocator reuses: a length
@@ -128,8 +126,9 @@ def _windowed_step(field: DgField, dt: float, coeffs, scheme: Scheme) -> DgField
         sub = Grid(grid.a + lo * grid.h, grid.a + hi * grid.h, hi - lo, grid.h, grid.j0 - lo)
         with suppress(SchemeError):  # a failing window is stepped again below
             step = ssp_rk3_step(DgField(sub, field.gamma, c[lo:hi], field.time), dt, coeffs, scheme)
-            return DgField(grid, field.gamma, np.vstack((c[:lo], step.coeffs, c[hi:])), step.time)
-    return ssp_rk3_step(field, dt, coeffs, scheme)
+            c = np.vstack((c[:lo], step.coeffs, c[hi:]))
+            return DgField(grid, field.gamma, c, step.time), slice(lo, hi)
+    return ssp_rk3_step(field, dt, coeffs, scheme), slice(None)
 
 
 def reference_cell_averages(fan: SourceFan, grid: Grid, t: float) -> np.ndarray:

@@ -335,11 +335,12 @@ class TestRunTestValidation:
 
 _PLACE = re.compile(r"(interfaces|quadrature cells|cells) \[([\d ]+)\]")
 # One corruption of a small field: a coefficient set to NaN or +-inf at any
-# cell, mode and variable, or a mean whose density or pressure is <= 0.
+# cell, mode and variable, a mean whose density or pressure is <= 0, or a
+# density so small that the velocity overflows.
 _CORRUPTIONS = st.one_of(
     st.tuples(st.just("value"), st.integers(0, 2), st.integers(0, 2),
               st.sampled_from([math.nan, math.inf, -math.inf])),
-    st.tuples(st.just("rho"), st.sampled_from([0.0, -0.0, -1e-300, -0.5])),
+    st.tuples(st.just("rho"), st.sampled_from([0.0, -0.0, -1e-300, -0.5, 1e-310, 5e-324])),
     st.tuples(st.just("p"), st.sampled_from([0.0, -1e-12, -0.5])))
 
 

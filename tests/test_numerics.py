@@ -504,54 +504,46 @@ class TestCfl:
         with pytest.raises(ValueError):
             cfl_dt(field, 0.6)
 
+    # One spoiled mean per class: (cell, variable, value) on the field of
+    # test_spoiled_mean_names_its_cell, whose cells 0-3 hold (rho, rho u, E) =
+    # (1, 1, 3) and cells 4-7 the means of (rho, u, p) = (0.9, 0.4, 1.3).
+    SPOILED_MEANS = {
+        # Its velocity and sound speed were 0, so cfl_dt once returned 0.0573
+        # and the next stage stack raised.
+        "rho=+inf": (4, 0, math.inf),
+        # Its velocity and sound speed are -0.0: only the density's own bound fails.
+        "rho=-inf": (4, 0, -math.inf),
+        "rho=0": (4, 0, 0.0),
+        "rho=-0": (4, 0, -0.0),
+        # The velocity overflows, which once warned before the error.
+        "rho=1e-310": (4, 0, 1e-310),
+        "rho=5e-324": (4, 0, 5e-324),
+        # It once raised "non-finite field", naming no cell.
+        "mom=nan": (4, 1, math.nan),
+        # It once gave dt = 0.0, on which advance raised ConfigError.
+        "E=+inf": (4, 2, math.inf),
+        "p=0": (3, 2, 0.5),  # E equal to the kinetic energy 0.5 mom (mom / rho)
+        "p<0": (3, 2, 0.01),  # E below it
+    }
 
-    def test_non_positive_mean_pressure_names_cells(self):
-        g = make_grid(-1.0, 1.0, 0.25)
-        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
-        c = field.coeffs.copy()
-        c[3, 0, 2] = 0.01  # energy below the kinetic energy: p < 0
-        with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[3\] \(t=0\)$"):
-            cfl_dt(field.with_coeffs(c), 0.5)
-
-    def test_non_finite_mean_names_its_cell(self):
-        # It used to raise "non-finite field", naming no cell.
-        g = make_grid(-1.0, 1.0, 0.25)
-        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
-        c = field.coeffs.copy()
-        c[4, 0, 1] = math.nan
-        with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] \(t=0\)$"):
-            cfl_dt(field.with_coeffs(c), 0.5)
-
-    def test_infinite_mean_energy_names_its_cell(self):
-        # It used to give dt = 0.0, on which advance raised ConfigError.
+    @pytest.mark.parametrize("spoiled", SPOILED_MEANS)
+    def test_spoiled_mean_names_its_cell(self, spoiled):
         from deltawave.runner import advance
 
-        g = make_grid(-1.0, 1.0, 0.25)
-        field = field_from_states(g, GasState(1, 0.5, 1), GasState(1, 0.5, 1))
-        c = field.coeffs.copy()
-        c[4, 0, 2] = math.inf
-        field = field.with_coeffs(c)
-        message = r"^inadmissible state at cells \[4\] \(t=0\)$"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(SchemeError, match=message):
-                cfl_dt(field, 0.5)
-            # advance gives the grid step too, as for a stage error.
-            with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] "
-                                                  r"\(t=0, h=0.25\)$"):
-                advance(field, TEST1_COEFFS, SOLVER, 0.1, 0.5)
-
-    def test_infinite_mean_density_names_its_cell(self):
-        # Its velocity and sound speed were 0, so cfl_dt returned 0.0573 and the
-        # next stage stack raised.
+        cell, var, value = self.SPOILED_MEANS[spoiled]
         g = make_grid(-1.0, 1.0, 0.25)
         field = field_from_states(g, GasState(1, 1, 1), GasState(0.9, 0.4, 1.3))
         c = field.coeffs.copy()
-        c[4, 0, 0] = math.inf
+        c[cell, 0, var] = value
+        field = field.with_coeffs(c)
+        at = rf"^inadmissible state at cells \[{cell}\] "
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SchemeError, match=r"^inadmissible state at cells \[4\] \(t=0\)$"):
-                cfl_dt(field.with_coeffs(c), 0.5)
+            with pytest.raises(SchemeError, match=at + r"\(t=0\)$"):
+                cfl_dt(field, 0.5)
+            # advance gives the grid step too, as for a stage error.
+            with pytest.raises(SchemeError, match=at + r"\(t=0, h=0.25\)$"):
+                advance(field, TEST1_COEFFS, SOLVER, 0.1, 0.5)
 
 
 class TestFreeStreamMultiStep:

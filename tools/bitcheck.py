@@ -44,7 +44,11 @@ imported package is not ``TREE/src/deltawave`` (say, ``TREE`` has none and
   troubled, some flattened and some have p <= 0; some fields flow leftward
   supersonically, some have zero slopes), the bytes of ``dg_rhs`` under
   each scheme, of ``tvd_limit`` and of one ``ssp_rk3_step``, and the repr
-  of ``cfl_dt`` (the error class and message where one raises);
+  of ``cfl_dt`` (the error class and message where one raises); and
+  ``stage.spoiled_means``, the same outputs (one step, its scheme cycling)
+  for a 16-cell admissible field with one mean spoiled, in each of the
+  classes of ``SPOILS``, at cells 0, j0 - 1, j0 and n - 1: values that the
+  random fields never draw;
 - ``cli.reference.N``: the CSV bytes of ``deltawave reference --test N``;
 - ``cli.run.N``: the CSV bytes of ``deltawave run --test N --scheme solver
   --h 0.5``;
@@ -63,6 +67,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from collections import Counter
@@ -76,6 +81,11 @@ N_DRAWS = 20_000
 N_FANS = 300
 N_CURVES = 2_000
 N_FIELDS = 300  # random stage inputs per seed
+# The spoiled means of ``stage.spoiled_means``: (variable, value) sets that
+# conserved entry of a mean, and ("p", value) sets its energy to the one that
+# gives the pressure ``value``, as the scheme computes p.
+SPOILS = [(0, math.inf), (0, -math.inf), (0, 0.0), (0, -0.0), (0, 1e-310), (0, 5e-324),
+          (1, math.nan), (2, math.inf), ("p", 0.0), ("p", -0.5)]
 
 
 def _digest(lines) -> str:
@@ -249,29 +259,62 @@ def _random_field(dg, rng):
     return dg.DgField(grid, 1.4, coeffs, float(rng.uniform(0.0, 1.0))), k
 
 
+def _coeffs_of(fn, *args) -> np.ndarray:
+    return fn(*args).coeffs
+
+
+def _stage_outputs(dg, field, k, scheme, schemes) -> list[str]:
+    """The outcomes of ``dg_rhs`` under each scheme, ``tvd_limit``, ``cfl_dt`` and one step.
+
+    Inadmissible inputs may warn on their way to the typed error; the
+    outcome, not the warning, is the output.
+    """
+    with np.errstate(all="ignore"):
+        return [*(_attempt(dg.dg_rhs, field, k, each) for each in schemes),
+                _attempt(_coeffs_of, dg.tvd_limit, field), _attempt(dg.cfl_dt, field, 0.3),
+                _attempt(_coeffs_of, dg.ssp_rk3_step, field, 0.05 * field.grid.h, k, scheme)]
+
+
+def _spoiled_means() -> str:
+    """The digest of ``_stage_outputs`` on a 16-cell field with one mean spoiled per case."""
+    from deltawave import SourceCoefficients, dg
+    from deltawave.runner import SCHEMES
+
+    grid, k = dg.make_grid(-0.75, 1.25, 0.125), SourceCoefficients(0.4, 0.2, 0.4)
+    n, rng = grid.n_cells, np.random.default_rng(0)
+    rho, u, p = rng.uniform(0.5, 2.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)
+    base = np.zeros((n, 3, 3))
+    base[:, 0] = np.column_stack([rho, rho * u, p / 0.4 + 0.5 * rho * u * u])
+    base[:, 1:] = 0.01 * rng.uniform(-1.0, 1.0, (n, 2, 3)) * np.abs(base[:, :1])
+    schemes, lines = list(SCHEMES.values()), []
+    for cell in (0, grid.j0 - 1, grid.j0, n - 1):
+        for var, value in SPOILS:
+            c = base.copy()
+            if var == "p":
+                rho, mom = c[cell, 0, :2]
+                c[cell, 0, 2] = 0.5 * mom * (mom / rho) + value / 0.4
+            else:
+                c[cell, 0, var] = value
+            scheme = schemes[len(lines) % len(schemes)]
+            lines.append(_stage_outputs(dg, dg.DgField(grid, 1.4, c), k, scheme, schemes))
+    return _digest(line for outputs in lines for line in outputs)
+
+
 def _stages() -> dict:
     from deltawave import dg
     from deltawave.runner import SCHEMES
 
-    def coeffs_of(fn, *args):
-        return fn(*args).coeffs
-
-    out = {}
+    names = [f"rhs.{s}" for s in SCHEMES] + ["limit", "cfl", "step"]
+    out = {"stage.spoiled_means": _spoiled_means()}
     for seed in range(3):
         rng = np.random.default_rng(seed)
-        lines = {name: [] for name in [f"rhs.{s}" for s in SCHEMES] + ["limit", "step", "cfl"]}
+        lines = {name: [] for name in names}
         for i in range(N_FIELDS):
             field, k = _random_field(dg, rng)
             scheme = list(SCHEMES.values())[i % len(SCHEMES)]
-            # Inadmissible inputs may warn on their way to the typed error;
-            # the outcome, not the warning, is the output.
-            with np.errstate(all="ignore"):
-                for name, each in SCHEMES.items():
-                    lines[f"rhs.{name}"].append(_attempt(dg.dg_rhs, field, k, each))
-                lines["limit"].append(_attempt(coeffs_of, dg.tvd_limit, field))
-                lines["cfl"].append(_attempt(dg.cfl_dt, field, 0.3))
-                lines["step"].append(_attempt(coeffs_of, dg.ssp_rk3_step, field,
-                                              0.05 * field.grid.h, k, scheme))
+            outputs = _stage_outputs(dg, field, k, scheme, SCHEMES.values())
+            for name, line in zip(names, outputs):
+                lines[name].append(line)
         out.update({f"stage.{seed}.{name}": _digest(v) for name, v in lines.items()})
     return out
 
